@@ -40,11 +40,11 @@ cover:
 	$(GO) test -cover ./...
 
 # CI's coverage gate: the protocol core, the engine, the fault plane, the
-# sketch layer and the runtime contract must each keep statement coverage
-# at or above 70%.
+# sketch layer, the runtime contract and the seeded RNG must each keep
+# statement coverage at or above 70%.
 cover-gate:
 	@fail=0; \
-	for pkg in ./internal/elect ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime; do \
+	for pkg in ./internal/elect ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/lazyrand; do \
 		$(GO) test -coverprofile=cover.out $$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg coverage: $$pct%"; \
@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -fuzz FuzzElectSchedule -fuzztime 30s -run '^$$' ./internal/adversary
 	$(GO) test -fuzz FuzzCanonical -fuzztime 30s -run '^$$' ./internal/iso
 	$(GO) test -fuzz FuzzFromTwins -fuzztime 30s -run '^$$' ./internal/graph
+	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s -run '^$$' ./internal/lazyrand
 
 # Adversarial schedule sweep of a representative instance: every strategy
 # across seeds, protocol invariants checked per run (see DESIGN.md §10).

@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/lazyrand"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/sketch"
 )
@@ -203,7 +204,7 @@ func run() error {
 		sw.watch(streamCtx, &http.Client{}, base)
 	}()
 
-	rng := rand.New(rand.NewSource(*seed))
+	rng := lazyrand.New(*seed)
 	pool := mix(rng)
 	interval := time.Duration(float64(time.Second) / *rate)
 

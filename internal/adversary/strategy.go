@@ -2,9 +2,9 @@ package adversary
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
+	"repro/internal/lazyrand"
 	"repro/internal/sim"
 )
 
@@ -60,7 +60,7 @@ func NewStrategy(name string, seed int64, classOf []int) (sim.Strategy, error) {
 // equivalent in distribution to the engine's default delay injection but
 // with a recordable decision log.
 func Random(seed int64) sim.Strategy {
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	return sim.StrategyFunc(func(ready []int, step int) int {
 		return ready[rng.Intn(len(ready))]
 	})
@@ -106,7 +106,7 @@ func Convoy(burst int, seed int64) sim.Strategy {
 	if burst < 1 {
 		burst = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	current, left := -1, 0
 	return sim.StrategyFunc(func(ready []int, step int) int {
 		if left > 0 {

@@ -96,8 +96,8 @@ func TestCampaignAcceptance(t *testing.T) {
 	}
 }
 
-// canonicalJSONL parses, de-times, and sorts a JSONL stream for the
-// determinism diff.
+// canonicalJSONL parses a JSONL stream, keeps each record's deterministic
+// part and sorts the records by index for the determinism diff.
 func canonicalJSONL(t *testing.T, raw []byte) []RunResult {
 	t.Helper()
 	var out []RunResult
@@ -109,8 +109,7 @@ func canonicalJSONL(t *testing.T, raw []byte) []RunResult {
 		if err := json.Unmarshal(line, &r); err != nil {
 			t.Fatalf("bad jsonl line %q: %v", line, err)
 		}
-		r.ElapsedMS = 0
-		out = append(out, r)
+		out = append(out, r.Deterministic())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out

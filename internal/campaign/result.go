@@ -13,8 +13,10 @@ import (
 )
 
 // RunResult is the per-run record of a campaign, one JSONL line per run.
-// Every field except ElapsedMS is deterministic per (spec, seed); the
-// determinism test zeroes ElapsedMS and diffs the sorted records.
+// It holds two kinds of fields. The outcome fields are deterministic per
+// (spec, seed) at any worker count. The observational fields (CacheHit,
+// ElapsedMS, TraceDropped, RequestID) record how the run was executed;
+// Deterministic zeroes them.
 type RunResult struct {
 	// Index is the run's position in the expanded work list.
 	Index    int    `json:"index"`
@@ -79,6 +81,18 @@ type RunResult struct {
 	// inside a traced daemon request (telemetry.WithRequestID), so JSONL
 	// records and streamed campaign lines correlate with access logs.
 	RequestID string `json:"request_id,omitempty"`
+}
+
+// Deterministic returns r with its observational fields zeroed: CacheHit
+// (which worker won the analysis cache's singleflight race), ElapsedMS,
+// TraceDropped and RequestID. What remains is a function of (spec, seed),
+// so two executions of one spec must agree on it record for record.
+func (r RunResult) Deterministic() RunResult {
+	r.CacheHit = false
+	r.ElapsedMS = 0
+	r.TraceDropped = 0
+	r.RequestID = ""
+	return r
 }
 
 // phaseMap converts a per-phase counter array to its name-keyed JSON

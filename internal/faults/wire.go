@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+
+	"repro/internal/lazyrand"
 )
 
 // WireKind classifies one injected wire fault on the networked backend's
@@ -248,7 +250,7 @@ func NewWire(name string, seed int64) (WireInjector, error) {
 		return nil, fmt.Errorf("faults: unknown wire strategy %q (have %s)",
 			name, strings.Join(WireStrategies(), ", "))
 	}
-	return &wireStrategy{kinds: kinds, rng: rand.New(rand.NewSource(seed)), denom: 8}, nil
+	return &wireStrategy{kinds: kinds, rng: lazyrand.New(seed), denom: 8}, nil
 }
 
 // Inject decides one send: a 1-in-8 chance of injecting the strategy's

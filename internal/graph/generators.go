@@ -2,7 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
+
+	"repro/internal/lazyrand"
 )
 
 // Path returns the path graph P_n on n nodes (n-1 edges).
@@ -216,7 +217,7 @@ func MoebiusKantor() *Graph {
 // extra additional random non-tree edges, using the given seed. The result
 // is deterministic for a fixed (n, extra, seed).
 func RandomConnected(n, extra int, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	b := NewBuilder(n)
 	have := make(map[[2]int]bool)
 	add := func(u, v int) bool {
@@ -276,7 +277,7 @@ func RandomRegular(n, d int, seed int64) *Graph {
 	if n <= 0 || d < 1 || d >= n || n*d%2 != 0 {
 		panic(fmt.Sprintf("graph: RandomRegular(%d, %d): need 0 < d < n and n*d even", n, d))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	stubs := make([]int, n*d)
 	for attempt := 0; attempt < 500; attempt++ {
 		for i := range stubs {

@@ -2,7 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
+
+	"repro/internal/lazyrand"
 )
 
 // EdgeLabeling assigns a label to every port: L[v][p] is the label, at v, of
@@ -28,7 +29,7 @@ func PortLabeling(g *Graph) EdgeLabeling {
 // RandomLabeling returns a labeling where each node permutes its port labels
 // randomly (deterministic per seed) — an adversarial relabeling of ports.
 func RandomLabeling(g *Graph, seed int64) EdgeLabeling {
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	l := make(EdgeLabeling, g.N())
 	for v := range l {
 		l[v] = rng.Perm(g.Deg(v))

@@ -22,6 +22,7 @@ var docPackages = []string{
 	"../adversary", // the schedule explorer
 	"../runtime",   // the unified Protocol/Runtime contract
 	"../zoo",       // the related-work protocol zoo
+	"../lazyrand",  // the module's one seeded-RNG constructor
 }
 
 // TestExportedSymbolsDocumented parses each gated package and fails on any

@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/lazyrand"
 )
 
 // View is what a machine observes when it executes at a node.
@@ -129,7 +130,7 @@ func newWorld(cfg Config) (*world, error) {
 		cfg:    cfg,
 		boards: make([][]string, cfg.G.N()),
 		rev:    make([]int, cfg.G.N()),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    lazyrand.New(cfg.Seed),
 	}
 	for i, h := range cfg.Homes {
 		w.agents = append(w.agents, &agentCore{node: h, entry: -1, parkedSeen: -1})
@@ -285,7 +286,7 @@ func RunTransformed(cfg Config, m Machine) (*Result, error) {
 	park := make([][]parked, n)
 	outcomes := make([]string, len(cfg.Homes))
 	halted := 0
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 
 	// Initial deliveries at the home processors.
 	for i, h := range cfg.Homes {

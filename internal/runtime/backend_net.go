@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"os/exec"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/lazyrand"
 )
 
 // The spawn modes of the Networked backend.
@@ -137,7 +137,7 @@ func (nw *Networked) Run(cfg Config, p Protocol) (*Result, error) {
 	var delayed []delayedMsg
 	halted := 0
 	sends := 0
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 
 	// deliver routes one agent message through the wire-fault plane.
 	deliver := func(from, to int, m netMsg) {
@@ -443,10 +443,12 @@ func acceptTimeout(ln net.Listener, d time.Duration) (net.Conn, error) {
 		c, err := ln.Accept()
 		ch <- res{c, err}
 	}()
+	timer := time.NewTimer(d)
+	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return r.c, r.err
-	case <-time.After(d):
+	case <-timer.C:
 		return nil, errors.New("runtime: timed out waiting for a worker to dial in")
 	}
 }

@@ -2,11 +2,11 @@ package runtime
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/lazyrand"
 	"repro/internal/sim"
 )
 
@@ -276,7 +276,7 @@ func (*Scheduled) Name() string { return "scheduled" }
 func (s *Scheduled) Run(cfg Config, p Protocol) (*Result, error) {
 	strat := s.Strategy
 	if strat == nil {
-		rng := rand.New(rand.NewSource(cfg.Seed))
+		rng := lazyrand.New(cfg.Seed)
 		strat = sim.StrategyFunc(func(ready []int, _ int) int {
 			return ready[rng.Intn(len(ready))]
 		})

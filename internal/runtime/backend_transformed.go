@@ -2,7 +2,8 @@ package runtime
 
 import (
 	"errors"
-	"math/rand"
+
+	"repro/internal/lazyrand"
 )
 
 // Transformed is backend (c): the paper's Figure 1 transformation executed
@@ -50,7 +51,7 @@ func (tr Transformed) Run(cfg Config, p Protocol) (*Result, error) {
 		Backend:  tr.Name(),
 	}
 	halted := 0
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 
 	// Engine pre-marks and initial deliveries at the home processors.
 	for i, h := range cfg.Homes {

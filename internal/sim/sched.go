@@ -144,6 +144,12 @@ const (
 // next agent from the ready set. Grants are issued only after every agent has
 // reached its first sequence point (the startup barrier), so the first
 // decision's ready set does not depend on goroutine startup timing.
+//
+// An abort (deadlock, watchdog, cancellation) keeps the serialization: the
+// turn then passes to the live agents in index order, and every turnstile
+// call returns ErrAborted to its holder. So agents unwind one at a time and
+// the events they emit while unwinding (their outcomes) keep a deterministic
+// order, which replay relies on.
 type turnstile struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -176,18 +182,11 @@ func newTurnstile(n int, strategy Strategy, rec *Schedule) *turnstile {
 func (ts *turnstile) step(agent int) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.aborted {
-		return ErrAborted
+	if !ts.aborted {
+		ts.state[agent] = agReady
+		ts.scheduleLocked()
 	}
-	ts.state[agent] = agReady
-	ts.scheduleLocked()
-	for ts.state[agent] != agRunning {
-		if ts.aborted {
-			return ErrAborted
-		}
-		ts.cond.Wait()
-	}
-	return nil
+	return ts.awaitTurnLocked(agent)
 }
 
 // block parks the agent on a board whose wait predicate is unsatisfied. It
@@ -196,17 +195,22 @@ func (ts *turnstile) step(agent int) error {
 func (ts *turnstile) block(agent, node int) error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
+	if !ts.aborted {
+		ts.state[agent] = agBlocked
+		ts.blockedOn[agent] = node
+		ts.scheduleLocked()
+	}
+	return ts.awaitTurnLocked(agent)
+}
+
+// awaitTurnLocked parks the agent until it holds the turn, then reports
+// whether the run was aborted meanwhile. Called with ts.mu held.
+func (ts *turnstile) awaitTurnLocked(agent int) error {
+	for ts.state[agent] != agRunning {
+		ts.cond.Wait()
+	}
 	if ts.aborted {
 		return ErrAborted
-	}
-	ts.state[agent] = agBlocked
-	ts.blockedOn[agent] = node
-	ts.scheduleLocked()
-	for ts.state[agent] != agRunning {
-		if ts.aborted {
-			return ErrAborted
-		}
-		ts.cond.Wait()
 	}
 	return nil
 }
@@ -232,11 +236,31 @@ func (ts *turnstile) notifyBoard(node int) {
 	}
 }
 
-// abort releases every parked agent; they observe ErrAborted.
+// abort makes every agent unwind with ErrAborted, one at a time in index
+// order (see unwindLocked).
 func (ts *turnstile) abort() {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.aborted = true
+	ts.unwindLocked()
+}
+
+// unwindLocked passes the turn of an aborted run: unless an agent still
+// holds it, the lowest-indexed live agent gets it, whether it is parked or
+// has not reached its first sequence point yet. Called with ts.mu held.
+func (ts *turnstile) unwindLocked() {
+	next := -1
+	for a, st := range ts.state {
+		if st == agRunning {
+			return
+		}
+		if st != agDone && next < 0 {
+			next = a
+		}
+	}
+	if next >= 0 {
+		ts.state[next] = agRunning
+	}
 	ts.cond.Broadcast()
 }
 
@@ -250,7 +274,7 @@ func (ts *turnstile) deadlocked() bool {
 // startup barrier has cleared. Called with ts.mu held at every turn end.
 func (ts *turnstile) scheduleLocked() {
 	if ts.aborted {
-		ts.cond.Broadcast()
+		ts.unwindLocked()
 		return
 	}
 	var ready []int
@@ -271,6 +295,8 @@ func (ts *turnstile) scheduleLocked() {
 			// blocked agents: the schedule is wedged.
 			ts.deadlock = true
 			ts.aborted = true
+			ts.unwindLocked()
+			return
 		}
 		ts.cond.Broadcast()
 		return

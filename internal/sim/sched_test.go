@@ -166,6 +166,40 @@ func TestScheduleDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestAbortUnwindsInIndexOrder: after a schedule deadlock the agents unwind
+// one at a time in index order, so the outcome events they emit while
+// unwinding are part of the deterministic event stream that replay compares.
+func TestAbortUnwindsInIndexOrder(t *testing.T) {
+	homes := []int{0, 1, 2, 3, 4}
+	for run := 0; run < 20; run++ {
+		er := &eventRecorder{}
+		_, err := Run(Config{
+			Graph:     graph.Cycle(6),
+			Homes:     homes,
+			Seed:      int64(run),
+			WakeAll:   true,
+			Timeout:   30 * time.Second,
+			Scheduler: StrategyFunc(func(ready []int, step int) int { return ready[len(ready)-1] }),
+			Tracer:    er.trace,
+		}, func(a *Agent) (Outcome, error) {
+			_, err := a.Wait(func(ss Signs) bool { return ss.Has("never-written") })
+			return Outcome{}, err
+		})
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("want ErrDeadlock, got %v", err)
+		}
+		var order []int
+		for _, e := range er.events {
+			if e.Kind == EvOutcome {
+				order = append(order, e.Agent)
+			}
+		}
+		if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(order, want) {
+			t.Fatalf("run %d: agents unwound in order %v, want %v", run, order, want)
+		}
+	}
+}
+
 // TestScheduledDeterminism: two runs under the same deterministic strategy
 // produce identical event streams without any log in between.
 func TestScheduledDeterminism(t *testing.T) {

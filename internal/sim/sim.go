@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/lazyrand"
 	"repro/internal/telemetry"
 )
 
@@ -392,7 +393,10 @@ type Agent struct {
 	color Color
 	node  int    // current node (engine-internal; never exposed)
 	entry Symbol // symbol of the port we arrived through (zero at home)
-	rng   *rand.Rand
+	// rng is the agent's private PRNG, built from rngSeed on first use (see
+	// Rand): runs without MaxDelay never draw from it.
+	rng     *rand.Rand
+	rngSeed int64
 
 	moves    int64
 	accesses int64
@@ -615,7 +619,12 @@ func (a *Agent) Accesses() int64 { return atomic.LoadInt64(&a.accesses) }
 // Rand returns the agent's private PRNG (for tie-breaking inside protocol
 // implementations that allow randomized exploration order; the protocols in
 // this repository are deterministic and do not use it, but examples may).
-func (a *Agent) Rand() *rand.Rand { return a.rng }
+func (a *Agent) Rand() *rand.Rand {
+	if a.rng == nil {
+		a.rng = lazyrand.New(a.rngSeed)
+	}
+	return a.rng
+}
 
 // Result collects the outcome of a run.
 type Result struct {
@@ -741,9 +750,12 @@ type engine struct {
 	takeovers     atomic.Int64
 	takeoverAfter int
 
-	presMu sync.Mutex
-	pres   map[[2]int][]int // (agent, node) -> presentation permutation
-	seedLo int64
+	// presMu guards the presentation cache and presRand, the one generator
+	// re-seeded for every new (agent, node) presentation.
+	presMu   sync.Mutex
+	pres     map[[2]int][]int // (agent, node) -> presentation permutation
+	presRand *rand.Rand
+	seedLo   int64
 }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche mixer, so two
@@ -775,8 +787,11 @@ func (e *engine) presentation(agent, node, deg int) []int {
 	if p, ok := e.pres[key]; ok {
 		return p
 	}
-	rng := rand.New(rand.NewSource(presentationSeed(e.seedLo, agent, node)))
-	p := rng.Perm(deg)
+	// The presentation is the math/rand stream of its seed: re-seeding the
+	// engine's lazyrand generator, an O(1) step, yields the Perm that
+	// rand.New(rand.NewSource(seed)) would.
+	e.presRand.Seed(presentationSeed(e.seedLo, agent, node))
+	p := e.presRand.Perm(deg)
 	e.pres[key] = p
 	return p
 }
@@ -801,7 +816,7 @@ func (e *engine) delay(a *Agent) error {
 		return nil
 	}
 	if e.cfg.MaxDelay > 0 {
-		d := time.Duration(a.rng.Int63n(int64(e.cfg.MaxDelay) + 1))
+		d := time.Duration(a.Rand().Int63n(int64(e.cfg.MaxDelay) + 1))
 		time.Sleep(d)
 	} else {
 		runtime.Gosched()
@@ -850,7 +865,7 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 		cfg.TakeoverAfter = 3
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 	// The rng consumption order below is part of the repository's
 	// determinism contract: seedLo, then the palette, then per-agent RNGs,
 	// then the wake set. The ColorSeed/SymbolSeed seams override a single
@@ -864,6 +879,7 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 		cfg:           cfg,
 		boards:        make([]*whiteboard, cfg.Graph.N()),
 		pres:          make(map[[2]int][]int),
+		presRand:      lazyrand.New(0),
 		seedLo:        seedLo,
 		crashed:       make([]bool, len(cfg.Homes)),
 		takeoverAfter: cfg.TakeoverAfter,
@@ -879,17 +895,17 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 	// ids carry no information about agent indices.
 	palette := rng.Perm(len(cfg.Homes))
 	if cfg.ColorSeed != 0 {
-		palette = rand.New(rand.NewSource(cfg.ColorSeed)).Perm(len(cfg.Homes))
+		palette = lazyrand.New(cfg.ColorSeed).Perm(len(cfg.Homes))
 	}
 	e.agents = make([]*Agent, len(cfg.Homes))
 	for i, h := range cfg.Homes {
 		e.agents[i] = &Agent{
-			eng:   e,
-			index: i,
-			color: Color{id: palette[i] + 1},
-			node:  h,
-			rng:   rand.New(rand.NewSource(rng.Int63())),
-			id:    i + 1,
+			eng:     e,
+			index:   i,
+			color:   Color{id: palette[i] + 1},
+			node:    h,
+			rngSeed: rng.Int63(),
+			id:      i + 1,
 		}
 	}
 
@@ -998,11 +1014,17 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 	if cfg.Context != nil {
 		ctxDone = cfg.Context.Done()
 	}
+	// Stop the watchdog when the run ends: under the module's go 1.22
+	// timer semantics an unstopped timer stays reachable until it fires,
+	// so time.After would pin every finished run's timer for the whole
+	// Timeout.
+	watchdog := time.NewTimer(cfg.Timeout)
+	defer watchdog.Stop()
 	select {
 	case <-done:
 	case <-ctxDone:
 		abort(fmt.Errorf("%w: %v", ErrCanceled, cfg.Context.Err()))
-	case <-time.After(cfg.Timeout):
+	case <-watchdog.C:
 		abort(fmt.Errorf("sim: %w after %v", ErrAborted, cfg.Timeout))
 	}
 	res.Elapsed = time.Since(start)
