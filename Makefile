@@ -29,7 +29,7 @@ bench:
 # EXPERIMENTS.md). Fails if the optimized engine falls below the documented
 # speedup gate over the frozen reference on Analyze(C32). -quick skips the
 # large-family kernels; bench-iso-large measures everything including the
-# 10³–10⁵-node sparse-engine workloads and the worker-pool pairs.
+# 10³–10⁵-node sparse-engine workloads.
 bench-iso:
 	$(GO) run ./cmd/benchiso -quick -o BENCH_iso.json
 
@@ -40,11 +40,11 @@ cover:
 	$(GO) test -cover ./...
 
 # CI's coverage gate: the protocol core, the engine, the fault plane, the
-# sketch layer, the runtime contract and the seeded RNG must each keep
-# statement coverage at or above 70%.
+# sketch layer, the runtime contract, the protocol zoo and the seeded RNG
+# must each keep statement coverage at or above 70%.
 cover-gate:
 	@fail=0; \
-	for pkg in ./internal/elect ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/lazyrand; do \
+	for pkg in ./internal/elect ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/zoo ./internal/lazyrand; do \
 		$(GO) test -coverprofile=cover.out $$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg coverage: $$pct%"; \
@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -fuzz FuzzElectSchedule -fuzztime 30s -run '^$$' ./internal/adversary
 	$(GO) test -fuzz FuzzCanonical -fuzztime 30s -run '^$$' ./internal/iso
 	$(GO) test -fuzz FuzzFromTwins -fuzztime 30s -run '^$$' ./internal/graph
+	$(GO) test -fuzz FuzzZooSchedule -fuzztime 30s -run '^$$' ./internal/zoo
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s -run '^$$' ./internal/lazyrand
 
 # Adversarial schedule sweep of a representative instance: every strategy

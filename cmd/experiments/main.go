@@ -97,8 +97,8 @@ func main() {
 	}
 	if *stats {
 		is := iso.Stats().Sub(isoBefore)
-		fmt.Printf("iso search: %d searches, %d nodes, %d leaves, prunes orbit=%d prefix=%d, budget exhaustions=%d\n",
-			is.Searches, is.Nodes, is.Leaves, is.OrbitPrunes, is.PrefixPrunes, is.BudgetExhaustions)
+		fmt.Printf("iso search: %d searches, %d nodes, %d leaves, prunes orbit=%d prefix=%d\n",
+			is.Searches, is.Nodes, is.Leaves, is.OrbitPrunes, is.PrefixPrunes)
 		fmt.Printf("order: %d class keys computed\n", order.KeysComputed()-keysBefore)
 	}
 	if failed {

@@ -353,9 +353,9 @@ func (s Summary) Render() string {
 		}
 	}
 	if s.IsoSearch != nil {
-		out += fmt.Sprintf("  iso search: %d searches, %d nodes, %d leaves, prunes orbit=%d prefix=%d, budget exhaustions=%d\n",
+		out += fmt.Sprintf("  iso search: %d searches, %d nodes, %d leaves, prunes orbit=%d prefix=%d\n",
 			s.IsoSearch.Searches, s.IsoSearch.Nodes, s.IsoSearch.Leaves,
-			s.IsoSearch.OrbitPrunes, s.IsoSearch.PrefixPrunes, s.IsoSearch.BudgetExhaustions)
+			s.IsoSearch.OrbitPrunes, s.IsoSearch.PrefixPrunes)
 	}
 	if s.TraceDropped > 0 {
 		out += fmt.Sprintf("  trace events dropped: %d\n", s.TraceDropped)

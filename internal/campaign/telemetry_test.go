@@ -222,7 +222,7 @@ func TestSummaryRenderGolden(t *testing.T) {
 		"  analysis cache: 3 hits / 1 misses (hit rate 75.0%), 12ms analyzing",
 		"  phase mapdraw      moves=300 (p50 70, p90 90) accesses=120 writes=40 erases=0",
 		"  phase announce     moves=100 (p50 25, p90 30) accesses=44 writes=12 erases=2",
-		"  iso search: 8 searches, 120 nodes, 30 leaves, prunes orbit=5 prefix=9, budget exhaustions=0",
+		"  iso search: 8 searches, 120 nodes, 30 leaves, prunes orbit=5 prefix=9",
 		"  trace events dropped: 7",
 		"",
 	}, "\n")

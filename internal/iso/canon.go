@@ -1,7 +1,7 @@
 package iso
 
 import (
-	"bytes"
+	"context"
 
 	"repro/internal/perm"
 )
@@ -13,10 +13,7 @@ import (
 //
 // One state serves both engines: the dense engine (c != nil) serializes the
 // n+n² growing-principal-submatrix word of DESIGN.md §8, the sparse engine
-// (sparse == true) the O(n+m) varint word of DESIGN.md §13. A state may run
-// standalone (sh == nil, the sequential engine) or as one worker of a
-// parallel search sharing a best-word bound and automorphism pool (sh !=
-// nil, parallel.go).
+// (sparse == true) the O(n+m) varint word of DESIGN.md §13.
 type canonState struct {
 	c      *Colored // dense input (nil in sparse mode)
 	colors []int    // vertex colors (c.Color or the Sparse's colors)
@@ -45,30 +42,16 @@ type canonState struct {
 
 	levels []*level
 
-	// leaves counts visited leaves; when maxLeaves > 0 and the count would
-	// exceed it, budgetHit aborts the search (CanonicalBudget returns
-	// ErrLeafBudget — an explicit failure, never a truncated word).
-	leaves    int
-	maxLeaves int
-	budgetHit bool
-
 	// done, when non-nil, is a cancellation signal (a context's Done
 	// channel) polled once per search node; stopped records that it fired
 	// and the search result is void.
 	done    <-chan struct{}
 	stopped bool
 
-	// sh, when non-nil, couples this state to a parallel search: best/
-	// bpermInv/bestGen mirror the shared snapshot (synced per node), leaves
-	// and automorphisms are accounted globally, and leaf handling publishes
-	// through the shared bound instead of installing locally. sharedSnap is
-	// the last snapshot this state synced against.
-	sh         *sharedSearch
-	sharedSnap *bestSnap
-
 	// Search-shape counters, flushed to the package stats once per search
 	// (plain ints: each state runs on one goroutine).
 	nodes        int
+	leaves       int
 	orbitPrunes  int
 	prefixPrunes int
 
@@ -105,15 +88,15 @@ type canonState struct {
 	blkIdx []int32
 }
 
-func newCanonState(c *Colored, maxLeaves int) *canonState {
+func newCanonState(c *Colored) *canonState {
 	st := &canonState{c: c, colors: c.Color, g: buildCSR(c)}
-	st.init(c.N, maxLeaves, c.N+c.N*c.N)
+	st.init(c.N, c.N+c.N*c.N)
 	return st
 }
 
-func newSparseCanonState(sp *Sparse, maxLeaves int) *canonState {
+func newSparseCanonState(sp *Sparse) *canonState {
 	st := &canonState{colors: sp.Color, g: sp.g, sparse: true}
-	st.init(sp.N, maxLeaves, 0)
+	st.init(sp.N, 0)
 	st.posOf = make([]int32, sp.N)
 	for i := range st.posOf {
 		st.posOf[i] = -1
@@ -125,9 +108,8 @@ func newSparseCanonState(sp *Sparse, maxLeaves int) *canonState {
 }
 
 // init allocates the mode-independent scratch for an n-vertex search.
-func (st *canonState) init(n, maxLeaves, prefixCap int) {
+func (st *canonState) init(n, prefixCap int) {
 	st.n = n
-	st.maxLeaves = maxLeaves
 	st.prefix = make([]byte, 0, prefixCap)
 	st.base = make([]int, 0, n)
 	st.cellOf = make([]int32, n)
@@ -165,15 +147,10 @@ func (st *canonState) level(depth int) *level {
 	return st.levels[depth]
 }
 
-// halted reports whether this state must stop searching: its leaf budget is
-// spent, its cancellation signal fired, or (parallel mode) the shared search
-// was halted by any worker.
+// halted reports whether this state must stop searching because its
+// cancellation signal fired.
 func (st *canonState) halted() bool {
-	if st.budgetHit || st.stopped {
-		return true
-	}
-	if st.sh != nil && st.sh.halted.Load() {
-		st.stopped = true
+	if st.stopped {
 		return true
 	}
 	if st.done != nil {
@@ -187,11 +164,20 @@ func (st *canonState) halted() bool {
 	return false
 }
 
-func (st *canonState) run() {
+// run searches the whole tree under ctx and returns the canonical result,
+// or ctx.Err() when ctx fired mid-search — never a word from a partial
+// search, which would not be canonical.
+func (st *canonState) run(ctx context.Context) (*Result, error) {
+	st.done = ctx.Done()
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.prepareRootPrefix(lv)
 	st.search(0, 0, -1, -1)
+	st.flushStats()
+	if st.stopped {
+		return nil, ctx.Err()
+	}
+	return &Result{Perm: st.bperm, Word: st.best, AutoGens: st.autos}, nil
 }
 
 // prepareRootPrefix emits the constant color section of the word.
@@ -247,9 +233,6 @@ func (st *canonState) search(depth, fixed, cmp, hint int) {
 			st.prefix = appendBlock(st.prefix, st.c, lv.lab, i, lv.lab[i])
 		}
 	}
-	if st.sh != nil {
-		cmp = st.syncShared(cmp)
-	}
 	if cmp == 0 {
 		cmp = st.compareNewBytes(pl0)
 	}
@@ -295,21 +278,10 @@ func (st *canonState) search(depth, fixed, cmp, hint int) {
 			break
 		}
 		if st.bestGen != gen {
-			if st.sh == nil {
-				// best was replaced by a leaf of the subtree just explored,
-				// so this node's determined prefix is a prefix of (hence
-				// equal to) the new best's.
-				cmp = 0
-			} else {
-				// Parallel mode: best may have been replaced by any worker;
-				// re-derive the relation (and prune the remaining branches
-				// if the new best already beats this node's prefix).
-				cmp = st.comparePrefixToBest()
-				if cmp > 0 {
-					st.prefixPrunes++
-					break
-				}
-			}
+			// best was replaced by a leaf of the subtree just explored, so
+			// this node's determined prefix is a prefix of (hence equal to)
+			// the new best's.
+			cmp = 0
 		}
 	}
 	st.retreat(lv, fixed, k, pl0)
@@ -342,31 +314,6 @@ func (st *canonState) compareNewBytes(pl0 int) int {
 			}
 			return 1
 		}
-	}
-	return 0
-}
-
-// comparePrefixToBest relates the whole determined prefix to best with
-// bytes.Compare length semantics on the determined range.
-func (st *canonState) comparePrefixToBest() int {
-	if st.best == nil {
-		return -1
-	}
-	p, b := st.prefix, st.best
-	m := len(p)
-	if len(b) < m {
-		m = len(b)
-	}
-	for i := 0; i < m; i++ {
-		if p[i] != b[i] {
-			if p[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	if len(p) > len(b) {
-		return 1
 	}
 	return 0
 }
@@ -422,14 +369,6 @@ func (st *canonState) isAutomorphism(a perm.Perm) bool {
 // leaf handles a discrete partition: prefix now holds the full leaf word.
 func (st *canonState) leaf(lv *level, cmp int) {
 	st.leaves++
-	if st.sh != nil {
-		st.sharedLeaf(lv)
-		return
-	}
-	if st.maxLeaves > 0 && st.leaves > st.maxLeaves {
-		st.budgetHit = true
-		return
-	}
 	if cmp == 0 && len(st.prefix) != len(st.best) {
 		// Sparse words vary in length: all determined bytes equal but the
 		// candidate ended first means it is strictly smaller (the longer
@@ -461,62 +400,6 @@ func (st *canonState) leaf(lv *level, cmp int) {
 			st.autos = append(st.autos, a)
 		}
 	}
-}
-
-// sharedLeaf is the parallel-mode leaf: the candidate word is re-verified
-// against the current shared snapshot (the per-node cmp may be stale — any
-// worker can improve best at any time — so correctness never rests on it),
-// then published or recorded as an automorphism. See parallel.go for the
-// shared-bound protocol and DESIGN.md §13 for the determinism argument.
-func (st *canonState) sharedLeaf(lv *level) {
-	sh := st.sh
-	if n := sh.leaves.Add(1); sh.maxLeaves > 0 && n > sh.maxLeaves {
-		sh.haltBudget()
-		st.budgetHit = true
-		return
-	}
-	sn := sh.snap.Load()
-	c := -1
-	if sn != nil {
-		c = bytes.Compare(st.prefix, sn.word)
-	}
-	switch {
-	case c < 0:
-		sh.publish(st, lv)
-	case c == 0:
-		a := make(perm.Perm, st.n)
-		for pos, v := range lv.lab {
-			a[v] = sn.inv[pos]
-		}
-		if !a.IsIdentity() && st.isAutomorphism(a) {
-			st.autos = sh.addAuto(a)
-		}
-	}
-}
-
-// syncShared refreshes this worker's automorphism mirror and best-word view
-// from the shared search. If the shared best changed since the last sync,
-// the passed cmp is stale and the relation is recomputed from the full
-// determined prefix.
-func (st *canonState) syncShared(cmp int) int {
-	sh := st.sh
-	if int(sh.autoLen.Load()) > len(st.autos) {
-		sh.autosMu.Lock()
-		st.autos = sh.autos
-		sh.autosMu.Unlock()
-	}
-	sn := sh.snap.Load()
-	if sn == nil {
-		return -1
-	}
-	if sn == st.sharedSnap {
-		return cmp
-	}
-	st.sharedSnap = sn
-	st.best = sn.word
-	st.bpermInv = sn.inv
-	st.bestGen = sn.gen
-	return st.comparePrefixToBest()
 }
 
 // inOrbitOfTried reports whether some already-tried branch vertex maps to v

@@ -1,9 +1,11 @@
 package iso
 
 // Tests of the optimized engine's mechanics: the allocation-free refinement
-// hot path, the explicit leaf budget, and the exported equitable partition.
+// hot path, context cancellation, and the exported equitable partition.
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -24,7 +26,7 @@ func TestRefineHotPathAllocationFree(t *testing.T) {
 		{"c32-bicolored", FromGraph(graph.Cycle(32), blackAt(32, 0, 8, 16, 24))},
 		{"torus4x4", FromGraph(graph.Torus(4, 4), nil)},
 	} {
-		st := newCanonState(tc.c, 0)
+		st := newCanonState(tc.c)
 		lv := st.level(0)
 		// Warm the scratch buffers once.
 		st.initialPartition(lv)
@@ -75,33 +77,33 @@ func TestEquitablePartition(t *testing.T) {
 	}
 }
 
-// TestCanonicalBudget checks the explicit search budget: a generous budget
-// succeeds with the exact canonical result, an absurdly small one fails
-// with ErrLeafBudget and no partial word.
-func TestCanonicalBudget(t *testing.T) {
-	c := FromGraph(graph.Petersen(), nil)
-	want := CanonicalWord(c)
-
-	r, err := CanonicalBudget(c, 1<<20)
-	if err != nil {
-		t.Fatalf("generous budget failed: %v", err)
-	}
-	if string(r.Word) != string(want) {
-		t.Fatal("budgeted search returned a different word")
+// TestCanonicalCtxCancel: a canceled context must stop the search and
+// surface context.Canceled, both when canceled before the search starts and
+// when canceled by another goroutine mid-search.
+func TestCanonicalCtxCancel(t *testing.T) {
+	c := FromGraph(graph.BlowupCycle(6, 3), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CanonicalCtx(ctx, c); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled ctx: got err=%v, want context.Canceled", err)
 	}
 
-	if _, err := CanonicalBudget(c, 1); !errors.Is(err, ErrLeafBudget) {
-		t.Fatalf("budget 1 returned %v, want ErrLeafBudget", err)
-	}
-}
-
-// TestCanonicalBudgetUnbounded: maxLeaves <= 0 never trips the budget.
-func TestCanonicalBudgetUnbounded(t *testing.T) {
-	c := FromGraph(graph.Hypercube(3), nil)
-	if _, err := CanonicalBudget(c, 0); err != nil {
-		t.Fatalf("unbounded budget failed: %v", err)
-	}
-	if _, err := CanonicalBudget(c, -5); err != nil {
-		t.Fatalf("negative budget failed: %v", err)
+	// Mid-search cancellation: the search either finishes first (fine:
+	// err == nil with the right word) or observes the cancellation (err ==
+	// context.Canceled); it must not hang or return a wrong word.
+	big := FromGraph(graph.BlowupCycle(8, 4), nil)
+	want := Canonical(big).Word
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	go cancel2()
+	res, err := CanonicalCtx(ctx2, big)
+	switch {
+	case err == nil:
+		if !bytes.Equal(res.Word, want) {
+			t.Fatal("race with cancel: completed with wrong word")
+		}
+	case errors.Is(err, context.Canceled):
+		// expected alternative
+	default:
+		t.Fatalf("race with cancel: unexpected error %v", err)
 	}
 }

@@ -27,7 +27,7 @@ package iso
 
 import (
 	"bytes"
-	"errors"
+	"context"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -205,36 +205,26 @@ func SetReferenceEngine(on bool) { referenceEngine.Store(on) }
 // Words are equal iff the graphs are color-isomorphic, which is the property
 // Lemma 3.1's total order needs (see the package comment).
 func Canonical(c *Colored) *Result {
-	if referenceEngine.Load() {
-		return referenceCanonical(c)
-	}
-	r, err := CanonicalBudget(c, 0)
+	r, err := CanonicalCtx(context.Background(), c)
 	if err != nil {
-		panic("iso: unreachable: unbudgeted search returned " + err.Error())
+		panic("iso: unreachable: uncancelable search returned " + err.Error())
 	}
 	return r
 }
 
-// ErrLeafBudget is returned by CanonicalBudget when the backtracking search
-// visits more leaves than the caller allowed.
-var ErrLeafBudget = errors.New("iso: canonical search exceeded its leaf budget")
-
-// CanonicalBudget is Canonical with an explicit bound on search effort:
-// the search fails with ErrLeafBudget after visiting maxLeaves leaves
-// (maxLeaves <= 0 means unbounded). The error is explicit — a budgeted
-// search never silently truncates, since a word computed from a partial
-// search would not be canonical.
-func CanonicalBudget(c *Colored, maxLeaves int) (*Result, error) {
+// CanonicalCtx is Canonical under a context: the search polls ctx once per
+// search node and returns ctx.Err() when it fires. This is the path by which
+// a canceled /v1/analyze request stops its canonical searches.
+func CanonicalCtx(ctx context.Context, c *Colored) (*Result, error) {
 	if c.N == 0 {
 		return &Result{Perm: perm.Perm{}, Word: []byte{}}, nil
 	}
-	st := newCanonState(c, maxLeaves)
-	st.run()
-	st.flushStats()
-	if st.budgetHit {
-		return nil, ErrLeafBudget
+	if referenceEngine.Load() {
+		// The benchmark-only reference switch: the frozen engine is
+		// uncancelable.
+		return referenceCanonical(c), nil
 	}
-	return &Result{Perm: st.bperm, Word: st.best, AutoGens: st.autos}, nil
+	return newCanonState(c).run(ctx)
 }
 
 // EquitablePartition returns the coarsest equitable refinement of c's color
@@ -246,7 +236,7 @@ func EquitablePartition(c *Colored) [][]int {
 	if c.N == 0 {
 		return nil
 	}
-	st := newCanonState(c, 0)
+	st := newCanonState(c)
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)

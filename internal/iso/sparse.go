@@ -2,6 +2,7 @@ package iso
 
 import (
 	"bytes"
+	"context"
 	"sort"
 
 	"repro/internal/graph"
@@ -25,10 +26,6 @@ type Sparse struct {
 
 	g *csr
 }
-
-// Arcs returns the number of distinct (source, target) arc pairs — the m of
-// the engine's O(n+m) bounds.
-func (sp *Sparse) Arcs() int { return len(sp.g.outDst) }
 
 // SparseFromGraph builds the symmetric Sparse form of an undirected
 // multigraph in O(n + m): per-vertex neighbor lists are sorted and run-
@@ -213,7 +210,7 @@ func SparseEquitablePartition(sp *Sparse) [][]int {
 	if sp.N == 0 {
 		return nil
 	}
-	st := newSparseCanonState(sp, 0)
+	st := newSparseCanonState(sp)
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)
@@ -224,16 +221,38 @@ func SparseEquitablePartition(sp *Sparse) [][]int {
 	return out
 }
 
+// CanonicalSparse computes the canonical form of a Sparse. The sparse word
+// is a different (O(n+m) varint) serialization than the dense engine's —
+// words are comparable only within one engine — but carries the same
+// guarantee: equal words exactly characterize color-isomorphism.
+func CanonicalSparse(sp *Sparse) *Result {
+	r, err := CanonicalSparseCtx(context.Background(), sp)
+	if err != nil {
+		panic("iso: unreachable: uncancelable sparse search returned " + err.Error())
+	}
+	return r
+}
+
+// CanonicalSparseCtx is CanonicalSparse under a context, canceled exactly
+// like CanonicalCtx.
+func CanonicalSparseCtx(ctx context.Context, sp *Sparse) (*Result, error) {
+	if sp.N == 0 {
+		return &Result{Perm: perm.Perm{}, Word: []byte{}}, nil
+	}
+	return newSparseCanonState(sp).run(ctx)
+}
+
 // SparseOrbits returns the exact orbits of the color-preserving
 // automorphism group of sp (each sorted ascending, ordered by smallest
 // element), running one canonical search for generators and completing them
-// with individualization transporter tests.
-func SparseOrbits(sp *Sparse, o Options) ([][]int, error) {
-	r, err := CanonicalSparseOpt(sp, o)
+// with individualization transporter tests. Every search it runs is canceled
+// by ctx, like CanonicalSparseCtx.
+func SparseOrbits(ctx context.Context, sp *Sparse) ([][]int, error) {
+	r, err := CanonicalSparseCtx(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
-	return SparseOrbitsWith(sp, r, o)
+	return SparseOrbitsWith(ctx, sp, r)
 }
 
 // SparseOrbitsWith completes the orbits of sp from an existing canonical
@@ -248,9 +267,9 @@ func SparseOrbits(sp *Sparse, o Options) ([][]int, error) {
 // refined partition onto the other cell-by-cell) — verify it and either
 // merge or conclude u, v lie in distinct orbits. If neither is discrete,
 // fall back to the canonical-word transporter on recolored copies, exactly
-// like the dense automorphismGensComplete. Mixed discreteness already
-// proves distinct orbits.
-func SparseOrbitsWith(sp *Sparse, r *Result, o Options) ([][]int, error) {
+// like the dense automorphismGensComplete; those searches run under ctx.
+// Mixed discreteness already proves distinct orbits.
+func SparseOrbitsWith(ctx context.Context, sp *Sparse, r *Result) ([][]int, error) {
 	n := sp.N
 	uf := make([]int32, n)
 	for i := range uf {
@@ -261,7 +280,7 @@ func SparseOrbitsWith(sp *Sparse, r *Result, o Options) ([][]int, error) {
 			ufUnion(uf, int32(i), int32(ai))
 		}
 	}
-	st := newSparseCanonState(sp, 0)
+	st := newSparseCanonState(sp)
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)
@@ -327,14 +346,14 @@ func SparseOrbitsWith(sp *Sparse, r *Result, o Options) ([][]int, error) {
 					spu := sp.Recolor(sp.Color)
 					spu.Color[u] = fresh
 					var err error
-					ru, err = CanonicalSparseOpt(spu, o)
+					ru, err = CanonicalSparseCtx(ctx, spu)
 					if err != nil {
 						return nil, err
 					}
 				}
 				spv := sp.Recolor(sp.Color)
 				spv.Color[v] = fresh
-				rv, err := CanonicalSparseOpt(spv, o)
+				rv, err := CanonicalSparseCtx(ctx, spv)
 				if err != nil {
 					return nil, err
 				}

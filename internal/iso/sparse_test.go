@@ -1,11 +1,12 @@
 package iso
 
 // Tests of the O(n+m) sparse canonical engine: agreement with the dense
-// engine on isomorphism classification, invariance under relabeling,
-// worker-count determinism, and orbit computation.
+// engine on isomorphism classification, invariance under relabeling, and
+// orbit computation.
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -83,24 +84,6 @@ func TestSparseVsDenseClassification(t *testing.T) {
 	}
 }
 
-// TestSparseWorkerDeterminism: the sparse canonical word must be
-// bit-identical across worker counts, like the dense engine's.
-func TestSparseWorkerDeterminism(t *testing.T) {
-	for name, g := range sparseFamilies() {
-		sp := SparseFromGraph(g, nil)
-		want := CanonicalSparse(sp).Word
-		for _, w := range []int{2, 4, 8} {
-			res, err := CanonicalSparseOpt(sp, Options{Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if !bytes.Equal(res.Word, want) {
-				t.Fatalf("%s workers=%d: sparse word differs from sequential", name, w)
-			}
-		}
-	}
-}
-
 // TestSparseAutomorphismsValid: every generator returned by the sparse
 // engine must be a real automorphism of the sparse graph.
 func TestSparseAutomorphismsValid(t *testing.T) {
@@ -123,7 +106,7 @@ func TestSparseAutomorphismsValid(t *testing.T) {
 // (appendSparseBlock only looks at positions j <= i, so placing everything
 // up front is safe). It is the sparse analogue of Colored.word.
 func sparseWordOf(sp *Sparse, p perm.Perm) []byte {
-	st := newSparseCanonState(sp, 0)
+	st := newSparseCanonState(sp)
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.prepareRootPrefix(lv)
@@ -151,7 +134,7 @@ func TestSparseOrbitsVsDense(t *testing.T) {
 				}
 			}
 			want := Orbits(FromGraph(g, cols))
-			got, err := SparseOrbits(SparseFromGraph(g, cols), Options{})
+			got, err := SparseOrbits(context.Background(), SparseFromGraph(g, cols))
 			if err != nil {
 				t.Fatalf("%s colored=%v: %v", name, colored, err)
 			}

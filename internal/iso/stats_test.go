@@ -1,7 +1,6 @@
 package iso
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/graph"
@@ -26,19 +25,6 @@ func TestSearchStats(t *testing.T) {
 	if d.OrbitPrunes <= 0 {
 		t.Errorf("Petersen search should orbit-prune, got %+v", d)
 	}
-	if d.BudgetExhaustions != 0 {
-		t.Errorf("unbudgeted search exhausted a budget: %+v", d)
-	}
-
-	// A budgeted search that fails must count an exhaustion.
-	before = Stats()
-	if _, err := CanonicalBudget(c, 1); !errors.Is(err, ErrLeafBudget) {
-		t.Fatalf("budget 1 on Petersen: err = %v, want ErrLeafBudget", err)
-	}
-	d = Stats().Sub(before)
-	if d.BudgetExhaustions != 1 {
-		t.Errorf("budget exhaustion delta = %d, want 1", d.BudgetExhaustions)
-	}
 
 	// The frozen reference engine must not count.
 	before = Stats()
@@ -51,8 +37,8 @@ func TestSearchStats(t *testing.T) {
 }
 
 func TestSearchStatsSub(t *testing.T) {
-	a := SearchStats{Searches: 5, Nodes: 100, Leaves: 20, OrbitPrunes: 3, PrefixPrunes: 7, BudgetExhaustions: 1}
-	b := SearchStats{Searches: 2, Nodes: 40, Leaves: 5, OrbitPrunes: 1, PrefixPrunes: 2, BudgetExhaustions: 1}
+	a := SearchStats{Searches: 5, Nodes: 100, Leaves: 20, OrbitPrunes: 3, PrefixPrunes: 7}
+	b := SearchStats{Searches: 2, Nodes: 40, Leaves: 5, OrbitPrunes: 1, PrefixPrunes: 2}
 	want := SearchStats{Searches: 3, Nodes: 60, Leaves: 15, OrbitPrunes: 2, PrefixPrunes: 5}
 	if got := a.Sub(b); got != want {
 		t.Errorf("Sub = %+v, want %+v", got, want)

@@ -93,17 +93,15 @@ func Cases() []Case {
 	}
 }
 
-// sparseCanonical returns a kernel canonicalizing sp with the given worker
-// count; the graph is built once, outside the timed loop.
-func sparseCanonical(mk func() *graph.Graph, workers int) func(b *testing.B) {
+// sparseCanonical returns a kernel canonicalizing the graph mk builds; the
+// graph is built once, outside the timed loop.
+func sparseCanonical(mk func() *graph.Graph) func(b *testing.B) {
 	return func(b *testing.B) {
 		sp := iso.SparseFromGraph(mk(), nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := iso.CanonicalSparseOpt(sp, iso.Options{Workers: workers}); err != nil {
-				b.Fatal(err)
-			}
+			iso.CanonicalSparse(sp)
 		}
 	}
 }
@@ -124,24 +122,15 @@ func twinBlowup() *graph.Graph {
 }
 
 // LargeCases lists the large-family kernels (10³–10⁵ nodes) exercising the
-// word-packed sparse engine: full canonical searches at n ≈ 4·10³, the
-// worker-pool pairs, and the 10⁵-node refinement and Analyze workloads. Kept
-// out of Cases so `benchiso -quick` and the default `go test -bench` stay
-// fast; `benchiso` without -quick and `make bench-iso-large` include them.
-//
-// The *Par4 kernels run the same search with four workers. On a multi-core
-// host the fan-out spreads the root branches across cores; on a single-core
-// host (see the gomaxprocs field of BENCH_iso.json) the pool's speculative
-// exploration of sibling branches costs wall-clock instead of saving it —
-// the pair is reported honestly either way, and the differential tests
-// guarantee the words are bit-identical regardless.
+// word-packed sparse engine: full canonical searches at n ≈ 4·10³ and the
+// 10⁵-node refinement and Analyze workloads. Kept out of Cases so
+// `benchiso -quick` and the default `go test -bench` stay fast; `benchiso`
+// without -quick and `make bench-iso-large` include them.
 func LargeCases() []Case {
 	return []Case{
-		{"CanonicalSparseC4096", sparseCanonical(func() *graph.Graph { return graph.Cycle(4096) }, 1)},
-		{"CanonicalSparseC4096Par4", sparseCanonical(func() *graph.Graph { return graph.Cycle(4096) }, 4)},
-		{"CanonicalSparseTorus64x64", sparseCanonical(func() *graph.Graph { return graph.Torus(64, 64) }, 1)},
-		{"CanonicalSparseTwinBlowup", sparseCanonical(twinBlowup, 1)},
-		{"CanonicalSparseTwinBlowupPar4", sparseCanonical(twinBlowup, 4)},
+		{"CanonicalSparseC4096", sparseCanonical(func() *graph.Graph { return graph.Cycle(4096) })},
+		{"CanonicalSparseTorus64x64", sparseCanonical(func() *graph.Graph { return graph.Torus(64, 64) })},
+		{"CanonicalSparseTwinBlowup", sparseCanonical(twinBlowup)},
 		{"RefinePassRandReg100k", func(b *testing.B) {
 			sp := iso.SparseFromGraph(graph.RandomRegular(100_000, 3, 1), nil)
 			b.ReportAllocs()

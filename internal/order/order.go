@@ -33,7 +33,7 @@ import (
 
 // LargeThreshold is the node count at or above which ComputeAndOrder takes
 // the large-graph path: one sparse canonical labeling of the whole bicolored
-// graph (iso.CanonicalSparseOpt), orbits from its pooled automorphisms
+// graph (iso.CanonicalSparseCtx), orbits from its pooled automorphisms
 // (iso.SparseOrbitsWith), and positional class keys — the varint-encoded
 // sorted canonical positions of each class's members — instead of one
 // surrounding canonicalization per class. Positional keys are a third ≺
@@ -155,17 +155,16 @@ func SurroundingKey(c *iso.Colored, ord Ordering) Key {
 // under ctx, so a canceled analysis stops mid-word rather than finishing
 // the search it is in.
 func surroundingKeyCtx(ctx context.Context, c *iso.Colored, ord Ordering) (Key, error) {
-	opt := iso.Options{Ctx: ctx}
 	switch ord {
 	case Direct:
-		r, err := iso.CanonicalOpt(c, opt)
+		r, err := iso.CanonicalCtx(ctx, c)
 		if err != nil {
 			return Key{}, err
 		}
 		return Key{N: c.N, Word: r.Word}, nil
 	case Hairs:
 		k := maxHairLength(c)
-		r, err := iso.CanonicalOpt(hatTransform(c, k), opt)
+		r, err := iso.CanonicalCtx(ctx, hatTransform(c, k))
 		if err != nil {
 			return Key{}, err
 		}
@@ -296,7 +295,7 @@ func Classes(g *graph.Graph, colors []int) [][]int {
 func ComputeAndOrder(g *graph.Graph, colors []int, ord Ordering) *Ordered {
 	o, err := ComputeAndOrderCtx(context.Background(), g, colors, ord)
 	if err != nil {
-		// Background is never canceled and the path is unbudgeted.
+		// Background is never canceled.
 		panic("order: unreachable: uncancelable ComputeAndOrder failed: " + err.Error())
 	}
 	return o
@@ -322,13 +321,12 @@ func ComputeAndOrderCtx(ctx context.Context, g *graph.Graph, colors []int, ord O
 // canonical search plus O(per-orbit transporter checks), versus one
 // surrounding canonicalization per class on the small path.
 func computeAndOrderLarge(ctx context.Context, g *graph.Graph, colors []int) (*Ordered, error) {
-	opt := iso.Options{Ctx: ctx}
 	sp := iso.SparseFromGraph(g, colors)
-	res, err := iso.CanonicalSparseOpt(sp, opt)
+	res, err := iso.CanonicalSparseCtx(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
-	classes, err := iso.SparseOrbitsWith(sp, res, opt)
+	classes, err := iso.SparseOrbitsWith(ctx, sp, res)
 	if err != nil {
 		return nil, err
 	}
