@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-iso bench-iso-large campaign experiments examples vet fmt cover cover-gate fuzz adversary faults serve bench-serve
+.PHONY: all build test race determinism bench bench-iso bench-iso-large campaign experiments examples vet fmt cover cover-gate fuzz adversary faults serve bench-serve
 
 all: build vet test
 
@@ -21,6 +21,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The tests that must pass every time, fifty times each under the race
+# detector. CI's determinism step runs this target.
+determinism:
+	$(GO) test -race -count=50 -run '^TestCampaignDeterminism$$' ./internal/campaign
+	$(GO) test -race -count=50 -run '^TestSourceMatchesMathRand$$' ./internal/lazyrand
+	$(GO) test -race -count=50 -run '^TestRunGolden$$' ./cmd/elect
+	$(GO) test -race -count=50 -run '^TestRecordReplayBitExact$$' ./internal/faults
+	$(GO) test -race -count=50 -run '^TestAnalyzeCtxDeadline$$' ./internal/elect
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -38,8 +38,9 @@ import (
 // AnalyzeFunc computes the analysis of one instance. The ctx is the
 // computation's own context, canceled when every waiter of the entry has
 // abandoned it — the production value wraps elect.AnalyzeCtx, which plumbs
-// it into the canonical-search workers. Tests inject counting or blocking
-// stand-ins to prove coalescing, eviction, and cancellation behavior.
+// it into every canonical search of COMPUTE & ORDER. Tests inject counting
+// or blocking stand-ins to prove coalescing, eviction, and cancellation
+// behavior.
 type AnalyzeFunc func(ctx context.Context, g *graph.Graph, homes []int) (*elect.Analysis, error)
 
 // KeyFunc maps an instance to its cache key. Two instances sharing a key
@@ -188,7 +189,7 @@ func New(cfg Config) *Cache {
 // computation runs detached from any single request context, so one
 // canceled waiter never robs the others; but when the LAST waiter of an
 // in-flight entry cancels, the computation's own context is canceled
-// (stopping the canonical-search workers inside elect.AnalyzeCtx) and the
+// (stopping the canonical searches inside elect.AnalyzeCtx) and the
 // entry is dropped so a future Get retries.
 func (c *Cache) Get(ctx context.Context, g *graph.Graph, homes []int) (*elect.Analysis, bool, error) {
 	key := c.key(g, homes)

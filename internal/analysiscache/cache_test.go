@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/elect"
 	"repro/internal/graph"
+	"repro/internal/order"
 )
 
 // TestCoalescing is the load-bearing singleflight proof: N concurrent
@@ -227,6 +228,33 @@ func TestCanonicalKeyIsomorphism(t *testing.T) {
 	}
 	if CanonicalKey(g, []int{0, 4}) == CanonicalKey(g, []int{0, 3}) {
 		t.Fatal("antipodal vs adjacent homes must not share a canonical key")
+	}
+}
+
+// TestCanonicalKeyLarge: a key is the sparse word, O(n+m) bytes. At
+// order.LargeThreshold nodes a relabeled copy shares it, a non-isomorphic
+// placement does not, and it stays far below the n+n² bytes of a dense
+// word, which would overflow a cache shard on its own.
+func TestCanonicalKeyLarge(t *testing.T) {
+	n := order.LargeThreshold
+	g := graph.RandomRegular(n, 3, 1)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = (n + 10 - i) % n // reverse and rotate the numbering
+	}
+	h, err := g.Relabel(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CanonicalKey(g, []int{0, 1, 2})
+	if CanonicalKey(h, []int{perm[0], perm[1], perm[2]}) != key {
+		t.Fatal("a relabeled large instance must share its canonical key")
+	}
+	if CanonicalKey(g, []int{0, 1}) == key {
+		t.Fatal("two homes and three homes must not share a canonical key")
+	}
+	if len(key) > n*n/64 {
+		t.Fatalf("large key is %d bytes; want the O(n+m) sparse word", len(key))
 	}
 }
 

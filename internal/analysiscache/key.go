@@ -50,8 +50,10 @@ func StructuralKey(g *graph.Graph, homes []int) string {
 // along. This is the daemon's key — N clients submitting renumbered copies
 // of one instance coalesce onto a single analysis — and costs one
 // canonical-labeling search per lookup, far cheaper than the full analysis
-// (Cayley recognition, labeling enumeration) it saves.
+// (Cayley recognition, labeling enumeration) it saves. The word is the
+// sparse engine's O(n+m) one, so a key stays small next to the cache's
+// shard budget at any size.
 func CanonicalKey(g *graph.Graph, homes []int) string {
 	colors := elect.BlackColors(g.N(), homes)
-	return string(iso.CanonicalWord(iso.FromGraph(g, colors)))
+	return string(iso.CanonicalSparse(iso.SparseFromGraph(g, colors)).Word)
 }

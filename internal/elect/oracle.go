@@ -52,10 +52,10 @@ func Analyze(g *graph.Graph, homes []int, ord order.Ordering) (*Analysis, error)
 }
 
 // AnalyzeCtx is Analyze under a context: cancellation propagates through
-// COMPUTE & ORDER into every canonical search it runs (including the
-// parallel sparse search workers on the large-graph path) and surfaces as
-// ctx.Err(). This is the hook by which a canceled /v1/analyze request stops
-// its analysis mid-computation.
+// COMPUTE & ORDER into every canonical search it runs (the whole-graph
+// search for the classes and, below order.LargeThreshold, one surrounding
+// search per class) and surfaces as ctx.Err(). This is the hook by which a
+// canceled /v1/analyze request stops its analysis mid-computation.
 //
 // Graphs with at least order.LargeThreshold nodes take the scaled path: the
 // class structure comes from one sparse whole-graph canonicalization, and

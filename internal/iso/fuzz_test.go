@@ -11,7 +11,9 @@ import (
 // FuzzCanonical drives random bi-colored digraphs through the canonical
 // engine and checks the defining property of a canonical form: the word is
 // invariant under arbitrary relabelings of the instance, and distinct words
-// imply non-isomorphic graphs (exercised here by a recolor probe).
+// imply non-isomorphic graphs (exercised here by a recolor probe). It also
+// checks that the search's generators span the whole automorphism group,
+// against a brute-force count.
 func FuzzCanonical(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(9), uint8(0))
 	f.Add(int64(7), uint8(3), uint8(4), uint8(2))
@@ -29,7 +31,11 @@ func FuzzCanonical(f *testing.F) {
 			u, v := rng.Intn(n), rng.Intn(n)
 			c.Adj[u][v]++
 		}
-		word := CanonicalWord(c)
+		res := Canonical(c)
+		word := res.Word
+		if got, want := groupOrder(n, res.AutoGens), bruteAutCount(c); got != want {
+			t.Fatalf("|<AutoGens>| = %d, brute-force |Aut| = %d", got, want)
+		}
 
 		// Relabel by a uniform random permutation: the word must not move.
 		images := rng.Perm(n)
@@ -57,4 +63,35 @@ func FuzzCanonical(f *testing.F) {
 			t.Fatal("recolored graph reported isomorphic")
 		}
 	})
+}
+
+// bruteAutCount counts the color-preserving automorphisms of c by
+// backtracking over partial vertex maps: vertex v may go to w only when
+// colors, loops and the arcs to every already-mapped vertex agree.
+func bruteAutCount(c *Colored) int {
+	img := make([]int, c.N)
+	used := make([]bool, c.N)
+	var extend func(v int) int
+	extend = func(v int) int {
+		if v == c.N {
+			return 1
+		}
+		count := 0
+		for w := 0; w < c.N; w++ {
+			if used[w] || c.Color[w] != c.Color[v] || c.Adj[w][w] != c.Adj[v][v] {
+				continue
+			}
+			ok := true
+			for u := 0; u < v && ok; u++ {
+				ok = c.Adj[img[u]][w] == c.Adj[u][v] && c.Adj[w][img[u]] == c.Adj[v][u]
+			}
+			if ok {
+				img[v], used[w] = w, true
+				count += extend(v + 1)
+				used[w] = false
+			}
+		}
+		return count
+	}
+	return extend(0)
 }

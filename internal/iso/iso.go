@@ -274,81 +274,24 @@ func IsomorphismBetween(a, b *Colored) perm.Perm {
 }
 
 // AutomorphismGens returns generators of the color-preserving automorphism
-// group of c, never including the identity. For rigid graphs the slice is
-// empty.
+// group of c, never including the identity: the automorphisms the canonical
+// search records, Canonical(c).AutoGens. For rigid graphs the slice is empty.
+//
+// They generate the whole group, by McKay's argument for nauty with the
+// first minimum-word leaf in place of the first leaf. Let G_i fix the first
+// i base vertices of that leaf's path pointwise, and let v be the path's
+// child at depth i. A sibling w that G_i maps v onto cannot be searched
+// before v: its subtree holds a minimum-word leaf, which would then be found
+// first. So w is searched after best has its final value, and either
+// reaches a leaf equal to best, which records an automorphism of G_i taking
+// v to w, or is orbit-pruned by recorded automorphisms that fix the base.
+// Either way the recorded elements of G_i are transitive on v's G_i-orbit,
+// and induction up from the leaf, whose stabilizer is trivial, gives all of
+// Aut(c). TestAutomorphismCounts checks the group order of both engines'
+// generators on families with known |Aut|, and FuzzCanonical against a
+// brute-force count.
 func AutomorphismGens(c *Colored) []perm.Perm {
-	return automorphismGensComplete(c)
-}
-
-// automorphismGensComplete computes generators whose generated group has the
-// true automorphism orbits. The canonical-search generators alone are not
-// guaranteed complete (orbit pruning can suppress leaves), so we verify and
-// repair by the transporter method: vertices u, v are in the same orbit iff
-// the graphs with u (resp. v) individualized are isomorphic, and the
-// transporter isomorphism is an automorphism mapping u to v.
-func automorphismGensComplete(c *Colored) []perm.Perm {
-	gens := Canonical(c).AutoGens
-	n := c.N
-	// Union-find over current generators.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for _, g := range gens {
-		for i, v := range g {
-			union(i, v)
-		}
-	}
-	// For every pair of distinct current roots with equal color, test
-	// whether an automorphism merges them. The canonical form of the
-	// graph-with-u-individualized is computed once per root u, not once
-	// per candidate pair (it is the expensive half of every transporter
-	// test in u's inner loop).
-	fresh := 0
-	for _, col := range c.Color {
-		if col >= fresh {
-			fresh = col + 1
-		}
-	}
-	scratch := c.Clone()
-	for u := 0; u < n; u++ {
-		if find(u) != u {
-			continue
-		}
-		var ru *Result // canonical form of c with u individualized, lazily
-		for v := u + 1; v < n; v++ {
-			if find(v) == find(u) || c.Color[v] != c.Color[u] {
-				continue
-			}
-			if ru == nil {
-				scratch.Color[u] = fresh
-				ru = Canonical(scratch)
-				scratch.Color[u] = c.Color[u]
-			}
-			scratch.Color[v] = fresh
-			rv := Canonical(scratch)
-			scratch.Color[v] = c.Color[v]
-			if !bytes.Equal(ru.Word, rv.Word) {
-				continue
-			}
-			// The transporter u→v: through the shared canonical form.
-			a := ru.Perm.Compose(rv.Perm.Inverse())
-			gens = append(gens, a)
-			for i, w := range a {
-				union(i, w)
-			}
-		}
-	}
-	return gens
+	return Canonical(c).AutoGens
 }
 
 // Orbits returns the orbits of the color-preserving automorphism group of c,

@@ -153,36 +153,153 @@ func TestIsomorphismBetweenIsWitness(t *testing.T) {
 	}
 }
 
+// TestAutomorphismCounts pins |⟨AutoGens⟩| against the known group order
+// on both engines. It guards the claim that the canonical search's own
+// generators span the whole automorphism group (see AutomorphismGens). The
+// twin-heavy, disconnected and strongly regular families below have large
+// point stabilizers, whose generators the search finds deep in its tree.
 func TestAutomorphismCounts(t *testing.T) {
 	cases := []struct {
 		name string
-		c    *Colored
+		g    *graph.Graph
 		want int // automorphism group order
 	}{
-		{"path3", colored(graph.Path(3)), 2},
-		{"cycle4", colored(graph.Cycle(4)), 8},
-		{"cycle5", colored(graph.Cycle(5)), 10},
-		{"K4", colored(graph.Complete(4)), 24},
-		{"petersen", colored(graph.Petersen()), 120},
-		{"Q3", colored(graph.Hypercube(3)), 48},
-		{"star3", colored(graph.Star(3)), 6},
-		{"K33", colored(graph.CompleteBipartite(3, 3)), 72},
+		{"path3", graph.Path(3), 2},
+		{"cycle4", graph.Cycle(4), 8},
+		{"cycle5", graph.Cycle(5), 10},
+		{"K4", graph.Complete(4), 24},
+		{"petersen", graph.Petersen(), 120},
+		{"Q3", graph.Hypercube(3), 48},
+		{"star3", graph.Star(3), 6},
+		{"K33", graph.CompleteBipartite(3, 3), 72},
+		{"3K3", disjointCopies(graph.Cycle(3), 3), 1296},
+		{"3C4", disjointCopies(graph.Cycle(4), 3), 3072},
+		{"2petersen", disjointCopies(graph.Petersen(), 2), 28800},
+		{"shrikhande", z4z4Cayley([][2]int{{1, 0}, {0, 1}, {1, 1}}), 192},
+		{"K4xK4", z4z4Cayley([][2]int{{1, 0}, {2, 0}, {0, 1}, {0, 2}}), 1152},
+		{"paley13", graph.Circulant(13, []int{1, 3, 4}), 78},
+		// C4 blown up by 3 is K6,6: 2·(6!)².
+		{"blowup4x3", graph.BlowupCycle(4, 3), 1036800},
 	}
-	for _, c := range cases {
-		gens := AutomorphismGens(c.c)
-		g, err := perm.Closure(c.c.N, gens, 1<<16)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if g.Order() != c.want {
-			t.Errorf("%s: |Aut| = %d, want %d", c.name, g.Order(), c.want)
-		}
-		for _, a := range gens {
-			if !c.c.IsAutomorphism(a) {
-				t.Errorf("%s: generator %v is not an automorphism", c.name, a)
+	for _, tc := range cases {
+		c := colored(tc.g)
+		for _, eng := range []struct {
+			name string
+			gens []perm.Perm
+		}{
+			{"dense", AutomorphismGens(c)},
+			{"sparse", CanonicalSparse(SparseFromColored(c)).AutoGens},
+		} {
+			if got := groupOrder(c.N, eng.gens); got != tc.want {
+				t.Errorf("%s %s: |Aut| = %d, want %d", tc.name, eng.name, got, tc.want)
+			}
+			for _, a := range eng.gens {
+				if !c.IsAutomorphism(a) {
+					t.Errorf("%s %s: generator %v is not an automorphism", tc.name, eng.name, a)
+				}
 			}
 		}
 	}
+}
+
+// disjointCopies returns k disjoint copies of g.
+func disjointCopies(g *graph.Graph, k int) *graph.Graph {
+	n := g.N()
+	b := graph.NewBuilder(k * n)
+	for i := 0; i < k; i++ {
+		for _, e := range g.EdgeEndpoints() {
+			b.AddEdge(i*n+e[0], i*n+e[1])
+		}
+	}
+	return b.Graph()
+}
+
+// z4z4Cayley returns the Cayley graph of Z4×Z4 with connection set S ∪ -S,
+// vertex (x, y) numbered 4x+y. S must not hold both d and -d for d ≠ -d.
+func z4z4Cayley(s [][2]int) *graph.Graph {
+	b := graph.NewBuilder(16)
+	for v := 0; v < 16; v++ {
+		for _, d := range s {
+			w := 4*((v/4+d[0])%4) + (v%4+d[1])%4
+			if v < w || (d[0]+d[0])%4 != 0 || (d[1]+d[1])%4 != 0 {
+				b.AddEdge(v, w)
+			}
+		}
+	}
+	return b.Graph()
+}
+
+// groupOrder returns |⟨gens⟩| on n points by the deterministic
+// Schreier–Sims algorithm: levels of base points with strong generators are
+// grown until every Schreier generator sifts to the identity, and the order
+// is the product of the basic orbit lengths. Unlike perm.Closure it never
+// lists the group, so orders in the millions stay cheap.
+func groupOrder(n int, gens []perm.Perm) int {
+	type level struct {
+		base  int
+		gens  []perm.Perm
+		trans []perm.Perm // trans[x] maps base to x; nil off the basic orbit
+	}
+	var levels []*level
+	// sift strips g through the levels from i on. It returns the residue and
+	// the level where it stopped (len(levels) when it passed them all).
+	sift := func(g perm.Perm, i int) (perm.Perm, int) {
+		for ; i < len(levels); i++ {
+			t := levels[i].trans[g[levels[i].base]]
+			if t == nil {
+				return g, i
+			}
+			g = g.Compose(t.Inverse())
+		}
+		return g, i
+	}
+	var add func(i int, g perm.Perm)
+	add = func(i int, g perm.Perm) {
+		if i == len(levels) {
+			b := 0
+			for g[b] == b {
+				b++
+			}
+			levels = append(levels, &level{base: b})
+		}
+		l := levels[i]
+		l.gens = append(l.gens, g)
+		l.trans = make([]perm.Perm, n)
+		l.trans[l.base] = perm.Identity(n)
+		orbit := []int{l.base}
+		for k := 0; k < len(orbit); k++ {
+			for _, s := range l.gens {
+				if y := s[orbit[k]]; l.trans[y] == nil {
+					l.trans[y] = l.trans[orbit[k]].Compose(s)
+					orbit = append(orbit, y)
+				}
+			}
+		}
+		for _, x := range orbit {
+			for _, s := range l.gens {
+				h := l.trans[x].Compose(s).Compose(l.trans[s[x]].Inverse())
+				if r, _ := sift(h, i+1); !r.IsIdentity() {
+					add(i+1, r)
+				}
+			}
+		}
+	}
+	for _, g := range gens {
+		if r, _ := sift(g, 0); !r.IsIdentity() {
+			add(0, r)
+		}
+	}
+	order := 1
+	for _, l := range levels {
+		orbit := 0
+		for _, t := range l.trans {
+			if t != nil {
+				orbit++
+			}
+		}
+		order *= orbit
+	}
+	return order
 }
 
 func TestOrbitsVertexTransitive(t *testing.T) {

@@ -62,14 +62,31 @@ func surrounding() *iso.Colored {
 	return order.Surrounding(g, elect.BlackColors(32, []int{0, 8, 16, 24}), 0)
 }
 
+// analyzeRR3200 is the mid-size kernel: the full analysis of a rigid random
+// 3-regular graph on 200 nodes with homes at nodes 0, 1 and 2, below
+// order.LargeThreshold, so COMPUTE & ORDER runs one whole-graph search for
+// the classes and one surrounding search per class (200 classes).
+func analyzeRR3200(b *testing.B) {
+	g := graph.RandomRegular(200, 3, 1)
+	homes := []int{0, 1, 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := elect.Analyze(g, homes, order.Direct); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Cases lists the kernels in report order. The first two form the speedup
 // pair (reference vs optimized Analyze(C32)); the rest track the engine on
-// representative shapes: cycles, hypercubes, Petersen, tori, a surrounding
-// digraph, and the refinement pass alone.
+// representative shapes: a mid-size rigid analysis, cycles, hypercubes,
+// Petersen, tori, a surrounding digraph, and the refinement pass alone.
 func Cases() []Case {
 	return []Case{
 		{"AnalyzeC32Reference", AnalyzeC32Reference},
 		{"AnalyzeC32", AnalyzeC32},
+		{"AnalyzeRR3_200", analyzeRR3200},
 		{"CanonicalC32Surrounding", canonical(surrounding())},
 		{"CanonicalC64", canonical(iso.FromGraph(graph.Cycle(64), nil))},
 		{"CanonicalQ4", canonical(iso.FromGraph(graph.Hypercube(4), nil))},

@@ -29,19 +29,21 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/iso"
+	"repro/internal/perm"
 )
 
 // LargeThreshold is the node count at or above which ComputeAndOrder takes
 // the large-graph path: one sparse canonical labeling of the whole bicolored
-// graph (iso.CanonicalSparseCtx), orbits from its pooled automorphisms
-// (iso.SparseOrbitsWith), and positional class keys — the varint-encoded
-// sorted canonical positions of each class's members — instead of one
-// surrounding canonicalization per class. Positional keys are a third ≺
-// implementation: deterministic (canonical positions are
-// relabeling-invariant) and total (distinct classes occupy disjoint position
-// sets), which is all Protocol ELECT requires of an ordering; like Direct
-// versus Hairs, it need not rank classes the same way as the small-graph
-// orders. Tests lower this to force the large path onto small instances.
+// graph (iso.CanonicalSparseCtx), orbits from the automorphisms that search
+// records (they generate the whole group; see iso.AutomorphismGens), and
+// positional class keys — the varint-encoded sorted canonical positions of
+// each class's members — instead of one surrounding canonicalization per
+// class. Positional keys are a third ≺ implementation: deterministic
+// (canonical positions are relabeling-invariant) and total (distinct classes
+// occupy disjoint position sets), which is all Protocol ELECT requires of an
+// ordering; like Direct versus Hairs, it need not rank classes the same way
+// as the small-graph orders. Tests lower this to force the large path onto
+// small instances.
 var LargeThreshold = 2048
 
 // keysComputed counts the surrounding keys computed process-wide — one
@@ -302,34 +304,31 @@ func ComputeAndOrder(g *graph.Graph, colors []int, ord Ordering) *Ordered {
 }
 
 // ComputeAndOrderCtx is ComputeAndOrder under a context: cancellation
-// propagates into every canonical search it runs (the per-class surrounding
-// searches on the small path, the whole-graph sparse search and orbit
-// transporter searches on the large path) and surfaces as ctx.Err().
+// propagates into every canonical search it runs (the whole-graph search
+// for the classes, then the per-class surrounding searches on the small
+// path) and surfaces as ctx.Err().
 func ComputeAndOrderCtx(ctx context.Context, g *graph.Graph, colors []int, ord Ordering) (*Ordered, error) {
 	if g.N() >= LargeThreshold {
 		return computeAndOrderLarge(ctx, g, colors)
 	}
-	if err := ctx.Err(); err != nil {
+	res, err := iso.CanonicalCtx(ctx, iso.FromGraph(g, colors))
+	if err != nil {
 		return nil, err
 	}
-	return orderClassesCtx(ctx, g, colors, Classes(g, colors), ord)
+	return orderClassesCtx(ctx, g, colors, perm.OrbitsOf(g.N(), res.AutoGens), ord)
 }
 
 // computeAndOrderLarge is the large-graph COMPUTE & ORDER: one sparse
-// canonical labeling of the whole bicolored graph, orbits from its pooled
+// canonical labeling of the whole bicolored graph, orbits from its
 // automorphism generators, and positional class keys. Total cost is one
-// canonical search plus O(per-orbit transporter checks), versus one
-// surrounding canonicalization per class on the small path.
+// canonical search, versus one surrounding canonicalization per class on
+// the small path.
 func computeAndOrderLarge(ctx context.Context, g *graph.Graph, colors []int) (*Ordered, error) {
-	sp := iso.SparseFromGraph(g, colors)
-	res, err := iso.CanonicalSparseCtx(ctx, sp)
+	res, err := iso.CanonicalSparseCtx(ctx, iso.SparseFromGraph(g, colors))
 	if err != nil {
 		return nil, err
 	}
-	classes, err := iso.SparseOrbitsWith(ctx, sp, res)
-	if err != nil {
-		return nil, err
-	}
+	classes := perm.OrbitsOf(g.N(), res.AutoGens)
 	keysComputed.Add(int64(len(classes)))
 	keys := positionalKeys(g.N(), res.Perm, classes)
 	return assembleOrdered(g, colors, classes, keys), nil

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/iso"
 )
 
 // withLowThreshold runs f with LargeThreshold lowered so every test graph
@@ -150,6 +151,20 @@ func TestComputeAndOrderCtxCancel(t *testing.T) {
 			t.Fatalf("large path: got err=%v, want context.Canceled", err)
 		}
 	})
+}
+
+// TestComputeAndOrderSearchCount pins the cost of COMPUTE & ORDER on a
+// rigid mid-size graph: one whole-graph canonical search yields the classes
+// (its generators span the automorphism group), then each class costs one
+// surrounding search.
+func TestComputeAndOrderSearchCount(t *testing.T) {
+	g := graph.RandomRegular(200, 3, 1)
+	before := iso.Stats()
+	o := ComputeAndOrder(g, blackColors(200, []int{0, 1, 2}), Direct)
+	got := iso.Stats().Sub(before).Searches
+	if want := int64(1 + len(o.Classes)); got != want || want != 201 {
+		t.Fatalf("ran %d canonical searches for %d classes, want 201 = 1 + 200 classes", got, len(o.Classes))
+	}
 }
 
 // TestSurroundingSparseMatchesDense: SurroundingSparse must encode exactly
