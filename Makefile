@@ -30,6 +30,7 @@ determinism:
 	$(GO) test -race -count=50 -run '^TestRunGolden$$' ./cmd/elect
 	$(GO) test -race -count=50 -run '^TestRecordReplayBitExact$$' ./internal/faults
 	$(GO) test -race -count=50 -run '^TestAnalyzeCtxDeadline$$' ./internal/elect
+	$(GO) test -race -count=50 -run '^TestConcurrentStateReuse$$' ./internal/iso
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -48,9 +49,10 @@ bench-iso-large:
 cover:
 	$(GO) test -cover ./...
 
-# CI's coverage gate: the protocol core, the engine, the fault plane, the
-# sketch layer, the runtime contract, the protocol zoo and the seeded RNG
-# must each keep statement coverage at or above 70%.
+# The coverage gate, run by CI's coverage job: the protocol core, the
+# engine, the fault plane, the sketch layer, the runtime contract, the
+# protocol zoo and the seeded RNG must each keep statement coverage at or
+# above 70%.
 cover-gate:
 	@fail=0; \
 	for pkg in ./internal/elect ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/zoo ./internal/lazyrand; do \
@@ -70,7 +72,7 @@ campaign:
 		-placement spread -r 3 -seeds 1..25 \
 		-jsonl campaign_runs.jsonl -summary BENCH_campaign.json
 
-# Native fuzzing smoke: 30s per target (same invocation as CI).
+# Native fuzzing smoke: 30s per target. CI's fuzz step runs this target.
 fuzz:
 	$(GO) test -fuzz FuzzElectSchedule -fuzztime 30s -run '^$$' ./internal/adversary
 	$(GO) test -fuzz FuzzCanonical -fuzztime 30s -run '^$$' ./internal/iso

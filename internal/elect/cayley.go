@@ -1,6 +1,7 @@
 package elect
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/group"
 	"repro/internal/iso"
 	"repro/internal/order"
+	"repro/internal/perm"
 	"repro/internal/sim"
 )
 
@@ -25,15 +27,23 @@ import (
 // search on the identical canonical input and extracts the identical d.
 func CayleyTranslationCount(g *graph.Graph, weight []int, autCap int) (bool, int, error) {
 	canon := iso.Canonical(iso.FromGraph(g, weight))
-	cg, err := g.Relabel(canon.Perm)
+	return cayleyTranslationCount(context.Background(), g, weight, canon.Perm, autCap)
+}
+
+// cayleyTranslationCount is CayleyTranslationCount given canon, the
+// canonical relabeling of the bicolored graph (g, weight), under ctx.
+// AnalyzeCtx passes the relabeling of the search COMPUTE & ORDER already
+// ran on the same input.
+func cayleyTranslationCount(ctx context.Context, g *graph.Graph, weight []int, canon perm.Perm, autCap int) (bool, int, error) {
+	cg, err := g.Relabel(canon)
 	if err != nil {
 		return false, 0, err
 	}
 	cweight := make([]int, g.N())
 	for v, w := range weight {
-		cweight[canon.Perm[v]] = w
+		cweight[canon[v]] = w
 	}
-	rec, err := group.Recognize(cg, autCap)
+	rec, err := group.RecognizeCtx(ctx, cg, autCap)
 	if err != nil {
 		return false, 0, fmt.Errorf("elect: Cayley test: %w", err)
 	}

@@ -54,8 +54,12 @@ func Analyze(g *graph.Graph, homes []int, ord order.Ordering) (*Analysis, error)
 // AnalyzeCtx is Analyze under a context: cancellation propagates through
 // COMPUTE & ORDER into every canonical search it runs (the whole-graph
 // search for the classes and, below order.LargeThreshold, one surrounding
-// search per class) and surfaces as ctx.Err(). This is the hook by which a
-// canceled /v1/analyze request stops its analysis mid-computation.
+// search per class), and into the Cayley test and the Theorem 2.1 check,
+// and surfaces as ctx.Err(). This is the hook by which a canceled
+// /v1/analyze request stops its analysis mid-computation.
+//
+// The whole-graph search of (G, p) runs once: the Cayley test relabels G by
+// its canonical Perm, and the Theorem 2.1 check closes its AutoGens.
 //
 // Graphs with at least order.LargeThreshold nodes take the scaled path: the
 // class structure comes from one sparse whole-graph canonicalization, and
@@ -78,7 +82,7 @@ func AnalyzeCtx(ctx context.Context, g *graph.Graph, homes []int, ord order.Orde
 		return a, nil
 	}
 
-	isCayley, d, err := CayleyTranslationCount(g, colors, 0)
+	isCayley, d, err := cayleyTranslationCount(ctx, g, colors, o.Canon.Perm, 0)
 	switch {
 	case err == nil:
 		a.Cayley = isCayley
@@ -89,14 +93,14 @@ func AnalyzeCtx(ctx context.Context, g *graph.Graph, homes []int, ord order.Orde
 		return nil, err
 	}
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if g.IsSimple() {
-		w, err := labeling.ExistsSymmetricLabeling(g, colors, 0)
-		if err == nil {
+		w, err := labeling.ExistsSymmetricLabelingGens(ctx, g, o.Canon.AutoGens, 0)
+		switch {
+		case err == nil:
 			a.Thm21Checked = true
 			a.Impossible21 = w != nil
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
 		}
 	}
 	return a, nil

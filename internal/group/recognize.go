@@ -1,6 +1,7 @@
 package group
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -43,6 +44,13 @@ type Recognition struct {
 // The paper notes this test is "time-consuming, but decidable"; this
 // implementation is exact at the evaluation's laptop scale.
 func Recognize(g *graph.Graph, autCap int) (*Recognition, error) {
+	return RecognizeCtx(context.Background(), g, autCap)
+}
+
+// RecognizeCtx is Recognize under a context: the automorphism search, the
+// group closure (once per element) and the regular-subgroup search (once
+// per search node) poll ctx, and a fired ctx surfaces as ctx.Err().
+func RecognizeCtx(ctx context.Context, g *graph.Graph, autCap int) (*Recognition, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, errors.New("group: empty graph")
@@ -62,15 +70,24 @@ func Recognize(g *graph.Graph, autCap int) (*Recognition, error) {
 	if autCap <= 0 {
 		autCap = 1 << 17
 	}
-	gens := iso.AutomorphismGens(iso.FromGraph(g, nil))
-	aut, err := perm.Closure(n, gens, autCap)
+	res, err := iso.CanonicalCtx(ctx, iso.FromGraph(g, nil))
 	if err != nil {
+		return nil, err
+	}
+	aut, err := perm.ClosureCtx(ctx, n, res.AutoGens, autCap)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, err
+		}
 		return nil, ErrUndecided
 	}
 	if !aut.IsTransitive() {
 		return &Recognition{IsCayley: false}, nil
 	}
-	reg := findRegularSubgroup(n, aut)
+	reg := findRegularSubgroup(ctx, n, aut)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if reg == nil {
 		return &Recognition{IsCayley: false}, nil
 	}
@@ -85,8 +102,9 @@ func Recognize(g *graph.Graph, autCap int) (*Recognition, error) {
 // findRegularSubgroup searches Aut for a subgroup acting regularly on the
 // n vertices, returning it indexed by image of vertex 0 (reg[v] maps 0 to
 // v), or nil if none exists. Deterministic: candidates are scanned in the
-// sorted element order produced by perm.Closure.
-func findRegularSubgroup(n int, aut *perm.Group) []perm.Perm {
+// sorted element order produced by perm.Closure. It also returns nil once
+// ctx fires.
+func findRegularSubgroup(ctx context.Context, n int, aut *perm.Group) []perm.Perm {
 	// Candidates for reg[v]: fixed-point-free automorphisms mapping 0 to v
 	// (every non-identity element of a regular subgroup is fixed-point-free).
 	cand := make([][]perm.Perm, n)
@@ -106,7 +124,7 @@ func findRegularSubgroup(n int, aut *perm.Group) []perm.Perm {
 	}
 	chosen := make([]perm.Perm, n)
 	chosen[0] = perm.Identity(n)
-	if search(n, cand, chosen, 1) {
+	if search(ctx, n, cand, chosen, 1) {
 		return chosen
 	}
 	return nil
@@ -116,8 +134,12 @@ func findRegularSubgroup(n int, aut *perm.Group) []perm.Perm {
 // that the assigned set is product-consistent: for assigned u, v with
 // u∘v's image of 0 assigned, chosen must agree. Constraint propagation:
 // assigning chosen[v] forces chosen[w] for every product w reachable from
-// assigned elements; contradictions backtrack.
-func search(n int, cand [][]perm.Perm, chosen []perm.Perm, from int) bool {
+// assigned elements; contradictions backtrack. A fired ctx fails every
+// node, unwinding the search.
+func search(ctx context.Context, n int, cand [][]perm.Perm, chosen []perm.Perm, from int) bool {
+	if ctx.Err() != nil {
+		return false
+	}
 	// Find first unassigned vertex.
 	v := -1
 	for u := from; u < n; u++ {
@@ -136,7 +158,7 @@ func search(n int, cand [][]perm.Perm, chosen []perm.Perm, from int) bool {
 			for u, p := range assigned {
 				chosen[u] = p
 			}
-			if search(n, cand, chosen, from) {
+			if search(ctx, n, cand, chosen, from) {
 				return true
 			}
 			for u := range assigned {

@@ -2,14 +2,17 @@ package iso
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/perm"
 )
 
 // canonState drives one canonical labeling search. All scratch (partition
-// levels, refinement worklists, the path's word prefix, orbit union-finds)
-// is owned here and reused across the whole backtracking tree, so the search
-// allocates O(depth) level structures and otherwise runs allocation-free.
+// levels, refinement worklists, the path's word prefix, orbit union-finds,
+// the dense engine's CSR arrays) is owned here and reused across the whole
+// backtracking tree, and states are recycled through statePool, resized on
+// reuse, so a warm search allocates only its Result: the canonical Perm, the
+// Word and AutoGens are handed to it and never stay in the pool.
 //
 // One state serves both engines: the dense engine (c != nil) serializes the
 // n+n² growing-principal-submatrix word of DESIGN.md §8, the sparse engine
@@ -17,14 +20,14 @@ import (
 type canonState struct {
 	c      *Colored // dense input (nil in sparse mode)
 	colors []int    // vertex colors (c.Color or the Sparse's colors)
-	g      *csr
+	g      *csr     // &dense in dense mode, the Sparse's own CSR in sparse mode
+	dense  csr      // the dense input's CSR view, rebuilt per search
 	n      int
 	sparse bool
 
 	// Search outcome.
 	best     []byte      // minimum leaf word so far (full serialization)
-	bperm    perm.Perm   // ordering that produced best (vertex -> position)
-	bpermInv []int       // position -> vertex, maintained with bperm
+	bpermInv []int       // position -> vertex of the ordering that produced best
 	autos    []perm.Perm // discovered automorphisms (see leaf handling)
 	bestGen  int         // bumped every time best is replaced
 
@@ -88,63 +91,108 @@ type canonState struct {
 	blkIdx []int32
 }
 
-func newCanonState(c *Colored) *canonState {
-	st := &canonState{c: c, colors: c.Color, g: buildCSR(c)}
-	st.init(c.N, c.N+c.N*c.N)
+// statePool recycles search states between canonical searches: each
+// analysis runs one search per class plus its whole-graph searches, and
+// allocating every search's scratch afresh cost about an eighth of the CPU
+// of a stream of small cold analyses, plus the GC work it caused
+// (DESIGN.md §8).
+var statePool = sync.Pool{New: func() any { return new(canonState) }}
+
+// denseState returns a pooled state prepared for a dense search of c.
+func denseState(c *Colored) *canonState {
+	st := statePool.Get().(*canonState)
+	st.c, st.colors, st.sparse = c, c.Color, false
+	st.dense.fill(c)
+	st.g = &st.dense
+	st.reset(c.N, c.N+c.N*c.N)
 	return st
 }
 
-func newSparseCanonState(sp *Sparse) *canonState {
-	st := &canonState{colors: sp.Color, g: sp.g, sparse: true}
-	st.init(sp.N, 0)
-	st.posOf = make([]int32, sp.N)
+// sparseState returns a pooled state prepared for a sparse search of sp.
+func sparseState(sp *Sparse) *canonState {
+	st := statePool.Get().(*canonState)
+	st.c, st.colors, st.g, st.sparse = nil, sp.Color, sp.g, true
+	st.reset(sp.N, 0)
+	st.posOf = zeroed(st.posOf, sp.N)
 	for i := range st.posOf {
 		st.posOf[i] = -1
 	}
-	st.blkOut = make([]int32, sp.N)
-	st.blkIn = make([]int32, sp.N)
-	st.blkIdx = make([]int32, 0, sp.N)
+	st.blkOut = zeroed(st.blkOut, sp.N)
+	st.blkIn = zeroed(st.blkIn, sp.N)
+	st.blkIdx = zeroed(st.blkIdx, sp.N)[:0]
 	return st
 }
 
-// init allocates the mode-independent scratch for an n-vertex search.
-func (st *canonState) init(n, prefixCap int) {
+// reset sizes the mode-independent scratch for an n-vertex search, reusing
+// every buffer that is large enough, and clears the previous search's
+// outcome and counters. Levels are resized lazily, by level.
+func (st *canonState) reset(n, prefixCap int) {
 	st.n = n
-	st.prefix = make([]byte, 0, prefixCap)
-	st.base = make([]int, 0, n)
-	st.cellOf = make([]int32, n)
-	st.cellEnd = make([]int32, n+1)
-	st.cntOut = make([]int32, n)
-	st.cntIn = make([]int32, n)
-	st.touched = make([]int32, 0, n)
-	st.affCells = make([]int32, 0, n)
-	st.fragBounds = make([]int32, 0, n)
-	st.fragList = make([]int32, 0, n)
-	st.fragParent = make([]int32, n)
-	st.splitParents = make([]int32, 0, n)
-	st.passEnd = make([]int32, n+1)
-	st.keysA = make([]int32, 0, 2*n)
-	st.keysB = make([]int32, 0, 2*n)
-	st.cellMark = newBitset(n + 1)
-	st.isFrag = newBitset(n + 1)
-	st.parentMark = newBitset(n + 1)
-	st.sortTmp = make([]int, n)
+	if cap(st.prefix) < prefixCap {
+		st.prefix = make([]byte, 0, prefixCap)
+	}
+	st.prefix = st.prefix[:0]
+	st.best = st.best[:0]
+	st.bpermInv = zeroed(st.bpermInv, n)
+	st.bestGen = 0
+	st.base = zeroed(st.base, n)[:0]
+	st.stopped = false
+	st.nodes, st.leaves, st.orbitPrunes, st.prefixPrunes = 0, 0, 0, 0
+	st.cellOf = zeroed(st.cellOf, n)
+	st.cellEnd = zeroed(st.cellEnd, n+1)
+	st.cntOut = zeroed(st.cntOut, n)
+	st.cntIn = zeroed(st.cntIn, n)
+	st.touched = zeroed(st.touched, n)[:0]
+	st.affCells = zeroed(st.affCells, n)[:0]
+	st.fragBounds = zeroed(st.fragBounds, n)[:0]
+	st.fragList = zeroed(st.fragList, n)[:0]
+	st.fragParent = zeroed(st.fragParent, n)
+	st.splitParents = zeroed(st.splitParents, n)[:0]
+	st.passEnd = zeroed(st.passEnd, n+1)
+	st.keysA = zeroed(st.keysA, 2*n)[:0]
+	st.keysB = zeroed(st.keysB, 2*n)[:0]
+	words := (n + 64) / 64 // n+1 bits
+	st.cellMark = zeroed(st.cellMark, words)
+	st.isFrag = zeroed(st.isFrag, words)
+	st.parentMark = zeroed(st.parentMark, words)
+	st.sortTmp = zeroed(st.sortTmp, n)
+}
+
+// release returns st to statePool. It first drops every reference to the
+// caller's graph and to the automorphisms a Result may own, so the pool
+// retains neither.
+func (st *canonState) release() {
+	st.c, st.colors, st.g, st.done, st.autos = nil, nil, nil, nil, nil
+	statePool.Put(st)
+}
+
+// zeroed returns a zeroed length-n slice, reusing s's backing array when it
+// is large enough: make([]T, n) without the allocation on a warm state.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // level returns the pooled partition state for the given search depth,
-// allocating it on first use.
+// allocating it on first use and resizing it when the state last searched
+// a graph of another order.
 func (st *canonState) level(depth int) *level {
 	for len(st.levels) <= depth {
-		lv := &level{
-			lab:       make([]int, st.n),
-			cellStart: make([]int32, 0, st.n+1),
-			uf:        make([]int32, st.n),
-			ufGen:     -1,
-		}
-		lv.tried = make([]int, 0, st.n)
-		st.levels = append(st.levels, lv)
+		st.levels = append(st.levels, new(level))
 	}
-	return st.levels[depth]
+	lv := st.levels[depth]
+	if len(lv.lab) != st.n {
+		lv.lab = zeroed(lv.lab, st.n)
+		lv.cellStart = zeroed(lv.cellStart, st.n+1)[:0]
+		lv.uf = zeroed(lv.uf, st.n)
+		lv.tried = zeroed(lv.tried, st.n)[:0]
+		lv.ufGen = -1
+	}
+	return lv
 }
 
 // halted reports whether this state must stop searching because its
@@ -166,7 +214,8 @@ func (st *canonState) halted() bool {
 
 // run searches the whole tree under ctx and returns the canonical result,
 // or ctx.Err() when ctx fired mid-search — never a word from a partial
-// search, which would not be canonical.
+// search, which would not be canonical. Either way the state goes back to
+// statePool; the Result owns its Perm, Word and AutoGens outright.
 func (st *canonState) run(ctx context.Context) (*Result, error) {
 	st.done = ctx.Done()
 	lv := st.level(0)
@@ -175,9 +224,16 @@ func (st *canonState) run(ctx context.Context) (*Result, error) {
 	st.search(0, 0, -1, -1)
 	st.flushStats()
 	if st.stopped {
+		st.release()
 		return nil, ctx.Err()
 	}
-	return &Result{Perm: st.bperm, Word: st.best, AutoGens: st.autos}, nil
+	r := &Result{Perm: make(perm.Perm, st.n), Word: st.best, AutoGens: st.autos}
+	for pos, v := range st.bpermInv {
+		r.Perm[v] = pos
+	}
+	st.best = nil
+	st.release()
+	return r, nil
 }
 
 // prepareRootPrefix emits the constant color section of the word.
@@ -380,18 +436,12 @@ func (st *canonState) leaf(lv *level, cmp int) {
 		// Strictly smaller than best at some determined byte (or best
 		// unset): install as the new best.
 		st.best = append(st.best[:0], st.prefix...)
-		if st.bperm == nil {
-			st.bperm = make(perm.Perm, st.n)
-			st.bpermInv = make([]int, st.n)
-		}
-		for pos, v := range lv.lab {
-			st.bperm[v] = pos
-			st.bpermInv[pos] = v
-		}
+		copy(st.bpermInv, lv.lab)
 		st.bestGen++
 	case 0:
-		// Equal to best: lab and bperm induce the same canonical graph,
-		// so bperm⁻¹∘cand is an automorphism of c.
+		// Equal to best: lab and best's ordering induce the same
+		// canonical graph, so mapping each vertex to the vertex best
+		// placed at its position is an automorphism of c.
 		a := make(perm.Perm, st.n)
 		for pos, v := range lv.lab {
 			a[v] = st.bpermInv[pos]

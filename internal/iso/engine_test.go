@@ -17,16 +17,8 @@ import (
 // performs zero allocations — hence no fmt formatting, no string keys and
 // no map allocation on the hot path.
 func TestRefineHotPathAllocationFree(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		c    *Colored
-	}{
-		{"petersen", FromGraph(graph.Petersen(), nil)},
-		{"q4", FromGraph(graph.Hypercube(4), nil)},
-		{"c32-bicolored", FromGraph(graph.Cycle(32), blackAt(32, 0, 8, 16, 24))},
-		{"torus4x4", FromGraph(graph.Torus(4, 4), nil)},
-	} {
-		st := newCanonState(tc.c)
+	for _, tc := range hotPathGraphs() {
+		st := denseState(tc.c)
 		lv := st.level(0)
 		// Warm the scratch buffers once.
 		st.initialPartition(lv)
@@ -38,6 +30,23 @@ func TestRefineHotPathAllocationFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: refine hot path allocated %.1f times per run, want 0", tc.name, allocs)
 		}
+	}
+}
+
+type namedColored struct {
+	name string
+	c    *Colored
+}
+
+// hotPathGraphs are the inputs of the allocation tests: symmetric graphs
+// whose searches record automorphisms and prune by orbits, and a bicolored
+// cycle.
+func hotPathGraphs() []namedColored {
+	return []namedColored{
+		{"petersen", FromGraph(graph.Petersen(), nil)},
+		{"q4", FromGraph(graph.Hypercube(4), nil)},
+		{"c32-bicolored", FromGraph(graph.Cycle(32), blackAt(32, 0, 8, 16, 24))},
+		{"torus4x4", FromGraph(graph.Torus(4, 4), nil)},
 	}
 }
 

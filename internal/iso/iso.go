@@ -20,8 +20,10 @@
 // hot paths here are written allocation-free: integer signature refinement
 // over flat scratch buffers (no fmt, no strings, no maps), incremental
 // best-word prefix pruning, and stabilizer-orbit pruning with cached
-// union-find state. DESIGN.md §8 describes the engine; reference.go keeps
-// the original (pre-optimization) engine for differential tests and for
+// union-find state. The search state itself, scratch included, is recycled
+// through a sync.Pool, so a warm search allocates only the Result it
+// returns. DESIGN.md §8 describes the engine; reference.go keeps the
+// original (pre-optimization) engine for differential tests and for
 // measuring the speedup (BENCH_iso.json).
 package iso
 
@@ -174,7 +176,9 @@ func (c *Colored) IsAutomorphism(p perm.Perm) bool {
 	return true
 }
 
-// Result is the outcome of a canonical labeling computation.
+// Result is the outcome of a canonical labeling computation. It owns its
+// slices: none of them shares memory with the search state, which is
+// recycled for later searches.
 type Result struct {
 	// Perm maps each original vertex to its canonical position.
 	Perm perm.Perm
@@ -224,7 +228,7 @@ func CanonicalCtx(ctx context.Context, c *Colored) (*Result, error) {
 		// uncancelable.
 		return referenceCanonical(c), nil
 	}
-	return newCanonState(c).run(ctx)
+	return denseState(c).run(ctx)
 }
 
 // EquitablePartition returns the coarsest equitable refinement of c's color
@@ -236,7 +240,12 @@ func EquitablePartition(c *Colored) [][]int {
 	if c.N == 0 {
 		return nil
 	}
-	st := newCanonState(c)
+	return denseState(c).equitablePartition()
+}
+
+// equitablePartition refines the color partition, copies out its cells and
+// releases st.
+func (st *canonState) equitablePartition() [][]int {
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.refine(lv)
@@ -244,6 +253,7 @@ func EquitablePartition(c *Colored) [][]int {
 	for k := 0; k < lv.ncells; k++ {
 		out = append(out, append([]int(nil), lv.lab[lv.cellStart[k]:lv.cellStart[k+1]]...))
 	}
+	st.release()
 	return out
 }
 

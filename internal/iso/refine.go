@@ -23,21 +23,13 @@ type csr struct {
 	inMult  []int32
 }
 
-func buildCSR(c *Colored) *csr {
+// fill rebuilds s as the CSR view of c, reusing s's arrays where they are
+// large enough.
+func (s *csr) fill(c *Colored) {
 	n := c.N
-	arcs := 0
-	for u := 0; u < n; u++ {
-		for _, m := range c.Adj[u] {
-			if m != 0 {
-				arcs++
-			}
-		}
-	}
-	s := &csr{
-		outStart: make([]int32, n+1), inStart: make([]int32, n+1),
-		outDst: make([]int32, 0, arcs), outMult: make([]int32, 0, arcs),
-		inDst: make([]int32, 0, arcs), inMult: make([]int32, 0, arcs),
-	}
+	s.outStart, s.inStart = zeroed(s.outStart, n+1), zeroed(s.inStart, n+1)
+	s.outDst, s.outMult = s.outDst[:0], s.outMult[:0]
+	s.inDst, s.inMult = s.inDst[:0], s.inMult[:0]
 	for u := 0; u < n; u++ {
 		for v, m := range c.Adj[u] {
 			if m != 0 {
@@ -56,12 +48,11 @@ func buildCSR(c *Colored) *csr {
 		}
 		s.inStart[v+1] = int32(len(s.inDst))
 	}
-	return s
 }
 
 // level is one node's partition state in the backtracking search. Levels are
-// pooled in canonState and reused across sibling branches, so a search
-// allocates at most depth-many of them.
+// owned by canonState and reused across sibling branches and, with their
+// state, across searches.
 type level struct {
 	// lab lists the vertices in partition order; cell k occupies
 	// lab[cellStart[k]:cellStart[k+1]].

@@ -70,7 +70,9 @@ func SparseFromGraph(gr *graph.Graph, colors []int) *Sparse {
 // SparseFromColored converts a dense Colored (primarily for differential
 // tests between the two engines).
 func SparseFromColored(c *Colored) *Sparse {
-	return &Sparse{N: c.N, Color: append([]int(nil), c.Color...), g: buildCSR(c)}
+	sp := &Sparse{N: c.N, Color: append([]int(nil), c.Color...), g: new(csr)}
+	sp.g.fill(c)
+	return sp
 }
 
 // SparseFromArcs builds a Sparse digraph on n vertices from (u, v) arc
@@ -186,12 +188,6 @@ func (sp *Sparse) IsAutomorphism(p perm.Perm) bool {
 	return csrIsAutomorphism(sp.g, sp.Color, p)
 }
 
-// OutMult returns the multiplicity of arc u -> v (0 when absent), one
-// binary search over u's sorted out-row.
-func (sp *Sparse) OutMult(u, v int) int {
-	return int(csrOutMult(sp.g, u, int32(v)))
-}
-
 // SparseEquitablePartition returns the coarsest equitable refinement of
 // sp's color partition, in canonical cell order — the sparse counterpart of
 // EquitablePartition, O(n + m log n) per call.
@@ -199,15 +195,7 @@ func SparseEquitablePartition(sp *Sparse) [][]int {
 	if sp.N == 0 {
 		return nil
 	}
-	st := newSparseCanonState(sp)
-	lv := st.level(0)
-	st.initialPartition(lv)
-	st.refine(lv)
-	out := make([][]int, 0, lv.ncells)
-	for k := 0; k < lv.ncells; k++ {
-		out = append(out, append([]int(nil), lv.lab[lv.cellStart[k]:lv.cellStart[k+1]]...))
-	}
-	return out
+	return sparseState(sp).equitablePartition()
 }
 
 // CanonicalSparse computes the canonical form of a Sparse. The sparse word
@@ -231,5 +219,5 @@ func CanonicalSparseCtx(ctx context.Context, sp *Sparse) (*Result, error) {
 	if sp.N == 0 {
 		return &Result{Perm: perm.Perm{}, Word: []byte{}}, nil
 	}
-	return newSparseCanonState(sp).run(ctx)
+	return sparseState(sp).run(ctx)
 }

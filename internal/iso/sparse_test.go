@@ -105,7 +105,7 @@ func TestSparseAutomorphismsValid(t *testing.T) {
 // (appendSparseBlock only looks at positions j <= i, so placing everything
 // up front is safe). It is the sparse analogue of Colored.word.
 func sparseWordOf(sp *Sparse, p perm.Perm) []byte {
-	st := newSparseCanonState(sp)
+	st := sparseState(sp)
 	lv := st.level(0)
 	st.initialPartition(lv)
 	st.prepareRootPrefix(lv)

@@ -12,9 +12,6 @@ package iso
 // refinement scratch is int32-indexed throughout.
 type bitset []uint64
 
-// newBitset returns a bitset with capacity for n bits.
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 func (b bitset) test(i int32) bool { return b[uint32(i)>>6]&(1<<(uint32(i)&63)) != 0 }
 func (b bitset) set(i int32)       { b[uint32(i)>>6] |= 1 << (uint32(i) & 63) }
 func (b bitset) clear(i int32)     { b[uint32(i)>>6] &^= 1 << (uint32(i) & 63) }

@@ -7,6 +7,7 @@
 package labeling
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -156,15 +157,31 @@ func ExistsSymmetricLabeling(g *graph.Graph, colors []int, autCap int) (*Symmetr
 	if !g.IsSimple() {
 		return nil, ErrMultigraph
 	}
+	gens := iso.AutomorphismGens(iso.FromGraph(g, colors))
+	return ExistsSymmetricLabelingGens(context.Background(), g, gens, autCap)
+}
+
+// ExistsSymmetricLabelingGens is ExistsSymmetricLabeling for a caller that
+// already holds gens, generators of the color-preserving automorphism group
+// of (g, colors) — such as the AutoGens of the canonical search COMPUTE &
+// ORDER ran on the same instance — under ctx: the group closure polls ctx
+// once per element, the witness scan once per automorphism, and a fired
+// ctx surfaces as ctx.Err().
+func ExistsSymmetricLabelingGens(ctx context.Context, g *graph.Graph, gens []perm.Perm, autCap int) (*SymmetricWitness, error) {
+	if !g.IsSimple() {
+		return nil, ErrMultigraph
+	}
 	if autCap <= 0 {
 		autCap = 1 << 17
 	}
-	gens := iso.AutomorphismGens(iso.FromGraph(g, colors))
-	aut, err := perm.Closure(g.N(), gens, autCap)
+	aut, err := perm.ClosureCtx(ctx, g.N(), gens, autCap)
 	if err != nil {
 		return nil, err
 	}
 	for _, phi := range aut.Elements() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if phi.IsIdentity() {
 			continue
 		}

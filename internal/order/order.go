@@ -22,9 +22,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -46,10 +44,10 @@ import (
 // small instances.
 var LargeThreshold = 2048
 
-// keysComputed counts the surrounding keys computed process-wide — one
-// canonical-word computation per class keyed, across both the serial and
-// the parallel branch of classKeys. Monotonic; snapshot before/after a
-// workload for its delta (the same discipline as iso.Stats).
+// keysComputed counts the class keys computed process-wide — one per class
+// ordered, whether classKeys keys its surrounding by a canonical search or
+// the large path keys it by canonical positions. Monotonic; snapshot
+// before/after a workload for its delta (the same discipline as iso.Stats).
 var keysComputed atomic.Int64
 
 // KeysComputed returns the process-global count of surrounding keys
@@ -61,49 +59,32 @@ func KeysComputed() int64 { return keysComputed.Load() }
 // {x, y} with d(u, x) <= d(u, y). Parallel edges contribute multiplicity; a
 // loop at x contributes an arc (x, x). colors may be nil (all white).
 func Surrounding(g *graph.Graph, colors []int, u int) *iso.Colored {
-	n := g.N()
-	dist := g.BFSDist(u)
-	c := iso.NewColored(n)
+	c := iso.NewColored(g.N())
 	if colors != nil {
 		copy(c.Color, colors)
 	}
-	for _, e := range g.EdgeEndpoints() {
-		x, y := e[0], e[1]
-		if x == y {
-			c.Adj[x][x]++
-			continue
-		}
-		if dist[x] <= dist[y] {
-			c.Adj[x][y]++
-		}
-		if dist[y] <= dist[x] {
-			c.Adj[y][x]++
-		}
-	}
+	addSurroundingArcs(c, g.EdgeEndpoints(), g.BFSDist(u), 1)
 	return c
 }
 
-// SurroundingSparse returns the surrounding S(u) as a Sparse digraph in
-// O(n + m): the same arc set as Surrounding without the dense adjacency
-// matrix, for the large-graph ordering path.
-func SurroundingSparse(g *graph.Graph, colors []int, u int) *iso.Sparse {
-	dist := g.BFSDist(u)
-	edges := g.EdgeEndpoints()
-	arcs := make([][2]int, 0, 2*len(edges))
+// addSurroundingArcs adds delta to the multiplicity in c of every arc of the
+// surrounding whose centre has BFS distances dist: delta 1 draws the
+// surrounding on an arcless matrix, and -1 erases it again in O(m), leaving
+// the matrix arcless for the next class.
+func addSurroundingArcs(c *iso.Colored, edges [][2]int, dist []int, delta int) {
 	for _, e := range edges {
 		x, y := e[0], e[1]
 		if x == y {
-			arcs = append(arcs, [2]int{x, x})
+			c.Adj[x][x] += delta
 			continue
 		}
 		if dist[x] <= dist[y] {
-			arcs = append(arcs, [2]int{x, y})
+			c.Adj[x][y] += delta
 		}
 		if dist[y] <= dist[x] {
-			arcs = append(arcs, [2]int{y, x})
+			c.Adj[y][x] += delta
 		}
 	}
-	return iso.SparseFromArcs(g.N(), arcs, colors)
 }
 
 // Key is a comparable total-order key for a bicolored digraph.
@@ -279,6 +260,13 @@ type Ordered struct {
 	// Lemma 3.1) but can for externally supplied partitions such as the
 	// translation classes of Section 4 (see DESIGN.md §6).
 	Tied bool
+	// Canon is the canonical search of the whole bicolored graph that
+	// ComputeAndOrder derived the classes from: dense below LargeThreshold,
+	// sparse at or above it. Its Perm is a canonical relabeling and its
+	// AutoGens generate the color-preserving automorphism group, so the
+	// side analyses of the same (G, p) reuse it instead of searching again.
+	// Nil for OrderClasses, whose partition comes from the caller.
+	Canon *iso.Result
 }
 
 // Classes computes the equivalence classes of the bicolored graph
@@ -315,7 +303,12 @@ func ComputeAndOrderCtx(ctx context.Context, g *graph.Graph, colors []int, ord O
 	if err != nil {
 		return nil, err
 	}
-	return orderClassesCtx(ctx, g, colors, perm.OrbitsOf(g.N(), res.AutoGens), ord)
+	o, err := orderClassesCtx(ctx, g, colors, perm.OrbitsOf(g.N(), res.AutoGens), ord)
+	if err != nil {
+		return nil, err
+	}
+	o.Canon = res
+	return o, nil
 }
 
 // computeAndOrderLarge is the large-graph COMPUTE & ORDER: one sparse
@@ -331,7 +324,9 @@ func computeAndOrderLarge(ctx context.Context, g *graph.Graph, colors []int) (*O
 	classes := perm.OrbitsOf(g.N(), res.AutoGens)
 	keysComputed.Add(int64(len(classes)))
 	keys := positionalKeys(g.N(), res.Perm, classes)
-	return assembleOrdered(g, colors, classes, keys), nil
+	o := assembleOrdered(g, colors, classes, keys)
+	o.Canon = res
+	return o, nil
 }
 
 // positionalKeys builds the large-path ≺ keys: class i is keyed by the
@@ -359,75 +354,34 @@ func positionalKeys(n int, p []int, classes [][]int) []Key {
 	return keys
 }
 
-// classKeys computes the ≺ keys of the classes' surroundings through a
-// bounded worker pool (GOMAXPROCS workers). Canonical-word work is deduped
-// per class: only each class's representative (smallest member) is keyed,
-// never every node. Workers draw class indices from a channel and write to
-// disjoint slots of an index-addressed slice, so the merged result is
-// deterministic — identical for any worker count or completion order.
+// classKeys computes the ≺ keys of the classes' surroundings, one class
+// after another. Canonical-word work is deduped per class: only each
+// class's representative (smallest member) is keyed, never every node. The
+// surroundings are drawn into one n×n matrix, erased after each key, so the
+// whole ordering allocates one matrix instead of one per class; the
+// canonical searches recycle their own state (iso's statePool). Keying
+// serially beat a GOMAXPROCS worker pool even for one caller once both
+// recycled their state, and callers such as electd already run analyses
+// side by side (DESIGN.md §8).
 func classKeys(ctx context.Context, g *graph.Graph, colors []int, classes [][]int, ord Ordering) ([]Key, error) {
 	keysComputed.Add(int64(len(classes)))
 	keys := make([]Key, len(classes))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(classes) {
-		workers = len(classes)
+	s := iso.NewColored(g.N())
+	if colors != nil {
+		copy(s.Color, colors)
 	}
-	if workers <= 1 {
-		for i, cl := range classes {
-			k, err := surroundingKeyCtx(ctx, Surrounding(g, colors, cl[0]), ord)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = k
+	edges := g.EdgeEndpoints()
+	for i, cl := range classes {
+		dist := g.BFSDist(cl[0])
+		addSurroundingArcs(s, edges, dist, 1)
+		k, err := surroundingKeyCtx(ctx, s, ord)
+		if err != nil {
+			return nil, err
 		}
-		return keys, nil
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var firstErr atomic.Pointer[error]
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if firstErr.Load() != nil {
-					continue // drain: a sibling already failed
-				}
-				k, err := surroundingKeyCtx(ctx, Surrounding(g, colors, classes[i][0]), ord)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					continue
-				}
-				keys[i] = k
-			}
-		}()
-	}
-	for i := range classes {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if ep := firstErr.Load(); ep != nil {
-		return nil, *ep
+		addSurroundingArcs(s, edges, dist, -1)
+		keys[i] = k
 	}
 	return keys, nil
-}
-
-// NodeKeys returns the ≺ key of every node's surrounding, computing one
-// canonical word per class (members of a class share their surrounding's
-// isomorphism class, hence its key) through the bounded parallel pool.
-func NodeKeys(g *graph.Graph, colors []int, classes [][]int, ord Ordering) []Key {
-	keys, err := classKeys(context.Background(), g, colors, classes, ord)
-	if err != nil {
-		panic("order: unreachable: uncancelable NodeKeys failed: " + err.Error())
-	}
-	out := make([]Key, g.N())
-	for i, cl := range classes {
-		for _, v := range cl {
-			out[v] = keys[i]
-		}
-	}
-	return out
 }
 
 // OrderClasses orders an externally supplied partition of the nodes (for

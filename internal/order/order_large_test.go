@@ -166,22 +166,3 @@ func TestComputeAndOrderSearchCount(t *testing.T) {
 		t.Fatalf("ran %d canonical searches for %d classes, want 201 = 1 + 200 classes", got, len(o.Classes))
 	}
 }
-
-// TestSurroundingSparseMatchesDense: SurroundingSparse must encode exactly
-// the arc multiset of the dense Surrounding.
-func TestSurroundingSparseMatchesDense(t *testing.T) {
-	for name, tc := range largeFamilies() {
-		colors := blackColors(tc.g.N(), tc.homes)
-		for _, u := range []int{0, tc.g.N() / 2} {
-			dense := Surrounding(tc.g, colors, u)
-			sp := SurroundingSparse(tc.g, colors, u)
-			for x := 0; x < dense.N; x++ {
-				for y := 0; y < dense.N; y++ {
-					if got := sp.OutMult(x, y); got != dense.Adj[x][y] {
-						t.Fatalf("%s u=%d: mult(%d,%d) = %d, want %d", name, u, x, y, got, dense.Adj[x][y])
-					}
-				}
-			}
-		}
-	}
-}
