@@ -29,6 +29,8 @@ determinism:
 	$(GO) test -race -count=50 -run '^TestSourceMatchesMathRand$$' ./internal/lazyrand
 	$(GO) test -race -count=50 -run '^TestRunGolden$$' ./cmd/elect
 	$(GO) test -race -count=50 -run '^TestRecordReplayBitExact$$' ./internal/faults
+	$(GO) test -race -count=50 -run '^TestRecordReplayRoundTrip$$' ./cmd/elect
+	$(GO) test -race -count=50 -run '^(TestViolatingRunReplays|TestRetriedRunReplays)$$' ./internal/campaign
 	$(GO) test -race -count=50 -run '^TestAnalyzeCtxDeadline$$' ./internal/elect
 	$(GO) test -race -count=50 -run '^TestConcurrentStateReuse$$' ./internal/iso
 
@@ -82,16 +84,18 @@ fuzz:
 
 # Adversarial schedule sweep of a representative instance: every strategy
 # across seeds, protocol invariants checked per run (see DESIGN.md §10).
+# Exits nonzero on any violation; a violating record in the JSONL carries
+# its replay bundle for cmd/elect -replay.
 adversary:
-	$(GO) run ./cmd/adversary -graph cycle -n 12 -homes 0,4,8 \
-		-seeds 1..8 -report adversary_report.json -save adversary_violations
+	$(GO) run ./cmd/campaign -families "cycle:12" -placement 0,4,8 \
+		-strategies all -seeds 1..8 -jsonl adversary_runs.jsonl
 
 # Fault-plane sweep: crash-stops, torn writes and read staleness crossed
 # with the scheduling adversary, fault-aware invariants checked per run
 # (see DESIGN.md §11). Exits nonzero on any violation.
 faults:
-	$(GO) run ./cmd/faults -graph star -n 4 -homes 1,2 \
-		-seeds 1..8 -report faults_report.json -save fault_violations
+	$(GO) run ./cmd/campaign -families "star:4" -placement 1,2 \
+		-faults all -wake-all -seeds 1..8 -jsonl faults_runs.jsonl
 
 # The election daemon (internal/serve, DESIGN.md §12): analyses, single
 # runs and streamed campaigns over HTTP/JSON on :8080.

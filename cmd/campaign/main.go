@@ -15,10 +15,16 @@
 //	         [-jsonl runs.jsonl] [-summary summary.json] [-q] \
 //	         [-telemetry] [-timeline timeline.json] [-listen :8080]
 //
+// -placement takes a placement strategy or an explicit home list ("1,2"),
+// which every family then uses; a focused sweep of one instance is
+// -families "star:4" -placement 1,2.
+//
 // With -strategies every (instance, seed) additionally runs once per named
 // adversary scheduling strategy (internal/adversary) under the serializing
 // scheduler, with protocol invariants checked per run; violations fail the
-// campaign. Use cmd/adversary for a focused sweep of one instance.
+// campaign. A violating run's JSONL record carries a "replay" bundle
+// (instance, seed, decision log, fault plan): save that object to a file
+// and cmd/elect -replay re-executes the run bit-for-bit.
 //
 // With -backends every (instance, seed) runs the contract election
 // (runtime.DFSElection) once per named runtime backend — goroutine,
@@ -40,14 +46,15 @@
 // With -faults every run additionally injects a fault plan (internal/faults:
 // crash-stops, torn writes, read staleness) and is checked against the
 // fault-aware survivor-scoped invariants; per-run fault manifests land in
-// the JSONL stream and crash percentiles in the summary. Use cmd/faults for
-// a focused fault sweep of one instance.
+// the JSONL stream and crash percentiles in the summary. Crash-induced run
+// errors (a deadlock among survivors) are expected liveness losses and do
+// not fail the campaign; fault-aware invariant violations do.
 //
 // Per-run results stream to the -jsonl file as they complete; the aggregate
 // summary prints to stdout and, with -summary, is written as JSON (the CI
 // perf artifact BENCH_campaign.json). The command exits nonzero when any
-// run errors, contradicts the gcd/Cayley oracle, or exceeds the Theorem 3.1
-// move bound.
+// run errors, contradicts the gcd/Cayley oracle, breaks a protocol
+// invariant, or exceeds the Theorem 3.1 move bound.
 //
 // Observability: -telemetry collects per-run phase counters into the
 // per-run records and the summary's phase table; -timeline exports the
@@ -72,6 +79,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/campaign"
@@ -86,7 +94,7 @@ func main() {
 	// worker; the env check routes those children into the worker loop.
 	runtime.MaybeWorker()
 	families := flag.String("families", "cycle:6,9,12", "semicolon-separated family:size1,size2 specs")
-	placement := flag.String("placement", "spread", "home placement strategy: spread, adjacent, antipodal, single")
+	placement := flag.String("placement", "spread", "home placement strategy (spread, adjacent, antipodal, single) or an explicit home list such as 1,2")
 	r := flag.Int("r", 2, "number of agents for the placement strategy")
 	seeds := flag.String("seeds", "1..10", "inclusive seed range a..b (or a single seed)")
 	strategies := flag.String("strategies", "", "comma-separated adversary scheduling strategies to cross with every run (\"all\" = every built-in; empty = free-running)")
@@ -290,7 +298,9 @@ With -listen ADDR the campaign serves its operator endpoints while running:
 	}
 }
 
+// fail prints err under one "campaign:" prefix (most errors come from the
+// campaign package, which already carries it) and exits 1.
 func fail(err error) {
-	fmt.Fprintln(os.Stderr, "campaign:", err)
+	fmt.Fprintln(os.Stderr, "campaign:", strings.TrimPrefix(err.Error(), "campaign: "))
 	os.Exit(1)
 }

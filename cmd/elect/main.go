@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	elect -graph cycle -n 6 -homes 0,3 [-protocol elect|cayley|quantitative|petersen]
+//	elect -graph cycle -n 6 -homes 0,3 [-protocol elect|cayley|quantitative|petersen|gather]
 //	      [-seed N] [-hairs] [-wake-all] [-trace] [-timeline out.json]
 //	      [-strategy name [-record sched.json]] [-replay sched.json]
 //	      [-faults name [-fault-seed N]]
@@ -16,16 +16,18 @@
 // With -strategy the run is serialized through the deterministic adversary
 // scheduler (see internal/adversary); -record saves its decision log as a
 // self-contained replay file, and -replay re-executes such a file (as
-// written here or by cmd/adversary -save or cmd/faults -save) bit-for-bit —
-// combine with -timeline to inspect a violating schedule in Perfetto.
+// written here, or the "replay" object of a violating cmd/campaign JSONL
+// record saved to a file) bit-for-bit — combine with -timeline to inspect
+// a violating schedule in Perfetto.
 //
 // With -faults a fault strategy (see internal/faults) injects crash-stops,
 // torn whiteboard writes, or read staleness into the scheduled run; the
 // injected plan is printed after the run, -record saves it alongside the
 // schedule, and -replay re-injects a saved plan exactly.
 //
-// Graph families: path, cycle, complete, star, hypercube (n = dimension),
-// torus (n×n), petersen, wheel, prism, ccc (n = dimension), random.
+// Graph families (campaign.BuildGraph): path, cycle, complete, star,
+// hypercube (n = dimension), torus (n×n), grid (n×n), petersen, wheel,
+// prism, ccc (n = dimension), random.
 package main
 
 import (
@@ -34,12 +36,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro"
 	"repro/internal/adversary"
+	"repro/internal/campaign"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
@@ -61,10 +63,10 @@ func main() {
 // human output to w (separated from main for the golden-output tests).
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("elect", flag.ContinueOnError)
-	family := fs.String("graph", "cycle", "graph family: path, cycle, complete, star, hypercube, torus, petersen, wheel, prism, ccc, random")
-	n := fs.Int("n", 6, "size parameter (nodes, or dimension for hypercube/ccc, or side for torus)")
+	family := fs.String("graph", "cycle", "graph family: path, cycle, complete, star, hypercube, torus, grid, petersen, wheel, prism, ccc, random")
+	n := fs.Int("n", 6, "size parameter (nodes, or dimension for hypercube/ccc, or side for torus/grid)")
 	homesArg := fs.String("homes", "0", "comma-separated home-base nodes")
-	protocol := fs.String("protocol", "elect", "protocol: elect, cayley, quantitative, petersen")
+	protocol := fs.String("protocol", "elect", "protocol: elect, cayley, quantitative, petersen, gather")
 	seed := fs.Int64("seed", 1, "adversary seed")
 	hairs := fs.Bool("hairs", false, "use the paper's hair ordering for ≺ (Lemma 3.1)")
 	wakeAll := fs.Bool("wake-all", false, "wake all agents at start (default: random nonempty subset)")
@@ -73,7 +75,7 @@ func run(args []string, w io.Writer) error {
 	timeline := fs.String("timeline", "", "write a Chrome trace_event timeline (open in Perfetto) to this file")
 	strategyName := fs.String("strategy", "", "adversary scheduling strategy (deterministic serialized run): "+strings.Join(adversary.Strategies(), ", "))
 	recordPath := fs.String("record", "", "write the scheduled run's decision log as a replay file (requires -strategy)")
-	replayPath := fs.String("replay", "", "replay a recorded schedule file (overrides -graph/-n/-homes/-seed/-wake-all/-strategy/-faults)")
+	replayPath := fs.String("replay", "", "replay a recorded schedule file (overrides -graph/-n/-homes/-seed/-protocol/-hairs/-wake-all/-strategy/-faults)")
 	faultName := fs.String("faults", "", "fault strategy to inject (implies -strategy random if none set): "+strings.Join(faults.Strategies(), ", "))
 	faultSeed := fs.Int64("fault-seed", 0, "seed for the fault strategy (default: the run seed)")
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +90,7 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		*family, *n = replayFile.Family, replayFile.Size
-		*seed, *wakeAll = replayFile.Seed, replayFile.WakeAll
+		*seed, *wakeAll, *hairs = replayFile.Seed, replayFile.WakeAll, replayFile.Hairs
 		if replayFile.Protocol != "" {
 			*protocol = replayFile.Protocol
 		}
@@ -99,11 +101,11 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	g, err := buildGraph(*family, *n)
+	g, err := campaign.BuildGraph(*family, *n)
 	if err != nil {
 		return err
 	}
-	homes, err := parseHomes(*homesArg)
+	homes, err := campaign.ParseHomes(*homesArg)
 	if err != nil {
 		return err
 	}
@@ -228,6 +230,8 @@ func run(args []string, w io.Writer) error {
 		res, err = repro.RunQuantitative(g, homes, cfg)
 	case "petersen":
 		res, err = repro.RunPetersenAdHoc(g, homes, cfg)
+	case "gather":
+		res, err = repro.RunGather(g, homes, cfg)
 	default:
 		return fmt.Errorf("unknown protocol %q", *protocol)
 	}
@@ -243,7 +247,7 @@ func run(args []string, w io.Writer) error {
 		}
 		sf := &adversary.ScheduleFile{
 			Family: *family, Size: *n, Homes: homes,
-			Seed: *seed, Protocol: *protocol, WakeAll: *wakeAll,
+			Seed: *seed, Protocol: *protocol, WakeAll: *wakeAll, Hairs: *hairs,
 			Strategy: *strategyName,
 			Schedule: adversary.EncodeScheduleString(&recorded),
 		}
@@ -350,45 +354,4 @@ func printFaults(w io.Writer, res *repro.Result, inj, replayInj *faults.Injector
 			fmt.Fprintln(w, "faults: plan re-injected exactly (0 unapplied events)")
 		}
 	}
-}
-
-func buildGraph(family string, n int) (*repro.Graph, error) {
-	switch family {
-	case "path":
-		return repro.Path(n), nil
-	case "cycle":
-		return repro.Cycle(n), nil
-	case "complete":
-		return repro.Complete(n), nil
-	case "star":
-		return repro.Star(n), nil
-	case "hypercube":
-		return repro.Hypercube(n), nil
-	case "torus":
-		return repro.Torus(n, n), nil
-	case "petersen":
-		return repro.Petersen(), nil
-	case "wheel":
-		return repro.Wheel(n), nil
-	case "prism":
-		return repro.Prism(n), nil
-	case "ccc":
-		return repro.CCC(n), nil
-	case "random":
-		return repro.RandomConnected(n, n/2, 42), nil
-	default:
-		return nil, fmt.Errorf("unknown graph family %q", family)
-	}
-}
-
-func parseHomes(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad home %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

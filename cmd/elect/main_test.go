@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -63,6 +64,55 @@ func TestRunGolden(t *testing.T) {
 			if got != string(want) {
 				t.Errorf("output drifted from %s (regenerate with -update if intended)\n--- want ---\n%s--- got ---\n%s",
 					path, want, got)
+			}
+		})
+	}
+}
+
+// TestRecordReplayRoundTrip records scheduled runs with -record and replays
+// each file with -replay: the replay must print the same agent lines and
+// follow the recorded schedule (and fault plan) exactly. The cases cover a
+// grid (a family only the shared graph registry builds), the hair ordering
+// carried in the file (on wheel 5 {0,1} it elects the other agent, so a
+// replay that dropped it would diverge), and the gather protocol.
+func TestRecordReplayRoundTrip(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"grid3-stale-reads", []string{"-graph", "grid", "-n", "3", "-homes", "0,4", "-faults", "stale-reads"}},
+		{"cycle6-hairs-same-class", []string{"-graph", "cycle", "-n", "6", "-homes", "0,2", "-hairs", "-strategy", "same-class"}},
+		{"wheel5-hairs-same-class", []string{"-graph", "wheel", "-n", "5", "-homes", "0,1", "-hairs", "-strategy", "same-class"}},
+		{"path5-gather", []string{"-graph", "path", "-n", "5", "-homes", "0,4", "-protocol", "gather", "-strategy", "random"}},
+	}
+	agentLines := func(out string) []string {
+		var lines []string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "agent ") {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.json")
+			var rec, rep bytes.Buffer
+			if err := run(append(tc.args, "-record", path), &rec); err != nil {
+				t.Fatalf("record: %v\n%s", err, rec.String())
+			}
+			if err := run([]string{"-replay", path}, &rep); err != nil {
+				t.Fatalf("replay: %v\n%s", err, rep.String())
+			}
+			want, got := agentLines(rec.String()), agentLines(rep.String())
+			if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("replay drifted from the recording\n--- recorded ---\n%s--- replayed ---\n%s", rec.String(), rep.String())
+			}
+			if !strings.Contains(rep.String(), "(0 divergences)") {
+				t.Fatalf("replay diverged:\n%s", rep.String())
+			}
+			if strings.Contains(rec.String(), "faults:") && !strings.Contains(rep.String(), "(0 unapplied events)") {
+				t.Fatalf("fault plan not re-injected exactly:\n%s", rep.String())
 			}
 		})
 	}

@@ -540,6 +540,8 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 	var simRes *sim.Result
 	var runErr error
 	var injector *faults.Injector
+	var seed int64
+	var decisions *sim.Schedule
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
 		p := pi.p
@@ -555,13 +557,15 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 			bt = sim.NewBufferedTracer(opt.TraceSink, opt.TraceBuffer)
 			tracer = bt.Trace
 		}
-		seed := run.Seed + int64(attempt-1)*opt.RetrySeedOffset
+		seed = run.Seed + int64(attempt-1)*opt.RetrySeedOffset
 		var scheduler sim.Strategy
 		if run.Strategy != "" {
 			scheduler, runErr = adversary.NewStrategy(run.Strategy, seed, classOf)
 			if runErr != nil {
 				break
 			}
+			// A fresh log per attempt, so the bundle is the final attempt's.
+			decisions = &sim.Schedule{}
 		}
 		injector = nil
 		if run.Fault != "" {
@@ -584,6 +588,7 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 			Tracer:           tracer,
 			Telemetry:        tRun,
 			Scheduler:        scheduler,
+			Record:           decisions,
 		}
 		if run.ProtoSpec != "" {
 			// Contract protocols run under the runtime backends' semantics:
@@ -620,15 +625,28 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 	}
 
 	// Strategy-scheduled runs are held to the protocol invariants — the
-	// campaign doubles as a coarse adversary sweep (see internal/adversary
-	// for the focused explorer). Fault runs use the relaxed fault-aware
-	// contract: failing is allowed, electing wrongly is not. Protocol-axis
-	// runs are always checked, under the protocol's own verdict mode.
+	// campaign is the repo's adversary sweep. Fault runs use the relaxed
+	// fault-aware contract: failing is allowed, electing wrongly is not.
+	// Protocol-axis runs are always checked, under the protocol's own
+	// verdict mode.
 	if run.Strategy != "" || run.ProtoSpec != "" {
 		res.Violations = elect.CheckInvariants(simRes, runErr, elect.InvariantSpec{
 			Expected: res.Expected, Mode: mode, M: res.M, RatioBound: opt.RatioBound,
 			FaultsInjected: run.Fault != "",
 		})
+	}
+	// A violating scheduled run carries its replay bundle for cmd/elect
+	// -replay; clean records stay small. Protocol-axis runs carry none:
+	// cmd/elect does not run registry specs.
+	if len(res.Violations) > 0 && decisions != nil && run.ProtoSpec == "" {
+		res.Replay = &adversary.ScheduleFile{
+			Family: run.Family, Size: run.Size, Homes: run.Homes,
+			Seed: seed, Protocol: res.Protocol,
+			WakeAll: opt.WakeAll, Hairs: opt.UseHairOrdering,
+			Strategy: run.Strategy,
+			Schedule: adversary.EncodeScheduleString(decisions),
+			Fault:    run.Fault, FaultPlan: res.FaultPlan,
+		}
 	}
 
 	if runErr != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/analysiscache"
 	"repro/internal/elect"
 	"repro/internal/graph"
@@ -390,6 +391,19 @@ func TestParseFamilies(t *testing.T) {
 	if _, err := ParseFamilies("cycle:x", "spread", 2); err == nil {
 		t.Error("bad size should fail")
 	}
+	// An explicit home list as the placement becomes every family's Homes.
+	fams, err = ParseFamilies("star:4;cycle:6", "1, 2", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		if !reflect.DeepEqual(f.Homes, [][]int{{1, 2}}) {
+			t.Errorf("%s: homes %v, want [[1 2]]", f.Family, f.Homes)
+		}
+	}
+	if _, err := ParseFamilies("star:4", "1,x", 0); err == nil {
+		t.Error("bad explicit home should fail")
+	}
 }
 
 func TestParseSeedRange(t *testing.T) {
@@ -503,25 +517,26 @@ func TestStrategyAxis(t *testing.T) {
 	}
 }
 
-// TestStrategyAxisCatchesViolations drives the broken test protocol through
-// the strategy axis and expects the per-run invariant checker to flag it.
+// TestStrategyAxisCatchesViolations drives the self-crowning protocol
+// through every strategy and expects the per-run invariant checker to flag
+// multiple leaders on every run, each record carrying a replay bundle whose
+// schedule decodes.
 func TestStrategyAxisCatchesViolations(t *testing.T) {
 	spec := Spec{
 		Families:   []FamilySpec{{Family: "cycle", Sizes: []int{6}, Placement: "spread", R: 2}},
 		Seeds:      SeedRange{From: 1, To: 2},
 		Protocol:   ProtoElect,
-		Strategies: []string{"round-robin"},
+		Strategies: adversary.Strategies(),
 	}
 	runs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Everyone wakes: a self-crowning agent never visits a sleeper, so a
+	// seeded wake subset would end in a deadlock rather than two leaders.
 	opt := Options{
-		testProtocol: func(Run, int) sim.Protocol {
-			return func(a *sim.Agent) (sim.Outcome, error) {
-				return sim.Outcome{Role: sim.RoleLeader, Leader: a.Color()}, nil
-			}
-		},
+		WakeAll:      true,
+		testProtocol: func(Run, int) sim.Protocol { return selfCrowning },
 	}
 	rep, err := ExecuteRuns(runs, opt)
 	if err != nil {
@@ -535,6 +550,21 @@ func TestStrategyAxisCatchesViolations(t *testing.T) {
 	}
 	if !strings.Contains(rep.Summary.Render(), "INVARIANT VIOLATIONS") {
 		t.Fatal("summary does not surface the violations")
+	}
+	for _, r := range rep.Results {
+		found := false
+		for _, v := range r.Violations {
+			found = found || v.Code == elect.VioMultipleLeaders
+		}
+		if !found {
+			t.Fatalf("[%s seed %d] missing %s: %v", r.Strategy, r.Seed, elect.VioMultipleLeaders, r.Violations)
+		}
+		if r.Replay == nil {
+			t.Fatalf("[%s seed %d] violating run has no replay bundle", r.Strategy, r.Seed)
+		}
+		if _, err := r.Replay.Decode(); err != nil {
+			t.Fatalf("[%s seed %d] undecodable schedule: %v", r.Strategy, r.Seed, err)
+		}
 	}
 }
 

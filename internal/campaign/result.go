@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/adversary"
 	"repro/internal/elect"
 	"repro/internal/iso"
 	"repro/internal/telemetry"
@@ -62,6 +63,11 @@ type RunResult struct {
 	Takeovers   int64  `json:"takeovers,omitempty"`
 	FaultEvents int    `json:"fault_events,omitempty"`
 	FaultPlan   string `json:"fault_plan,omitempty"`
+	// Replay is the replay bundle of a scheduled run with at least one
+	// violation: the instance, the final attempt's seed, the decision log
+	// and the fault plan, which cmd/elect -replay re-executes bit-for-bit.
+	// Nil on clean runs.
+	Replay *adversary.ScheduleFile `json:"replay,omitempty"`
 	// ElapsedMS is the run's wall-clock time (nondeterministic).
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Err       string  `json:"err,omitempty"`

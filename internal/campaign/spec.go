@@ -105,6 +105,11 @@ type Spec struct {
 type Run struct {
 	// Instance names the (graph, homes) pair, e.g. "cycle12[0 4 8]".
 	Instance string
+	// Family and Size name the generator that built G (BuildGraph
+	// vocabulary), so a replay bundle can rebuild the instance; Family is
+	// empty for graphs no generator names.
+	Family   string
+	Size     int
 	G        *graph.Graph
 	Homes    []int
 	Seed     int64
@@ -226,7 +231,8 @@ func (s Spec) Expand() ([]Run, error) {
 							for _, backend := range backendAxis {
 								for seed := s.Seeds.From; seed <= s.Seeds.To; seed++ {
 									runs = append(runs, Run{
-										Instance: name, G: g, Homes: homes, Seed: seed,
+										Instance: name, Family: f.Family, Size: size,
+										G: g, Homes: homes, Seed: seed,
 										Protocol: proto, Strategy: strat, Fault: fs,
 										Backend: backend, ProtoSpec: ps,
 									})
@@ -322,8 +328,18 @@ func BuildGraph(family string, size int) (*graph.Graph, error) {
 
 // ParseFamilies parses the CLI family syntax: semicolon-separated
 // "family:size1,size2,..." entries, e.g. "cycle:9,12,15;hypercube:3,4".
-// Families without sizes ("petersen") omit the colon part.
+// Families without sizes ("petersen") omit the colon part. The placement
+// is a strategy name (see FamilySpec.Placement) or an explicit home list
+// such as "1,2", which every family then uses as its Homes.
 func ParseFamilies(s string, placement string, r int) ([]FamilySpec, error) {
+	var homes [][]int
+	if placement != "" && placement[0] >= '0' && placement[0] <= '9' {
+		h, err := ParseHomes(placement)
+		if err != nil {
+			return nil, err
+		}
+		homes = [][]int{h}
+	}
 	var out []FamilySpec
 	for _, entry := range strings.Split(s, ";") {
 		entry = strings.TrimSpace(entry)
@@ -331,7 +347,7 @@ func ParseFamilies(s string, placement string, r int) ([]FamilySpec, error) {
 			continue
 		}
 		name, sizesPart, hasSizes := strings.Cut(entry, ":")
-		f := FamilySpec{Family: strings.TrimSpace(name), Placement: placement, R: r}
+		f := FamilySpec{Family: strings.TrimSpace(name), Placement: placement, R: r, Homes: homes}
 		if hasSizes {
 			for _, tok := range strings.Split(sizesPart, ",") {
 				v, err := strconv.Atoi(strings.TrimSpace(tok))
@@ -345,6 +361,19 @@ func ParseFamilies(s string, placement string, r int) ([]FamilySpec, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("campaign: no families in %q", s)
+	}
+	return out, nil
+}
+
+// ParseHomes parses a comma-separated home-base list such as "0,4,8".
+func ParseHomes(s string) ([]int, error) {
+	var out []int
+	for _, tok := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(tok))
+		if err != nil {
+			return nil, fmt.Errorf("campaign: bad home %q: %w", tok, err)
+		}
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -19,7 +19,7 @@ var docPackages = []string{
 	"../..",        // package repro (facade)
 	"../sim",       // the runtime users program against
 	"../elect",     // the protocol layer
-	"../adversary", // the schedule explorer
+	"../adversary", // the scheduling strategies and the replay codec
 	"../runtime",   // the unified Protocol/Runtime contract
 	"../zoo",       // the related-work protocol zoo
 	"../lazyrand",  // the module's one seeded-RNG constructor

@@ -8,12 +8,11 @@ import (
 	"repro/internal/campaign"
 )
 
-// Artifact is a stored replay bundle for one /v1/elect run: everything
-// needed to reproduce the execution offline. The request pins the
+// Artifact is a stored record of one /v1/elect run. The request pins the
 // instance, seed, protocol and adversary axes; the result carries the
-// fault plan (base64, faults.DecodePlanString) and the outcome the replay
-// must reproduce. cmd/elect replays it with the matching -seed / -strategy
-// / fault-plan flags.
+// outcome, the fault plan (base64, faults.DecodePlanString) and, when a
+// scheduled run broke an invariant, result.replay: the replay bundle that
+// cmd/elect -replay re-executes bit-for-bit.
 type Artifact struct {
 	ID        string             `json:"id"`
 	CreatedAt time.Time          `json:"created_at"`

@@ -125,7 +125,8 @@ func (s *Server) handleElect(w http.ResponseWriter, r *http.Request) {
 		proto = campaign.ProtoElect
 	}
 	run := campaign.Run{
-		Instance: name, G: g, Homes: req.Homes, Seed: req.Seed,
+		Instance: name, Family: req.Family, Size: req.Size,
+		G: g, Homes: req.Homes, Seed: req.Seed,
 		Protocol: proto, Strategy: req.Strategy, Fault: req.Fault,
 	}
 	if run.Fault != "" && run.Strategy == "" {

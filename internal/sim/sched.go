@@ -13,8 +13,8 @@ import (
 // strategy picks which ready agent steps next. Because exactly one agent runs
 // between picks, the whole simulation becomes a deterministic function of
 // (Config.Seed, grant sequence) — which is what makes recorded schedules
-// replayable (see Replay) and lets internal/adversary search the schedule
-// space for invariant violations.
+// replayable (see Replay) and lets the campaign engine sweep the schedule
+// space with internal/adversary's strategies for invariant violations.
 //
 // The ready slice is sorted ascending, non-empty, and freshly allocated per
 // call (strategies may retain it). Next must return one of its elements; an
@@ -36,7 +36,7 @@ func (f StrategyFunc) Next(ready []int, step int) int { return f(ready, step) }
 // Schedule is the decision log of a strategy-driven run: the sequence of
 // agent indices in grant order. Together with the run's Config (graph, homes,
 // seed, protocol) it pins down the entire execution, so a violating run found
-// by the adversary explorer can be replayed deterministically.
+// by an adversary sweep can be replayed deterministically.
 type Schedule struct {
 	// Grants[i] is the agent granted the i-th step.
 	Grants []int32
