@@ -33,6 +33,7 @@ determinism:
 	$(GO) test -race -count=50 -run '^(TestViolatingRunReplays|TestRetriedRunReplays)$$' ./internal/campaign
 	$(GO) test -race -count=50 -run '^TestAnalyzeCtxDeadline$$' ./internal/elect
 	$(GO) test -race -count=50 -run '^TestConcurrentStateReuse$$' ./internal/iso
+	$(GO) test -race -count=50 -run '^TestChangRobertsAcrossBackends$$' ./internal/runtime
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/elect"
+	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/iso"
 	"repro/internal/labeling"
@@ -159,24 +160,13 @@ func BenchmarkPetersenAdHoc(b *testing.B) {
 
 // --- E7: Section 1.3 lockstep ---
 
+// BenchmarkAnonymousLockstep times E7 whole: the C3 and C6 lockstep runs on
+// the scheduled backend, the trace self-check and the rendered table.
 func BenchmarkAnonymousLockstep(b *testing.B) {
-	proto := func(obs elect.AnonObs) (string, elect.AnonAction) {
-		if obs.State == "" {
-			return "walk", elect.AnonAction{Write: "pebble", MoveLabel: 1}
-		}
-		if len(obs.Board) > 0 {
-			return "done", elect.AnonAction{Declare: "leader"}
-		}
-		return "walk", elect.AnonAction{MoveLabel: 1}
-	}
-	cfg := elect.AnonConfig{
-		G: graph.Cycle(6), Labels: elect.OrientedCycleLabeling(6),
-		Homes: []int{0, 3}, Rounds: 8,
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := elect.RunAnonymous(cfg, proto); err != nil {
-			b.Fatal(err)
+		if out, err := exp.RunAnonymousExperiment(); err != nil {
+			b.Fatalf("%v\n%s", err, out)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func main() {
 			out, _, err := exp.RunDegradationExperiment(*seed)
 			return out, err
 		}},
-		{"fig1", "E12 — Figure 1: agents as messages (mobile vs processor network)", func() (string, error) {
+		{"fig1", "E12 — Figure 1: agents as messages (one protocol, four backends)", func() (string, error) {
 			return exp.RunFig1Experiment(*seed)
 		}},
 	}

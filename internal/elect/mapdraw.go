@@ -8,9 +8,8 @@
 //     (agent–agent matching) and NODE-REDUCE (agent–node acquisition),
 //     with sign-based synchronization (Figures 3 and 4, Theorem 3.1).
 //   - The Cayley variant of Section 4 (translation classes), the
-//     quantitative baseline of Section 1.3, the bespoke Petersen protocol
-//     of Section 4, and a lockstep interpreter for the anonymous-agents
-//     impossibility argument of Section 1.3.
+//     quantitative baseline of Section 1.3, and the bespoke Petersen
+//     protocol of Section 4.
 //
 // All protocol code sees the network exclusively through sim.Agent — opaque
 // incomparable colors and port symbols, whiteboards, moves — so the

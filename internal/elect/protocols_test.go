@@ -1,7 +1,6 @@
 package elect
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -9,10 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
-
-func fmtState(steps int) string { return fmt.Sprintf("walking:%d", steps) }
-
-func fmtSscanf(s string, steps *int) (int, error) { return fmt.Sscanf(s, "walking:%d", steps) }
 
 func run(t *testing.T, g *graph.Graph, homes []int, seed int64, quant bool, p sim.Protocol) *sim.Result {
 	t.Helper()
@@ -226,76 +221,6 @@ func TestAnalyzeTable1Consistency(t *testing.T) {
 				t.Errorf("%v %v: CayleyElect effectualness violated: succeeds=%v impossible=%v (d=%d gcd=%d)",
 					c.g, c.homes, an.CayleyElectSucceeds(), an.Impossible21, an.TranslationD, an.GCD)
 			}
-		}
-	}
-}
-
-func TestAnonymousImpossibilityDemo(t *testing.T) {
-	// Section 1.3: any deterministic anonymous protocol behaves identically
-	// on (C3, one agent) and (C6, two antipodal agents) under the oriented
-	// labeling and a synchronous scheduler — so it cannot be effectual.
-	// We exhibit the argument on a protocol that genuinely tries: walk the
-	// ring, count your own marks, declare leader when the board shows your
-	// mark again (works alone; double-elects with a twin).
-	proto := func(obs AnonObs) (string, AnonAction) {
-		switch obs.State {
-		case "":
-			return "walking:0", AnonAction{Write: "pebble", MoveLabel: 1}
-		default:
-			var steps int
-			if _, err := fmtSscanf(obs.State, &steps); err != nil {
-				return "stuck", AnonAction{}
-			}
-			if len(obs.Board) > 0 {
-				// Found a pebble: in a lone-agent world it must be mine.
-				return "done", AnonAction{Declare: "leader"}
-			}
-			return fmtState(steps + 1), AnonAction{MoveLabel: 1}
-		}
-	}
-
-	resC3, err := RunAnonymous(AnonConfig{
-		G: graph.Cycle(3), Labels: OrientedCycleLabeling(3),
-		Homes: []int{0}, Rounds: 10,
-	}, proto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resC6, err := RunAnonymous(AnonConfig{
-		G: graph.Cycle(6), Labels: OrientedCycleLabeling(6),
-		Homes: []int{0, 3}, Rounds: 10,
-	}, proto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The lone agent elects itself on C3.
-	if resC3.Declared[0] != "leader" {
-		t.Fatalf("C3: lone agent failed to elect itself: %v", resC3.Declared)
-	}
-	// On C6, both agents produce the same trace and both declare leader —
-	// the symmetry is unbreakable.
-	if len(resC6.Traces[0]) != len(resC6.Traces[1]) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(resC6.Traces[0]), len(resC6.Traces[1]))
-	}
-	for i := range resC6.Traces[0] {
-		if resC6.Traces[0][i] != resC6.Traces[1][i] {
-			t.Fatalf("round %d: traces diverge:\n%s\n%s", i, resC6.Traces[0][i], resC6.Traces[1][i])
-		}
-	}
-	if resC6.Declared[0] != resC6.Declared[1] {
-		t.Fatalf("declarations differ: %v", resC6.Declared)
-	}
-	if resC6.Declared[0] == "leader" && resC6.Declared[1] == "leader" {
-		// Exactly the contradiction the paper derives: two leaders.
-		t.Log("both agents declared leader on C6 — the §1.3 contradiction")
-	} else {
-		t.Fatalf("expected the double-election contradiction, got %v", resC6.Declared)
-	}
-	// And the C3 trace prefix matches the C6 traces (same local world).
-	for i := 0; i < len(resC3.Traces[0]) && i < len(resC6.Traces[0]); i++ {
-		if resC3.Traces[0][i] != resC6.Traces[0][i] {
-			t.Fatalf("C3/C6 traces diverge at round %d:\n%s\n%s",
-				i, resC3.Traces[0][i], resC6.Traces[0][i])
 		}
 	}
 }

@@ -105,12 +105,12 @@ type Table1Row struct {
 //     suite, including all qualitatively impossible ones (Yes everywhere).
 func Table1(seed int64) (string, []Table1Row, error) {
 	// Anonymous: reproduce the §1.3 contradiction.
-	anonContradiction, err := anonymousDoubleElection()
+	c3, c6, err := lockstepPair()
 	if err != nil {
 		return "", nil, err
 	}
 	anon := "No"
-	if !anonContradiction {
+	if checkContradiction(c3, c6) != nil {
 		anon = "ERROR: contradiction not reproduced"
 	}
 
@@ -199,35 +199,6 @@ func QuantSuite() []Instance {
 		{"K4-full", graph.Complete(4), []int{0, 1, 2, 3}},
 		{"star-leaves", graph.Star(4), []int{1, 2, 3, 4}},
 	}
-}
-
-// anonymousDoubleElection reruns the §1.3 lockstep argument and reports
-// whether the double election (the contradiction) occurred on C6 while the
-// lone agent elected on C3.
-func anonymousDoubleElection() (bool, error) {
-	proto := func(obs elect.AnonObs) (string, elect.AnonAction) {
-		if obs.State == "" {
-			return "walk", elect.AnonAction{Write: "pebble", MoveLabel: 1}
-		}
-		if len(obs.Board) > 0 {
-			return "done", elect.AnonAction{Declare: "leader"}
-		}
-		return "walk", elect.AnonAction{MoveLabel: 1}
-	}
-	c3, err := elect.RunAnonymous(elect.AnonConfig{
-		G: graph.Cycle(3), Labels: elect.OrientedCycleLabeling(3), Homes: []int{0}, Rounds: 8,
-	}, proto)
-	if err != nil {
-		return false, err
-	}
-	c6, err := elect.RunAnonymous(elect.AnonConfig{
-		G: graph.Cycle(6), Labels: elect.OrientedCycleLabeling(6), Homes: []int{0, 3}, Rounds: 8,
-	}, proto)
-	if err != nil {
-		return false, err
-	}
-	return c3.Declared[0] == "leader" &&
-		c6.Declared[0] == "leader" && c6.Declared[1] == "leader", nil
 }
 
 // ---------------------------------------------------------------------------

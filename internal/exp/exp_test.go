@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/runtime"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -45,6 +47,48 @@ func TestAnonymousExperiment(t *testing.T) {
 	}
 	if !strings.Contains(out, "contradiction") {
 		t.Error("missing contradiction line")
+	}
+	// The self-check must reject a C6 trace that departs from the C3 one
+	// and a C6 agent that is not elected.
+	c3, c6, err := lockstepPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diverged := anonRun{outcomes: c6.outcomes, traces: [][]string{c6.traces[0], c6.traces[1][:2]}}
+	defeated := anonRun{outcomes: []string{"leader", "defeated"}, traces: c6.traces}
+	for _, bad := range []anonRun{diverged, defeated} {
+		if checkContradiction(c3, bad) == nil {
+			t.Errorf("self-check accepted %+v", bad)
+		}
+	}
+}
+
+// TestAnonymousLockstepTraces checks the Section 1.3 argument step by step,
+// apart from the experiment's self-check: under lockstep with identities
+// withheld, the lone C3 agent walks the ring once (3 moves and a halting
+// step) and is elected, and each antipodal C6 agent replays that local
+// trace exactly and is elected too.
+func TestAnonymousLockstepTraces(t *testing.T) {
+	c3, c6, err := lockstepPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone := c3.traces[0]
+	if len(lone) != 4 || c3.outcomes[0] != runtime.HaltLeader {
+		t.Fatalf("C3: outcome %q after %d steps, want leader after 4", c3.outcomes[0], len(lone))
+	}
+	for i, trace := range c6.traces {
+		if len(trace) != len(lone) {
+			t.Fatalf("C6 agent %d: %d steps, the C3 agent %d", i, len(trace), len(lone))
+		}
+		for s := range trace {
+			if trace[s] != lone[s] {
+				t.Fatalf("C6 agent %d, step %d: %s\nC3 agent: %s", i, s, trace[s], lone[s])
+			}
+		}
+		if c6.outcomes[i] != runtime.HaltLeader {
+			t.Fatalf("C6 agent %d halted %q, want leader", i, c6.outcomes[i])
+		}
 	}
 }
 
@@ -158,7 +202,26 @@ func TestFig1Experiment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	if !strings.Contains(out, "identical") {
-		t.Error("missing equivalence column")
+	for _, name := range []string{"identical", "goroutine", "scheduled", "transformed", "networked"} {
+		if !strings.Contains(out, name) {
+			t.Errorf("output lacks %q", name)
+		}
+	}
+	// The self-check must reject a backend that diverges or elects another
+	// agent.
+	agree := func() *runtime.Result {
+		return &runtime.Result{Outcomes: []string{"defeated", "defeated", "leader"}, Moves: []int64{1, 1, 3}}
+	}
+	if err := checkFig1(3, []*runtime.Result{agree(), agree()}); err != nil {
+		t.Fatal(err)
+	}
+	moved := agree()
+	moved.Moves[0] = 2
+	wrong := agree()
+	wrong.Outcomes = []string{"leader", "defeated", "defeated"}
+	for _, bad := range []*runtime.Result{moved, wrong} {
+		if checkFig1(3, []*runtime.Result{agree(), bad}) == nil {
+			t.Errorf("self-check accepted a diverging backend %+v", bad)
+		}
 	}
 }

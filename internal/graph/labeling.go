@@ -37,6 +37,26 @@ func RandomLabeling(g *Graph, seed int64) EdgeLabeling {
 	return l
 }
 
+// OrientedCycleLabeling labels every node of Cycle(n) with 1 on its
+// clockwise port (towards v+1 mod n) and 2 on its counterclockwise port —
+// the symmetric labeling of the Section 1.3 argument and of an oriented
+// ring.
+func OrientedCycleLabeling(n int) EdgeLabeling {
+	g := Cycle(n)
+	l := make(EdgeLabeling, n)
+	for v := range l {
+		l[v] = make([]int, g.Deg(v))
+		for p, h := range g.Ports(v) {
+			if h.To == (v+1)%n {
+				l[v][p] = 1
+			} else {
+				l[v][p] = 2
+			}
+		}
+	}
+	return l
+}
+
 // Validate checks that l fits g and that labels are distinct at every node.
 func (l EdgeLabeling) Validate(g *Graph) error {
 	if len(l) != g.N() {

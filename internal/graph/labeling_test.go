@@ -42,6 +42,27 @@ func TestRandomLabelingValidAndDeterministic(t *testing.T) {
 	}
 }
 
+func TestOrientedCycleLabeling(t *testing.T) {
+	for _, n := range []int{3, 4, 6, 11} {
+		g := Cycle(n)
+		l := OrientedCycleLabeling(n)
+		if err := l.Validate(g); err != nil {
+			t.Fatalf("C%d: %v", n, err)
+		}
+		for v := 0; v < n; v++ {
+			for p, h := range g.Ports(v) {
+				want := (v + 1) % n
+				if l[v][p] == 2 {
+					want = (v + n - 1) % n
+				}
+				if h.To != want {
+					t.Fatalf("C%d: label %d at %d leads to %d, want %d", n, l[v][p], v, h.To, want)
+				}
+			}
+		}
+	}
+}
+
 func TestLabelingValidateRejects(t *testing.T) {
 	g := Path(3)
 	// Wrong node count.

@@ -25,11 +25,16 @@ func init() {
 		}
 		return Walker(label, steps), nil
 	})
+	Register("chang-roberts", func(args string) (Protocol, error) {
+		cw, err := strconv.Atoi(args)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: chang-roberts wants a port label, got %q", args)
+		}
+		return ChangRoberts(cw), nil
+	})
 }
 
-// DFSElection returns the quantitative whiteboard-DFS election — the
-// repository's one implementation of the election that used to be written
-// twice (once as a sim protocol, once as a msgnet machine). Each agent
+// DFSElection returns the quantitative whiteboard-DFS election. Each agent
 // traverses the whole network depth-first, leaving breadcrumbs on the
 // whiteboards ("v:<id>" visited marks and "t:<id>:<label>" tried-port
 // marks), counting the "home" pre-marks it passes to discover r (the
@@ -186,7 +191,7 @@ func encodeDFS(mode string, stack []int, homes int) string {
 
 // Walker returns a protocol that walks steps hops through the port with
 // the given label and halts "done" — the minimal protocol for backend
-// plumbing tests (ported from the msgnet machine of the same name).
+// plumbing tests.
 func Walker(label, steps int) Protocol { return walker{label: label, steps: steps} }
 
 type walker struct{ label, steps int }
@@ -207,4 +212,51 @@ func (w walker) Step(memory string, _ View) (string, Effect) {
 		return memory, Effect{Halt: "done", Move: -1}
 	}
 	return strconv.Itoa(left - 1), Effect{Move: w.label}
+}
+
+// ChangRoberts returns the classic ring election (Chang–Roberts, LCR) as a
+// walking agent, for an oriented ring whose every node is a home-base and
+// whose clockwise ports are labeled cw. Each agent stamps "id:<ID>" at home
+// and walks clockwise; at every node it waits for the resident's stamp,
+// halts defeated on a larger identity, and is elected when it meets its
+// own stamp again. The unique leader is the maximum identity: on C_n the
+// agent with ID n walks the whole ring (n moves) and every other agent
+// halts after one. Run on the message-passing backends, the walking agent
+// is the circulating token of the textbook protocol — Figure 1's "a
+// message is an agent".
+func ChangRoberts(cw int) Protocol { return changRoberts{cw: cw} }
+
+type changRoberts struct{ cw int }
+
+// Spec returns "chang-roberts:<cw>".
+func (c changRoberts) Spec() string { return "chang-roberts:" + strconv.Itoa(c.cw) }
+
+// Init returns the empty memory of an agent that has not stamped yet.
+func (changRoberts) Init(int) string { return "" }
+
+// Step stamps and leaves home on the first activation, then compares the
+// identity against each resident's stamp.
+func (c changRoberts) Step(memory string, v View) (string, Effect) {
+	if memory == "" {
+		return "walk", Effect{Write: []string{"id:" + strconv.Itoa(v.ID)}, Move: c.cw}
+	}
+	stamp := -1
+	for _, m := range v.Board {
+		if id, ok := strings.CutPrefix(m, "id:"); ok {
+			if k, err := strconv.Atoi(id); err == nil && k > stamp {
+				stamp = k
+			}
+		}
+	}
+	switch {
+	case stamp < 0:
+		// The resident has not stamped yet: park until the board changes.
+		return memory, Effect{Move: -1}
+	case stamp == v.ID:
+		return memory, Effect{Halt: HaltLeader, Move: -1}
+	case stamp > v.ID:
+		return memory, Effect{Halt: HaltDefeated, Move: -1}
+	default:
+		return memory, Effect{Move: c.cw}
+	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -97,7 +99,10 @@ func TestRegistry(t *testing.T) {
 	if p.Spec() != "walker:1,3" {
 		t.Fatalf("spec round trip: %q", p.Spec())
 	}
-	for _, bad := range []string{"", "nope", "walker", "walker:x,y", "walker:1"} {
+	if p, err := FromSpec("chang-roberts:1"); err != nil || p.Spec() != "chang-roberts:1" {
+		t.Fatalf("chang-roberts round trip: %v %v", p, err)
+	}
+	for _, bad := range []string{"", "nope", "walker", "walker:x,y", "walker:1", "chang-roberts", "chang-roberts:cw"} {
 		if _, err := FromSpec(bad); err == nil {
 			t.Fatalf("FromSpec(%q) succeeded", bad)
 		}
@@ -112,38 +117,148 @@ func TestRegistry(t *testing.T) {
 
 func TestWalkerAcrossBackends(t *testing.T) {
 	cfg := Config{Graph: graph.Cycle(4), Homes: []int{0, 2}, Seed: 1}
-	for _, rt := range []Runtime{Goroutine{}, &Scheduled{}, Transformed{}, &Networked{}} {
-		res, err := rt.Run(cfg, Walker(1, 5))
-		if err != nil {
-			t.Fatalf("%s: %v", rt.Name(), err)
-		}
-		for i, o := range res.Outcomes {
-			if o != "done" {
-				t.Fatalf("%s: agent %d halted %q", rt.Name(), i, o)
+	backends := []Runtime{Goroutine{}, &Scheduled{}, Transformed{}, &Networked{}}
+	t.Run("steps", func(t *testing.T) {
+		for _, rt := range backends {
+			res, err := rt.Run(cfg, Walker(1, 5))
+			if err != nil {
+				t.Fatalf("%s: %v", rt.Name(), err)
 			}
-			if res.Moves[i] != 5 {
-				t.Fatalf("%s: agent %d made %d moves", rt.Name(), i, res.Moves[i])
+			for i, o := range res.Outcomes {
+				if o != "done" {
+					t.Fatalf("%s: agent %d halted %q", rt.Name(), i, o)
+				}
+				if res.Moves[i] != 5 {
+					t.Fatalf("%s: agent %d made %d moves", rt.Name(), i, res.Moves[i])
+				}
+			}
+			// 2 agents × (5 moves + 1 halting step).
+			if res.Steps != 12 || res.Backend != rt.Name() {
+				t.Fatalf("%s: result metadata %+v, want 12 steps", rt.Name(), res)
 			}
 		}
-		if res.Steps == 0 || res.Backend != rt.Name() {
-			t.Fatalf("%s: result metadata %+v", rt.Name(), res)
+	})
+	// The ring's ports are labeled 0 and 1: a move through 99 must fail.
+	t.Run("missing label", func(t *testing.T) {
+		for _, rt := range backends {
+			if _, err := rt.Run(cfg, Walker(99, 1)); err == nil {
+				t.Fatalf("%s: move through a missing label accepted", rt.Name())
+			}
+		}
+	})
+}
+
+// TestDeadlockDetection runs Chang–Roberts with a single agent on C4: it
+// stamps home, walks to a node no agent will ever stamp, and parks forever.
+// The serialized backends see that nothing can run and fail at once. The
+// goroutine backend is left out: it cannot tell a parked agent from a slow
+// one and fails only when its wall-clock timeout (30 s default) expires.
+func TestDeadlockDetection(t *testing.T) {
+	cfg := Config{Graph: graph.Cycle(4), Labels: graph.OrientedCycleLabeling(4), Homes: []int{0}, Seed: 1}
+	for _, rt := range []Runtime{&Scheduled{}, Transformed{}, &Networked{}} {
+		t.Run(rt.Name(), func(t *testing.T) {
+			if _, err := rt.Run(cfg, ChangRoberts(1)); err == nil {
+				t.Fatal("an agent parked forever was not flagged")
+			}
+		})
+	}
+}
+
+// stampWaiter parks an agent until a board change wakes it on oriented
+// C3: agent 1 walks one hop from node 0 to node 1 and parks there until a
+// "stamp" mark appears; agent 2 walks two hops from node 2 to node 1,
+// stamps it and halts. Agent 1 halts "woke" if it parked first and "done"
+// if the stamp was already there. It is not registered, so it runs only on
+// the in-process backends.
+type stampWaiter struct{}
+
+func (stampWaiter) Spec() string { return "stamp-waiter" }
+
+func (stampWaiter) Init(int) string { return "" }
+
+func (stampWaiter) Step(memory string, v View) (string, Effect) {
+	switch {
+	case v.ID == 2 && memory == "":
+		return "one hop", Effect{Move: 1}
+	case v.ID == 2 && memory == "one hop":
+		return "two hops", Effect{Move: 1}
+	case v.ID == 2:
+		return memory, Effect{Write: []string{"stamp"}, Halt: "done", Move: -1}
+	case memory == "":
+		return "walked", Effect{Move: 1}
+	case !slices.Contains(v.Board, "stamp"):
+		return "parked", Effect{Move: -1}
+	case memory == "parked":
+		return memory, Effect{Halt: "woke", Move: -1}
+	}
+	return memory, Effect{Halt: "done", Move: -1}
+}
+
+func TestParkedAgentWakesOnBoardChange(t *testing.T) {
+	cfg := Config{Graph: graph.Cycle(3), Labels: graph.OrientedCycleLabeling(3), Homes: []int{0, 2}}
+	// Always granting the lowest ready agent runs agent 1 onto node 1
+	// before agent 2 gets there, so agent 1 must park and then wake.
+	first := &Scheduled{Strategy: sim.StrategyFunc(func(ready []int, _ int) int { return ready[0] })}
+	res, err := first.Run(cfg, stampWaiter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"woke", "done"}; !reflect.DeepEqual(res.Outcomes, want) {
+		t.Fatalf("forced park: outcomes %v, want %v", res.Outcomes, want)
+	}
+	for _, rt := range []Runtime{Goroutine{}, &Scheduled{}, Transformed{}} {
+		woke := 0
+		for seed := int64(1); seed <= 10; seed++ {
+			cfg.Seed = seed
+			res, err := rt.Run(cfg, stampWaiter{})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", rt.Name(), seed, err)
+			}
+			o := res.Outcomes
+			if o[1] != "done" || (o[0] != "done" && o[0] != "woke") {
+				t.Fatalf("%s seed %d: outcomes %v", rt.Name(), seed, o)
+			}
+			if o[0] == "woke" {
+				woke++
+			}
+		}
+		// The seeded backends must take the park-and-wake path on some
+		// seed; the goroutine backend's interleaving is uncontrolled.
+		if woke == 0 && rt.Name() != "goroutine" {
+			t.Fatalf("%s: agent 1 never parked in 10 seeds", rt.Name())
 		}
 	}
 }
 
-// sitter parks forever — the deadlock probe.
-type sitter struct{}
-
-func (sitter) Spec() string    { return "test-sitter" }
-func (sitter) Init(int) string { return "" }
-func (sitter) Step(m string, _ View) (string, Effect) {
-	return m, Effect{Move: -1}
-}
-
-func TestDeadlockDetection(t *testing.T) {
-	cfg := Config{Graph: graph.Cycle(3), Homes: []int{0}, Seed: 1}
-	if _, err := (Transformed{}).Run(cfg, sitter{}); err == nil {
-		t.Fatal("transformed backend did not flag an eternal sitter")
+// TestChangRobertsAcrossBackends runs Chang–Roberts on fully occupied
+// oriented rings on every backend. Whatever the interleaving, the maximum
+// identity (agent n−1) must be the only leader, having walked the whole
+// ring, and every other agent must halt one hop from home, so the move
+// vector is exactly [1, …, 1, n]. The goroutine backend's interleaving is
+// uncontrolled, so this is a claim that must hold on every run.
+func TestChangRobertsAcrossBackends(t *testing.T) {
+	for _, rt := range []Runtime{Goroutine{}, &Scheduled{}, Transformed{}, &Networked{}} {
+		t.Run(rt.Name(), func(t *testing.T) {
+			for _, n := range []int{3, 5, 8, 12, 16} {
+				homes := make([]int, n)
+				want := make([]int64, n)
+				for i := range homes {
+					homes[i], want[i] = i, 1
+				}
+				want[n-1] = int64(n)
+				for seed := int64(1); seed <= 3; seed++ {
+					cfg := Config{Graph: graph.Cycle(n), Labels: graph.OrientedCycleLabeling(n), Homes: homes, Seed: seed}
+					res, err := rt.Run(cfg, ChangRoberts(1))
+					if err != nil {
+						t.Fatalf("C%d seed %d: %v", n, seed, err)
+					}
+					if res.Leader() != n-1 || !reflect.DeepEqual(res.Moves, want) {
+						t.Fatalf("C%d seed %d: leader %d moves %v (outcomes %v), want leader %d moves %v",
+							n, seed, res.Leader(), res.Moves, res.Outcomes, n-1, want)
+					}
+				}
+			}
+		})
 	}
 }
 

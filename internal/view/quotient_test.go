@@ -11,7 +11,7 @@ func TestQuotientOrientedCycleCollapsesToPoint(t *testing.T) {
 	// All nodes of the oriented cycle share one view: the quotient is a
 	// single node with a 1/2 arc and a 2/1 arc to itself, fold degree n.
 	for _, n := range []int{4, 7} {
-		q, err := BuildQuotient(graph.Cycle(n), orientedCycleLabeling(n), nil)
+		q, err := BuildQuotient(graph.Cycle(n), graph.OrientedCycleLabeling(n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +24,7 @@ func TestQuotientOrientedCycleCollapsesToPoint(t *testing.T) {
 		if len(q.Arcs[0]) != 2 || q.Arcs[0][0].To != 0 || q.Arcs[0][1].To != 0 {
 			t.Fatalf("C%d: quotient arcs %v", n, q.Arcs[0])
 		}
-		if err := q.WellDefined(graph.Cycle(n), orientedCycleLabeling(n)); err != nil {
+		if err := q.WellDefined(graph.Cycle(n), graph.OrientedCycleLabeling(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestQuotientRigidGraphIsIdentity(t *testing.T) {
 	n := 6
 	colors := make([]int, n)
 	colors[0] = 1
-	q, err := BuildQuotient(graph.Cycle(n), orientedCycleLabeling(n), colors)
+	q, err := BuildQuotient(graph.Cycle(n), graph.OrientedCycleLabeling(n), colors)
 	if err != nil {
 		t.Fatal(err)
 	}

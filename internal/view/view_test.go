@@ -11,7 +11,7 @@ func TestCycleAllSameView(t *testing.T) {
 	// clockwise) has a single view class: σ_ℓ = n.
 	for _, n := range []int{3, 5, 8} {
 		g := graph.Cycle(n)
-		l := orientedCycleLabeling(n)
+		l := graph.OrientedCycleLabeling(n)
 		cl, err := ComputeClasses(g, l, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -25,30 +25,10 @@ func TestCycleAllSameView(t *testing.T) {
 	}
 }
 
-// orientedCycleLabeling labels every node's clockwise port 1 and counter-
-// clockwise port 2. With graph.Cycle's construction, node i has port 0 to
-// i+1 (clockwise) except node 0 whose port 0 goes to 1 and port 1 to n-1;
-// interior ordering varies, so derive ports from the structure.
-func orientedCycleLabeling(n int) graph.EdgeLabeling {
-	g := graph.Cycle(n)
-	l := make(graph.EdgeLabeling, n)
-	for v := 0; v < n; v++ {
-		l[v] = make([]int, g.Deg(v))
-		for p, h := range g.Ports(v) {
-			if h.To == (v+1)%n {
-				l[v][p] = 1
-			} else {
-				l[v][p] = 2
-			}
-		}
-	}
-	return l
-}
-
 func TestCycleWithBlackNodeBreaksSymmetry(t *testing.T) {
 	n := 6
 	g := graph.Cycle(n)
-	l := orientedCycleLabeling(n)
+	l := graph.OrientedCycleLabeling(n)
 	colors := make([]int, n)
 	colors[0] = 1
 	cl, err := ComputeClasses(g, l, colors)
@@ -68,7 +48,7 @@ func TestAntipodalBlacksKeepSymmetry(t *testing.T) {
 	// C6 with blacks at 0 and 3, oriented labeling: rotation by 3 is a
 	// label- and color-preserving automorphism, so every class has size 2.
 	g := graph.Cycle(6)
-	l := orientedCycleLabeling(6)
+	l := graph.OrientedCycleLabeling(6)
 	colors := []int{1, 0, 0, 1, 0, 0}
 	cl, err := ComputeClasses(g, l, colors)
 	if err != nil {
@@ -137,7 +117,7 @@ func TestNorrisDepthSufficient(t *testing.T) {
 		l graph.EdgeLabeling
 	}{
 		{graph.Path(5), graph.PortLabeling(graph.Path(5))},
-		{graph.Cycle(7), orientedCycleLabeling(7)},
+		{graph.Cycle(7), graph.OrientedCycleLabeling(7)},
 		{graph.Petersen(), graph.PortLabeling(graph.Petersen())},
 		{graph.Hypercube(3), graph.PortLabeling(graph.Hypercube(3))},
 		{graph.RandomConnected(10, 5, 99), graph.PortLabeling(graph.RandomConnected(10, 5, 99))},

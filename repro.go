@@ -19,8 +19,10 @@
 //   - the impossibility machinery of Section 2 — views, symmetricity,
 //     label-preserving automorphisms and the Theorem 2.1 oracle
 //     (internal/view, internal/labeling);
-//   - the quantitative baseline, the bespoke Petersen protocol, and the
-//     lockstep anonymous-agents interpreter of the Section 1.3 argument.
+//   - the quantitative baseline and the bespoke Petersen protocol;
+//   - one Protocol/Runtime contract with four backends (internal/runtime),
+//     on which the paper's Figure 1 transformation and the Section 1.3
+//     anonymous-agents argument run (internal/exp).
 //
 // This root package is a façade re-exporting the pieces a downstream user
 // needs: graph construction, election runs, and solvability analysis. The
