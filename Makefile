@@ -25,7 +25,7 @@ race:
 # The tests that must pass every time, fifty times each under the race
 # detector. CI's determinism step runs this target.
 determinism:
-	$(GO) test -race -count=50 -run '^TestCampaignDeterminism$$' ./internal/campaign
+	$(GO) test -race -count=50 -run '^(TestCampaignDeterminism|TestSummaryIsFunctionOfResults)$$' ./internal/campaign
 	$(GO) test -race -count=50 -run '^TestSourceMatchesMathRand$$' ./internal/lazyrand
 	$(GO) test -race -count=50 -run '^TestRunGolden$$' ./cmd/elect
 	$(GO) test -race -count=50 -run '^TestRecordReplayBitExact$$' ./internal/faults
@@ -33,7 +33,7 @@ determinism:
 	$(GO) test -race -count=50 -run '^(TestViolatingRunReplays|TestRetriedRunReplays)$$' ./internal/campaign
 	$(GO) test -race -count=50 -run '^TestAnalyzeCtxDeadline$$' ./internal/elect
 	$(GO) test -race -count=50 -run '^TestConcurrentStateReuse$$' ./internal/iso
-	$(GO) test -race -count=50 -run '^TestChangRobertsAcrossBackends$$' ./internal/runtime
+	$(GO) test -race -count=50 -run '^(TestChangRobertsAcrossBackends|TestDeadlockDetection|TestParkedAgentWakesOnBoardChange)$$' ./internal/runtime
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -63,12 +63,6 @@
 // metrics stream at /debug/metrics/stream, the live operator dashboard at
 // /debug/live, and the standard pprof profiles under /debug/pprof/ while
 // the campaign runs.
-//
-// Aggregation: -stream on folds per-run results into mergeable sketches
-// (O(1) memory, percentiles within the documented ~3% sketch error)
-// instead of buffering every RunResult; -stream auto (default) switches
-// to sketches at -stream-threshold runs (default 100000); -stream off
-// always buffers exactly.
 package main
 
 import (
@@ -118,8 +112,6 @@ func main() {
 	telemetryOn := flag.Bool("telemetry", false, "collect per-run phase counters and iso search stats (implied by -timeline and -listen)")
 	timelinePath := flag.String("timeline", "", "write the worker-pool timeline as Chrome trace_event JSON (open in Perfetto) to this file")
 	listen := flag.String("listen", "", "serve live metrics at /debug/metrics and pprof under /debug/pprof/ on this address")
-	stream := flag.String("stream", "auto", "streaming aggregation: auto (sketches at >= stream-threshold runs), on, off")
-	streamThreshold := flag.Int("stream-threshold", campaign.DefaultStreamThreshold, "run count at which -stream auto switches to sketch aggregation")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintln(out, "Usage: campaign [flags]")
@@ -162,10 +154,6 @@ With -listen ADDR the campaign serves its operator endpoints while running:
 	if err != nil {
 		fail(err)
 	}
-	streamMode, err := campaign.ParseStreamMode(*stream)
-	if err != nil {
-		fail(err)
-	}
 	spec := campaign.Spec{
 		Families:   fams,
 		Seeds:      seedRange,
@@ -185,8 +173,6 @@ With -listen ADDR the campaign serves its operator endpoints while running:
 		CayleyFallback:  *fallback,
 		RatioBound:      *bound,
 		Telemetry:       *telemetryOn,
-		Stream:          streamMode,
-		StreamThreshold: *streamThreshold,
 	}
 	var metricsSrv *serve.HTTPServer
 	if *listen != "" {

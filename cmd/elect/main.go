@@ -26,8 +26,9 @@
 // schedule, and -replay re-injects a saved plan exactly.
 //
 // Graph families (campaign.BuildGraph): path, cycle, complete, star,
-// hypercube (n = dimension), torus (n×n), grid (n×n), petersen, wheel,
-// prism, ccc (n = dimension), random.
+// hypercube (n = dimension), torus (n×n), grid (n×n), petersen, fig2c
+// (the paper's Figure 2(c) graph), wheel, prism, ccc (n = dimension),
+// random.
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 // human output to w (separated from main for the golden-output tests).
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("elect", flag.ContinueOnError)
-	family := fs.String("graph", "cycle", "graph family: path, cycle, complete, star, hypercube, torus, grid, petersen, wheel, prism, ccc, random")
+	family := fs.String("graph", "cycle", "graph family: path, cycle, complete, star, hypercube, torus, grid, petersen, fig2c, wheel, prism, ccc, random")
 	n := fs.Int("n", 6, "size parameter (nodes, or dimension for hypercube/ccc, or side for torus/grid)")
 	homesArg := fs.String("homes", "0", "comma-separated home-base nodes")
 	protocol := fs.String("protocol", "elect", "protocol: elect, cayley, quantitative, petersen, gather")

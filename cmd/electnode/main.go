@@ -101,7 +101,7 @@ the run (it stays up until SIGTERM/SIGINT so metrics can be scraped):
 	if err != nil {
 		return err
 	}
-	homes, err := parseHomes(*homesArg)
+	homes, err := campaign.ParseHomes(*homesArg)
 	if err != nil {
 		return err
 	}
@@ -214,24 +214,4 @@ func parseGraph(s string) (g *graph.Graph, err error) {
 		}
 	}
 	return campaign.BuildGraph(strings.TrimSpace(name), size)
-}
-
-// parseHomes parses the comma-separated home list.
-func parseHomes(s string) ([]int, error) {
-	var homes []int
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		v, err := strconv.Atoi(tok)
-		if err != nil {
-			return nil, fmt.Errorf("bad home %q: %w", tok, err)
-		}
-		homes = append(homes, v)
-	}
-	if len(homes) == 0 {
-		return nil, fmt.Errorf("need at least one home in %q", s)
-	}
-	return homes, nil
 }

@@ -12,9 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/elect"
 	"repro/internal/graph"
 	"repro/internal/group"
@@ -31,11 +30,11 @@ func main() {
 	dot := flag.Bool("dot", false, "emit the instance in Graphviz DOT format and exit")
 	flag.Parse()
 
-	g, err := buildGraph(*family, *n)
+	g, err := campaign.BuildGraph(*family, *n)
 	if err != nil {
 		fail(err)
 	}
-	homes, err := parseHomes(*homesArg)
+	homes, err := campaign.ParseHomes(*homesArg)
 	if err != nil {
 		fail(err)
 	}
@@ -115,47 +114,6 @@ func main() {
 			fmt.Println("             => the necessary condition for impossibility fails")
 		}
 	}
-}
-
-func buildGraph(family string, n int) (*graph.Graph, error) {
-	switch family {
-	case "path":
-		return graph.Path(n), nil
-	case "cycle":
-		return graph.Cycle(n), nil
-	case "complete":
-		return graph.Complete(n), nil
-	case "star":
-		return graph.Star(n), nil
-	case "hypercube":
-		return graph.Hypercube(n), nil
-	case "torus":
-		return graph.Torus(n, n), nil
-	case "petersen":
-		return graph.Petersen(), nil
-	case "wheel":
-		return graph.Wheel(n), nil
-	case "prism":
-		return graph.Prism(n), nil
-	case "fig2c":
-		return graph.Fig2c(), nil
-	case "random":
-		return graph.RandomConnected(n, n/2, 42), nil
-	default:
-		return nil, fmt.Errorf("unknown graph family %q", family)
-	}
-}
-
-func parseHomes(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad home %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fail(err error) {

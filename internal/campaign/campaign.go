@@ -7,11 +7,12 @@
 // (class ordering, Cayley recognition, the Theorem 2.1 oracle) is computed
 // once per instance instead of once per seed.
 //
-// Results stream to JSONL as runs complete, and an aggregate Summary
-// reports outcome counts, move/access percentiles against the Theorem 3.1
-// r·|E| bound, oracle mismatches, retry/watchdog counts, cache hit rate and
-// wall-clock vs serial time. The experiment harness (internal/exp), the
-// root benchmarks and cmd/campaign all execute through this engine.
+// Results stream to JSONL as runs complete. Once the pool drains, a Summary
+// computed from the results reports outcome counts, exact move/access
+// percentiles against the Theorem 3.1 r·|E| bound, oracle mismatches,
+// retry/watchdog counts, cache hit rate and wall-clock vs serial time. The
+// experiment harness (internal/exp), the root benchmarks and cmd/campaign
+// all execute through this engine.
 //
 // Execution is deterministic per (spec, seed) modulo worker interleaving:
 // the work list order is fixed by the spec, each run's simulation is fully
@@ -52,11 +53,8 @@ type Options struct {
 	// aborted (default 60s).
 	RunTimeout time.Duration
 	// MaxRetries bounds how many times an aborted run is re-executed under
-	// a fresh seed offset (default 2; negative disables retries).
+	// a fresh seed (default 2; negative disables retries).
 	MaxRetries int
-	// RetrySeedOffset is added to the run seed per retry attempt so a stuck
-	// adversary schedule is not replayed verbatim (default 1000003).
-	RetrySeedOffset int64
 	// MaxDelay, WakeAll, UseHairOrdering and AllowSharedHomes are passed
 	// through to the simulation (see sim.Config / repro.RunConfig).
 	MaxDelay         time.Duration
@@ -82,38 +80,22 @@ type Options struct {
 	CacheMaxBytes int64
 	// JSONL, when set, receives one JSON record per completed run.
 	JSONL io.Writer
-	// Stream selects the summary-aggregation path: StreamAuto (default)
-	// buffers per-run results below StreamThreshold and folds into
-	// mergeable per-worker sketches at or above it; StreamOn / StreamOff
-	// force one path. Streamed campaigns hold O(1) aggregation memory —
-	// Report.Results is nil, a bounded failure sample stands in, and
-	// summary percentiles carry at most sketch.RelativeError relative
-	// error (Summary.Streamed / Summary.SketchRelErr).
-	Stream StreamMode
-	// StreamThreshold is the StreamAuto cutover work-list size
-	// (default DefaultStreamThreshold = 100000).
-	StreamThreshold int
 
 	// Telemetry enables per-run collection: each run gets a telemetry.Run,
 	// its per-phase move/access/write/erase totals land in RunResult, the
 	// Summary aggregates phase percentiles and the campaign's iso
 	// search-tree counter delta. Setting Metrics or Timeline implies it.
 	Telemetry bool
-	// Metrics, when set, receives live campaign counters (runs, outcomes,
-	// retries, per-phase totals, a run-moves histogram) — serve it at
-	// /debug/metrics for a live view of a long campaign.
+	// Metrics, when set, receives live campaign data as each run ends:
+	// run, outcome, retry, violation and per-phase counters, and the
+	// campaign_run_moves, campaign_run_accesses and
+	// campaign_run_ratio_milli histograms — serve it at /debug/metrics for
+	// a live view of a long campaign.
 	Metrics *telemetry.Registry
 	// Timeline, when set, receives the campaign's worker-span timeline as
 	// Chrome trace_event JSON (one track per worker, one span per run)
 	// after the campaign completes; open it in Perfetto.
 	Timeline io.Writer
-	// TraceSink, when set, receives every run's simulation events through
-	// a per-run buffered tracer (see sim.BufferedTracer); events dropped
-	// on a full buffer are counted in RunResult.TraceDropped.
-	TraceSink sim.Tracer
-	// TraceBuffer sizes the per-run trace buffer (default
-	// sim.DefaultTraceBuffer).
-	TraceBuffer int
 
 	// testProtocol, when set (tests only), overrides the protocol for each
 	// attempt — used to exercise the watchdog/retry path deterministically.
@@ -132,32 +114,18 @@ func (o Options) withDefaults() Options {
 	} else if o.MaxRetries < 0 {
 		o.MaxRetries = 0
 	}
-	if o.RetrySeedOffset == 0 {
-		o.RetrySeedOffset = 1_000_003
-	}
 	if o.RatioBound == 0 {
 		o.RatioBound = 40
 	}
 	if o.Metrics != nil || o.Timeline != nil {
 		o.Telemetry = true
 	}
-	if o.StreamThreshold <= 0 {
-		o.StreamThreshold = DefaultStreamThreshold
-	}
 	return o
 }
 
-// streamed decides the aggregation path for a work list of n runs.
-func (o Options) streamed(n int) bool {
-	switch o.Stream {
-	case StreamOn:
-		return true
-	case StreamOff:
-		return false
-	default:
-		return n >= o.StreamThreshold
-	}
-}
+// retrySeedOffset is added to the run seed per retry attempt, so a stuck
+// adversary schedule is not replayed verbatim.
+const retrySeedOffset = 1_000_003
 
 // protoInfo is a constructed protocol plus its model requirements.
 type protoInfo struct {
@@ -289,24 +257,9 @@ func ExecuteRunsContext(ctx context.Context, runs []Run, opt Options) (*Report, 
 	}
 	cacheBefore := cache.Stats()
 	jw := newJSONLWriter(opt.JSONL)
-	// Streamed campaigns never allocate the per-run result slice: each
-	// worker folds results into a private sketch aggregator and discards
-	// them, merging into the shared total every liveFoldEvery runs (which
-	// also refreshes the live quantile gauges) and once at exit.
-	streaming := opt.streamed(len(runs))
-	var results []RunResult
-	if !streaming {
-		results = make([]RunResult, len(runs))
-	}
-	var liveMu sync.Mutex
-	total := newAggregator(!streaming, opt.RatioBound)
-	flush := func(agg *aggregator) {
-		liveMu.Lock()
-		total.merge(agg)
-		publishLive(opt.Metrics, total)
-		liveMu.Unlock()
-		agg.reset()
-	}
+	// Workers only fill their runs' slots (and the JSONL stream); the
+	// summary is computed from the slots once the pool drains.
+	results := make([]RunResult, len(runs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 
@@ -326,10 +279,7 @@ func ExecuteRunsContext(ctx context.Context, runs []Run, opt Options) (*Report, 
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			agg := newAggregator(!streaming, opt.RatioBound)
-			defer flush(agg)
 			camRun.SetTrackName(w, "worker "+strconv.Itoa(w))
-			n := 0
 			for i := range idx {
 				var res RunResult
 				if ctx.Err() != nil {
@@ -349,14 +299,8 @@ func ExecuteRunsContext(ctx context.Context, runs []Run, opt Options) (*Report, 
 					sp.End()
 					opt.Metrics.Gauge("campaign_inflight").Add(-1)
 				}
-				if results != nil {
-					results[i] = res
-				}
+				results[i] = res
 				jw.write(res)
-				agg.add(res)
-				if n++; n%liveFoldEvery == 0 {
-					flush(agg)
-				}
 			}
 		}(w)
 	}
@@ -368,16 +312,10 @@ feed:
 			// Never-fed runs get canceled records so the report stays
 			// index-complete; workers drain what is already queued (each
 			// checks ctx before executing, so nothing new actually runs).
-			liveMu.Lock()
 			for j := i; j < len(runs); j++ {
-				res := canceledResult(j, runs[j])
-				if results != nil {
-					results[j] = res
-				}
-				jw.write(res)
-				total.add(res)
+				results[j] = canceledResult(j, runs[j])
+				jw.write(results[j])
 			}
-			liveMu.Unlock()
 			break feed
 		}
 	}
@@ -391,10 +329,7 @@ feed:
 	wallMS := float64(time.Since(start)) / float64(time.Millisecond)
 	rep := &Report{
 		Results: results,
-		Summary: total.summary(opt.Workers, wallMS, hits, misses, analysisMS),
-	}
-	if streaming {
-		rep.FailureSample = total.failures
+		Summary: summarize(results, opt.RatioBound, opt.Workers, wallMS, hits, misses, analysisMS),
 	}
 	if opt.Telemetry {
 		d := iso.Stats().Sub(isoBefore)
@@ -429,28 +364,29 @@ func canceledResult(index int, run Run) RunResult {
 	}
 }
 
-// moveBuckets shapes the campaign_run_moves histogram: exponential from
-// 16 to ~260k moves per run.
-var moveBuckets = telemetry.ExpBuckets(16, 4, 8)
-
-// publishLive refreshes the live quantile gauges from the shared
-// aggregate — the sketch-derived mid-campaign view that /debug/metrics,
-// the /debug/metrics/stream SSE feed, and the /debug/live dashboard
-// read. Called under the campaign's live mutex; nil registry is a no-op.
-func publishLive(reg *telemetry.Registry, a *aggregator) {
+// publishRun records a finished run in the live registry (nil is a
+// no-op): the run, outcome, retry and violation counters, and for a run
+// that did not error its moves, accesses and Theorem 3.1 ratio (in
+// thousandths) in the histograms the /debug/live dashboard reads.
+func publishRun(reg *telemetry.Registry, res RunResult, bound float64) {
 	if reg == nil {
 		return
 	}
-	reg.Gauge("campaign_runs_aggregated").Set(int64(a.runs))
-	reg.Gauge("campaign_moves_p50").Set(a.moves.Quantile(0.50))
-	reg.Gauge("campaign_moves_p90").Set(a.moves.Quantile(0.90))
-	reg.Gauge("campaign_moves_p99").Set(a.moves.Quantile(0.99))
-	reg.Gauge("campaign_accesses_p50").Set(a.accesses.Quantile(0.50))
-	reg.Gauge("campaign_accesses_p90").Set(a.accesses.Quantile(0.90))
-	reg.Gauge("campaign_accesses_p99").Set(a.accesses.Quantile(0.99))
-	reg.Gauge("campaign_ratio_p90_milli").Set(a.ratio.Quantile(0.90) * 1000 / ratioScale)
-	reg.Gauge("campaign_bound_violations").Set(int64(a.boundViolations))
-	reg.Gauge("campaign_invariant_violation_runs").Set(int64(a.invariantViolations))
+	reg.Counter("campaign_runs_total").Inc()
+	reg.Counter("campaign_outcome_" + res.Outcome).Inc()
+	reg.Counter("campaign_retries_total").Add(int64(res.Attempts - 1))
+	if len(res.Violations) > 0 {
+		reg.Counter("campaign_invariant_violations_total").Inc()
+	}
+	if res.Err != "" {
+		return
+	}
+	reg.Histogram("campaign_run_moves").Observe(res.Moves)
+	reg.Histogram("campaign_run_accesses").Observe(res.Accesses)
+	reg.Histogram("campaign_run_ratio_milli").Observe(int64(res.Ratio * 1000))
+	if res.Ratio > bound {
+		reg.Counter("campaign_bound_violations_total").Inc()
+	}
 }
 
 // executeOne runs one unit of work: cached analysis, then the simulation
@@ -511,16 +447,7 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 				}
 			}
 		}
-		opt.Metrics.Counter("campaign_runs_total").Inc()
-		opt.Metrics.Counter("campaign_outcome_" + res.Outcome).Inc()
-		opt.Metrics.Counter("campaign_retries_total").Add(int64(res.Attempts - 1))
-		opt.Metrics.Counter("campaign_trace_dropped_total").Add(res.TraceDropped)
-		if len(res.Violations) > 0 {
-			opt.Metrics.Counter("campaign_invariant_violations_total").Inc()
-		}
-		if res.Err == "" {
-			opt.Metrics.Histogram("campaign_run_moves", moveBuckets).Observe(res.Moves)
-		}
+		publishRun(opt.Metrics, res, opt.RatioBound)
 	}()
 	if !opt.NoAnalysis {
 		an, hit, err := cache.Get(ctx, run.G, run.Homes)
@@ -551,13 +478,7 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 		if opt.Telemetry {
 			tRun = telemetry.NewRun()
 		}
-		var bt *sim.BufferedTracer
-		var tracer sim.Tracer
-		if opt.TraceSink != nil {
-			bt = sim.NewBufferedTracer(opt.TraceSink, opt.TraceBuffer)
-			tracer = bt.Trace
-		}
-		seed = run.Seed + int64(attempt-1)*opt.RetrySeedOffset
+		seed = run.Seed + int64(attempt-1)*retrySeedOffset
 		var scheduler sim.Strategy
 		if run.Strategy != "" {
 			scheduler, runErr = adversary.NewStrategy(run.Strategy, seed, classOf)
@@ -585,7 +506,6 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 			Timeout:          opt.RunTimeout,
 			QuantitativeIDs:  pi.quant,
 			AllowSharedHomes: opt.AllowSharedHomes,
-			Tracer:           tracer,
 			Telemetry:        tRun,
 			Scheduler:        scheduler,
 			Record:           decisions,
@@ -602,10 +522,6 @@ func executeOne(ctx context.Context, index int, run Run, kind ProtocolKind, pi p
 			simCfg.Faults = injector
 		}
 		simRes, runErr = sim.Run(simCfg, p)
-		if bt != nil {
-			bt.Close()
-			res.TraceDropped = bt.Dropped()
-		}
 		if runErr == nil || !errors.Is(runErr, sim.ErrAborted) || attempt > opt.MaxRetries {
 			break
 		}
@@ -710,12 +626,8 @@ func executeBackendRun(ctx context.Context, index int, run Run, kind ProtocolKin
 		RequestID: telemetry.RequestIDFrom(ctx),
 	}
 	defer func() {
-		opt.Metrics.Counter("campaign_runs_total").Inc()
-		opt.Metrics.Counter("campaign_outcome_" + res.Outcome).Inc()
+		publishRun(opt.Metrics, res, opt.RatioBound)
 		opt.Metrics.Counter("campaign_backend_runs_" + run.Backend).Inc()
-		if res.Err == "" {
-			opt.Metrics.Histogram("campaign_run_moves", moveBuckets).Observe(res.Moves)
-		}
 	}()
 	p, err := rtbackend.FromSpec(spec)
 	if err != nil {

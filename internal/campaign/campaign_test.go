@@ -116,9 +116,18 @@ func canonicalJSONL(t *testing.T, raw []byte) []RunResult {
 	return out
 }
 
+// deterministicSummary zeroes a Summary's pool-level fields: the worker
+// count, the timings and the analysis cache's counts.
+func deterministicSummary(s Summary) Summary {
+	s.Workers = 0
+	s.WallMS, s.SerialMS, s.SpeedupEst, s.AnalysisMS = 0, 0, 0, 0
+	s.CacheHits, s.CacheMisses, s.CacheHitRate = 0, 0, 0
+	return s
+}
+
 // TestCampaignDeterminism runs the same spec twice — under different worker
-// counts — and diffs the sorted JSONL records: execution must be
-// deterministic per (spec, seed) modulo worker interleaving.
+// counts — and diffs the sorted JSONL records and the summaries: execution
+// must be deterministic per (spec, seed) modulo worker interleaving.
 func TestCampaignDeterminism(t *testing.T) {
 	spec := Spec{
 		Families: []FamilySpec{
@@ -129,10 +138,12 @@ func TestCampaignDeterminism(t *testing.T) {
 		Protocol: ProtoElect,
 	}
 	var a, b bytes.Buffer
-	if _, err := Execute(spec, Options{Workers: 4, JSONL: &a}); err != nil {
+	repA, err := Execute(spec, Options{Workers: 4, JSONL: &a})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(spec, Options{Workers: 2, JSONL: &b}); err != nil {
+	repB, err := Execute(spec, Options{Workers: 2, JSONL: &b})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ra, rb := canonicalJSONL(t, a.Bytes()), canonicalJSONL(t, b.Bytes())
@@ -143,6 +154,9 @@ func TestCampaignDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(ra[i], rb[i]) {
 			t.Fatalf("record %d differs between runs:\n  %+v\n  %+v", i, ra[i], rb[i])
 		}
+	}
+	if sa, sb := deterministicSummary(repA.Summary), deterministicSummary(repB.Summary); !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("summaries differ between runs:\n  %+v\n  %+v", sa, sb)
 	}
 }
 
@@ -180,14 +194,23 @@ func TestCampaignSpeedup(t *testing.T) {
 	}
 }
 
-// TestWatchdogRetry exercises the watchdog + reseeded-retry path: the first
-// attempt deadlocks (an agent waits for a sign nobody writes), the retry
-// runs the real protocol and succeeds.
-func TestWatchdogRetry(t *testing.T) {
-	deadlock := func(a *sim.Agent) (sim.Outcome, error) {
-		_, err := a.Wait(func(sim.Signs) bool { return false })
-		return sim.Outcome{}, err
+// stall is a protocol that never finishes and never parks: it re-reads its
+// board until the run is aborted. A protocol that only waits would end in
+// a deadlock, which the simulator reports at once and campaign never
+// retries; a stalled run is what the watchdog (or cancellation) ends.
+func stall(a *sim.Agent) (sim.Outcome, error) {
+	for {
+		if err := a.Access(func(*sim.Board) {}); err != nil {
+			return sim.Outcome{}, err
+		}
+		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestWatchdogRetry exercises the watchdog + reseeded-retry path: the first
+// attempt stalls until the watchdog aborts it, the retry runs the real
+// protocol and succeeds.
+func TestWatchdogRetry(t *testing.T) {
 	real := elect.Elect(elect.Options{})
 	g := graph.Cycle(6)
 	runs := []Run{{Instance: "cycle6[0 2]", G: g, Homes: []int{0, 2}, Seed: 1, Protocol: ProtoElect}}
@@ -197,7 +220,7 @@ func TestWatchdogRetry(t *testing.T) {
 		MaxRetries: 2,
 		testProtocol: func(_ Run, attempt int) sim.Protocol {
 			if attempt == 1 {
-				return deadlock
+				return stall
 			}
 			return real
 		},
@@ -220,17 +243,13 @@ func TestWatchdogRetry(t *testing.T) {
 // TestWatchdogExhausted verifies that a run that keeps hitting the watchdog
 // surfaces as an aborted error after MaxRetries reseeded attempts.
 func TestWatchdogExhausted(t *testing.T) {
-	deadlock := func(a *sim.Agent) (sim.Outcome, error) {
-		_, err := a.Wait(func(sim.Signs) bool { return false })
-		return sim.Outcome{}, err
-	}
 	g := graph.Cycle(5)
 	runs := []Run{{Instance: "cycle5[0]", G: g, Homes: []int{0}, Seed: 3, Protocol: ProtoElect}}
 	rep, err := ExecuteRuns(runs, Options{
 		Workers:      1,
 		RunTimeout:   50 * time.Millisecond,
 		MaxRetries:   1,
-		testProtocol: func(Run, int) sim.Protocol { return deadlock },
+		testProtocol: func(Run, int) sim.Protocol { return stall },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +263,34 @@ func TestWatchdogExhausted(t *testing.T) {
 	}
 	if rep.Summary.Aborted != 1 || rep.Summary.Errors != 1 {
 		t.Errorf("summary aborted=%d errors=%d, want 1/1", rep.Summary.Aborted, rep.Summary.Errors)
+	}
+}
+
+// TestDeadlockIsNotRetried: a run whose agents all park on signs nobody
+// writes ends at once with the simulator's deadlock error. That is a
+// protocol failure, not a stuck schedule, so it is neither retried nor
+// counted as a watchdog abort.
+func TestDeadlockIsNotRetried(t *testing.T) {
+	deadlock := func(a *sim.Agent) (sim.Outcome, error) {
+		_, err := a.Wait(func(sim.Signs) bool { return false })
+		return sim.Outcome{}, err
+	}
+	runs := []Run{{Instance: "cycle5[0]", G: graph.Cycle(5), Homes: []int{0}, Seed: 3, Protocol: ProtoElect}}
+	start := time.Now()
+	rep, err := ExecuteRuns(runs, Options{
+		Workers:      1,
+		MaxRetries:   2,
+		testProtocol: func(Run, int) sim.Protocol { return deadlock },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rep.Results[0]
+	if r.Outcome != "error" || r.Aborted || r.Attempts != 1 || !strings.Contains(r.Err, "deadlock") {
+		t.Fatalf("run %+v, want one non-aborted attempt ending in a deadlock error", r)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadlocked run took %v to report", elapsed)
 	}
 }
 
@@ -279,10 +326,6 @@ func TestSharedCacheAcrossCampaigns(t *testing.T) {
 // simulations and marks never-started runs canceled, keeping the report
 // index-complete.
 func TestExecuteRunsContextCancel(t *testing.T) {
-	stuck := func(a *sim.Agent) (sim.Outcome, error) {
-		_, err := a.Wait(func(sim.Signs) bool { return false })
-		return sim.Outcome{}, err
-	}
 	g := graph.Cycle(5)
 	var runs []Run
 	for seed := int64(1); seed <= 8; seed++ {
@@ -298,7 +341,7 @@ func TestExecuteRunsContextCancel(t *testing.T) {
 		Workers:      2,
 		RunTimeout:   time.Minute, // far past the cancel: only ctx can stop the stuck runs
 		MaxRetries:   -1,
-		testProtocol: func(Run, int) sim.Protocol { return stuck },
+		testProtocol: func(Run, int) sim.Protocol { return stall },
 	})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)

@@ -95,7 +95,7 @@ func TestViolatingRunReplays(t *testing.T) {
 
 // TestRetriedRunReplays pins the bundle's seed to the final attempt: the
 // first attempt moves forever until the watchdog aborts it, the retry
-// crowns itself under seed Seed + RetrySeedOffset, and that is the seed
+// crowns itself under seed Seed + retrySeedOffset, and that is the seed
 // the bundle must carry to replay.
 func TestRetriedRunReplays(t *testing.T) {
 	spec := Spec{

@@ -16,8 +16,8 @@ import (
 // RunResult is the per-run record of a campaign, one JSONL line per run.
 // It holds two kinds of fields. The outcome fields are deterministic per
 // (spec, seed) at any worker count. The observational fields (CacheHit,
-// ElapsedMS, TraceDropped, RequestID) record how the run was executed;
-// Deterministic zeroes them.
+// ElapsedMS, RequestID) record how the run was executed; Deterministic
+// zeroes them.
 type RunResult struct {
 	// Index is the run's position in the expanded work list.
 	Index    int    `json:"index"`
@@ -80,9 +80,6 @@ type RunResult struct {
 	PhaseAccesses map[string]int64 `json:"phase_accesses,omitempty"`
 	PhaseWrites   map[string]int64 `json:"phase_writes,omitempty"`
 	PhaseErases   map[string]int64 `json:"phase_erases,omitempty"`
-	// TraceDropped counts simulation events the buffered tracer discarded
-	// on a full buffer (with Options.TraceSink; nondeterministic).
-	TraceDropped int64 `json:"trace_dropped,omitempty"`
 	// RequestID is the originating HTTP request's ID when the campaign ran
 	// inside a traced daemon request (telemetry.WithRequestID), so JSONL
 	// records and streamed campaign lines correlate with access logs.
@@ -90,13 +87,12 @@ type RunResult struct {
 }
 
 // Deterministic returns r with its observational fields zeroed: CacheHit
-// (which worker won the analysis cache's singleflight race), ElapsedMS,
-// TraceDropped and RequestID. What remains is a function of (spec, seed),
-// so two executions of one spec must agree on it record for record.
+// (which worker won the analysis cache's singleflight race), ElapsedMS
+// and RequestID. What remains is a function of (spec, seed), so two
+// executions of one spec must agree on it record for record.
 func (r RunResult) Deterministic() RunResult {
 	r.CacheHit = false
 	r.ElapsedMS = 0
-	r.TraceDropped = 0
 	r.RequestID = ""
 	return r
 }
@@ -116,7 +112,10 @@ func phaseMap(a [telemetry.NumPhases]int64) map[string]int64 {
 	return out
 }
 
-// Summary aggregates a campaign.
+// Summary aggregates a campaign. summarize computes it from the campaign's
+// results, so every field but the pool-level ones (Workers, the cache
+// statistics, AnalysisMS, WallMS and what derives from them) is a function
+// of the run records.
 type Summary struct {
 	Runs     int            `json:"runs"`
 	Workers  int            `json:"workers"`
@@ -185,23 +184,9 @@ type Summary struct {
 	// concurrent non-campaign iso work in the same process would be
 	// included).
 	IsoSearch *iso.SearchStats `json:"iso_search,omitempty"`
-	// TraceDropped sums the per-run buffered-tracer drop counts.
-	TraceDropped int64 `json:"trace_dropped,omitempty"`
-	// Streamed reports that the summary was aggregated through mergeable
-	// per-worker sketches (internal/telemetry/sketch) instead of buffered
-	// per-run results: Report.Results is nil, a bounded failure sample
-	// replaces it, and every percentile above carries at most SketchRelErr
-	// relative error. Counters (runs, outcomes, errors, violations, cache
-	// stats) are exact in both modes.
-	Streamed bool `json:"streamed,omitempty"`
-	// SketchRelErr is the documented worst-case relative error of the
-	// streamed percentiles (sketch.RelativeError; 0 when buffered/exact).
-	SketchRelErr float64 `json:"sketch_rel_err,omitempty"`
 	// TopViolations ranks invariant-violation signatures
-	// ("code|instance|strategy") by their count-min estimated frequency,
-	// highest first. Estimates never undercount; the candidate list is
-	// bounded, so an unlisted signature is still included in
-	// InvariantViolations.
+	// ("code|instance|strategy") by their exact counts, highest first,
+	// capped at ten; InvariantViolations counts every violating run.
 	TopViolations []ViolationCount `json:"top_violations,omitempty"`
 }
 
@@ -218,32 +203,28 @@ type PhaseStat struct {
 }
 
 // Report is the full outcome of a campaign: per-run results in work-list
-// order plus the aggregate summary. Streamed campaigns
-// (Summary.Streamed) carry no per-run results — a bounded failure sample
-// stands in.
+// order plus the summary computed from them.
 type Report struct {
 	Results []RunResult `json:"results,omitempty"`
 	Summary Summary     `json:"summary"`
-	// FailureSample is the bounded (first maxFailureSample, completion
-	// order) sample of failing runs a streamed campaign retains instead of
-	// Results. Nil on buffered campaigns — use Failures there.
-	FailureSample []RunResult `json:"failure_sample,omitempty"`
 }
 
 // Failures returns the results that errored, contradicted the oracle, or
-// broke a protocol invariant. Fault-injected runs are judged by the
-// fault-aware invariants alone: a crash-induced run error (deadlock,
-// no verdict among survivors) is an expected liveness loss, not a failure.
-// On a streamed campaign (no buffered results) it returns the bounded
-// failure sample; Summary.Errors/Mismatches/InvariantViolations carry the
-// exact counts either way.
+// broke a protocol invariant. Canceled runs are not failures. Fault-injected
+// runs are judged by the fault-aware invariants alone: a crash-induced run
+// error (deadlock, no verdict among survivors) is an expected liveness
+// loss, not a failure.
 func (r *Report) Failures() []RunResult {
-	if r.Results == nil {
-		return r.FailureSample
-	}
 	var out []RunResult
 	for _, res := range r.Results {
-		if isFailure(res) {
+		if res.Outcome == "canceled" {
+			continue
+		}
+		failed := !res.OK || len(res.Violations) > 0
+		if res.Fault == "" {
+			failed = failed || res.Err != ""
+		}
+		if failed {
 			out = append(out, res)
 		}
 	}
@@ -330,11 +311,7 @@ func (s Summary) Render() string {
 		out += fmt.Sprintf("  INVARIANT VIOLATIONS: %d runs\n", s.InvariantViolations)
 	}
 	for _, v := range s.TopViolations {
-		out += fmt.Sprintf("    %s ≈%d\n", v.Signature, v.Count)
-	}
-	if s.Streamed {
-		out += fmt.Sprintf("  streamed aggregation: sketch percentiles (rel err ≤ %.1f%%), per-run results not buffered\n",
-			100*s.SketchRelErr)
+		out += fmt.Sprintf("    %s: %d\n", v.Signature, v.Count)
 	}
 	if s.FaultRuns > 0 {
 		out += fmt.Sprintf("  fault plane: %d fault runs, %d events injected, %d agents crashed (p50 %d, p90 %d), %d lock takeovers, %d crash-induced run errors\n",
@@ -362,9 +339,6 @@ func (s Summary) Render() string {
 		out += fmt.Sprintf("  iso search: %d searches, %d nodes, %d leaves, prunes orbit=%d prefix=%d\n",
 			s.IsoSearch.Searches, s.IsoSearch.Nodes, s.IsoSearch.Leaves,
 			s.IsoSearch.OrbitPrunes, s.IsoSearch.PrefixPrunes)
-	}
-	if s.TraceDropped > 0 {
-		out += fmt.Sprintf("  trace events dropped: %d\n", s.TraceDropped)
 	}
 	return out
 }

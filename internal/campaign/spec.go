@@ -313,6 +313,8 @@ func BuildGraph(family string, size int) (*graph.Graph, error) {
 		return graph.Grid(size, size), nil
 	case "petersen":
 		return graph.Petersen(), nil
+	case "fig2c":
+		return graph.Fig2c(), nil
 	case "wheel":
 		return graph.Wheel(size), nil
 	case "prism":

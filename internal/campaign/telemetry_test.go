@@ -3,14 +3,11 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/iso"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -79,6 +76,17 @@ func TestCampaignTelemetry(t *testing.T) {
 		t.Errorf("metrics mapdraw moves = %d, want %d",
 			reg.Counter("campaign_phase_moves_mapdraw").Value(), wantMapdraw)
 	}
+	for _, name := range []string{"campaign_run_moves", "campaign_run_accesses", "campaign_run_ratio_milli"} {
+		if h := reg.Histogram(name).Snapshot(); h.Count != 2 || h.P99 <= 0 {
+			t.Errorf("%s = %+v, want 2 positive observations", name, h)
+		}
+	}
+	if got := reg.Histogram("campaign_run_moves").Snapshot().Max; got != max(rep.Results[0].Moves, rep.Results[1].Moves) {
+		t.Errorf("campaign_run_moves max = %d, want the larger run's moves", got)
+	}
+	if got := reg.Counter("campaign_bound_violations_total").Value(); got != 0 {
+		t.Errorf("campaign_bound_violations_total = %d, want 0", got)
+	}
 	if reg.Gauge("campaign_inflight").Value() != 0 {
 		t.Errorf("campaign_inflight = %d after completion, want 0", reg.Gauge("campaign_inflight").Value())
 	}
@@ -107,49 +115,6 @@ func TestCampaignTelemetry(t *testing.T) {
 	}
 	if workerNames != 2 {
 		t.Errorf("timeline has %d worker tracks, want 2", workerNames)
-	}
-}
-
-// TestCampaignForcedTraceDrops wires a tiny trace buffer to a slow sink
-// so the buffered tracer must drop events, and checks the count surfaces
-// in RunResult and the Summary.
-func TestCampaignForcedTraceDrops(t *testing.T) {
-	chatty := func(a *sim.Agent) (sim.Outcome, error) {
-		// ~200 distinct-tag writes: each emits one trace event while the
-		// 1-slot buffer drains at 1ms per event.
-		err := a.Access(func(b *sim.Board) {
-			for i := 0; i < 200; i++ {
-				b.Write("tag" + strconv.Itoa(i))
-			}
-		})
-		if err != nil {
-			return sim.Outcome{}, err
-		}
-		return sim.Outcome{Role: sim.RoleLeader, Leader: a.Color()}, nil
-	}
-	runs := []Run{{Instance: "cycle3[0]", G: graph.Cycle(3), Homes: []int{0}, Seed: 1, Protocol: ProtoElect}}
-	rep, err := ExecuteRuns(runs, Options{
-		Workers:      1,
-		NoAnalysis:   true,
-		TraceSink:    func(sim.Event) { time.Sleep(time.Millisecond) },
-		TraceBuffer:  1,
-		testProtocol: func(Run, int) sim.Protocol { return chatty },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rep.Results[0]
-	if r.Err != "" {
-		t.Fatalf("run errored: %s", r.Err)
-	}
-	if r.TraceDropped <= 0 {
-		t.Errorf("TraceDropped = %d, want > 0 (1-slot buffer, 1ms sink, 200 events)", r.TraceDropped)
-	}
-	if rep.Summary.TraceDropped != r.TraceDropped {
-		t.Errorf("summary dropped %d != run dropped %d", rep.Summary.TraceDropped, r.TraceDropped)
-	}
-	if !strings.Contains(rep.Summary.Render(), "trace events dropped:") {
-		t.Errorf("Render lacks the dropped-events line:\n%s", rep.Summary.Render())
 	}
 }
 
@@ -210,8 +175,7 @@ func TestSummaryRenderGolden(t *testing.T) {
 			"mapdraw":  {Moves: 300, Accesses: 120, Writes: 40, Erases: 0, MovesP50: 70, MovesP90: 90},
 			"announce": {Moves: 100, Accesses: 44, Writes: 12, Erases: 2, MovesP50: 25, MovesP90: 30},
 		},
-		IsoSearch:    &iso.SearchStats{Searches: 8, Nodes: 120, Leaves: 30, OrbitPrunes: 5, PrefixPrunes: 9},
-		TraceDropped: 7,
+		IsoSearch: &iso.SearchStats{Searches: 8, Nodes: 120, Leaves: 30, OrbitPrunes: 5, PrefixPrunes: 9},
 	}
 	want := strings.Join([]string{
 		"campaign: 4 runs, 2 workers, wall 100ms (serial 180ms, ≈1.8x)",
@@ -223,7 +187,6 @@ func TestSummaryRenderGolden(t *testing.T) {
 		"  phase mapdraw      moves=300 (p50 70, p90 90) accesses=120 writes=40 erases=0",
 		"  phase announce     moves=100 (p50 25, p90 30) accesses=44 writes=12 erases=2",
 		"  iso search: 8 searches, 120 nodes, 30 leaves, prunes orbit=5 prefix=9",
-		"  trace events dropped: 7",
 		"",
 	}, "\n")
 	if got := s.Render(); got != want {
@@ -245,7 +208,7 @@ func TestRunResultJSONLRoundTrip(t *testing.T) {
 		PhaseAccesses: map[string]int64{"mapdraw": 40, "announce": 20},
 		PhaseWrites:   map[string]int64{"mapdraw": 12},
 		PhaseErases:   map[string]int64{"agent-reduce": 2},
-		TraceDropped:  5,
+		RequestID:     "req-5",
 	}
 	var buf bytes.Buffer
 	jw := newJSONLWriter(&buf)
@@ -257,7 +220,7 @@ func TestRunResultJSONLRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
 		t.Fatalf("bad JSONL line: %v\n%s", err, buf.String())
 	}
-	if out.Index != in.Index || out.Outcome != in.Outcome || out.TraceDropped != in.TraceDropped {
+	if out.Index != in.Index || out.Outcome != in.Outcome || out.RequestID != in.RequestID {
 		t.Errorf("scalar fields drifted: %+v", out)
 	}
 	for name, v := range in.PhaseMoves {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -150,15 +151,20 @@ func TestWalkerAcrossBackends(t *testing.T) {
 
 // TestDeadlockDetection runs Chang–Roberts with a single agent on C4: it
 // stamps home, walks to a node no agent will ever stamp, and parks forever.
-// The serialized backends see that nothing can run and fail at once. The
-// goroutine backend is left out: it cannot tell a parked agent from a slow
-// one and fails only when its wall-clock timeout (30 s default) expires.
+// Every backend must see that nothing can run and fail at once: the
+// serialized ones find no runnable agent, the goroutine backend sees its
+// only live agent parked (sim.ErrDeadlock) instead of waiting out its
+// 30 s wall-clock timeout.
 func TestDeadlockDetection(t *testing.T) {
 	cfg := Config{Graph: graph.Cycle(4), Labels: graph.OrientedCycleLabeling(4), Homes: []int{0}, Seed: 1}
-	for _, rt := range []Runtime{&Scheduled{}, Transformed{}, &Networked{}} {
+	for _, rt := range []Runtime{Goroutine{}, &Scheduled{}, Transformed{}, &Networked{}} {
 		t.Run(rt.Name(), func(t *testing.T) {
+			start := time.Now()
 			if _, err := rt.Run(cfg, ChangRoberts(1)); err == nil {
 				t.Fatal("an agent parked forever was not flagged")
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("deadlock flagged after %v, want well under 1s", elapsed)
 			}
 		})
 	}

@@ -194,16 +194,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := &statusRecorder{ResponseWriter: w}
 	s.mux.ServeHTTP(rec, r)
 	dur := time.Since(sp.start)
-	s.metrics.Histogram("serve_request_ms", latencyBuckets).
-		Observe(int64(dur / time.Millisecond))
+	s.metrics.Histogram("serve_request_us").Observe(int64(dur / time.Microsecond))
 	s.metrics.Counter("serve_requests_total").Inc()
 	s.finishTrace(r, sp, rec, dur)
 	s.inflight.Add(-1)
 	s.metrics.Gauge("serve_inflight").Set(s.inflight.Load())
 }
-
-// latencyBuckets shapes serve_request_ms: 1ms..4s exponential.
-var latencyBuckets = telemetry.ExpBuckets(1, 2, 12)
 
 // Cache exposes the shared analysis cache (cmd/electd wires campaign-side
 // consumers through it; tests assert on its stats).

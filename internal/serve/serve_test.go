@@ -17,6 +17,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/elect"
 	"repro/internal/graph"
+	"repro/internal/telemetry"
 )
 
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
@@ -531,6 +532,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap.Gauges["serve_cache_misses"] != 1 {
 		t.Fatalf("cache gauges not published: %+v", snap.Gauges)
+	}
+}
+
+// TestRequestLatencyMicroseconds: request latency is recorded in
+// microseconds, so even sub-millisecond cache-hit analyses land above
+// zero — in whole milliseconds they all read 0.
+func TestRequestLatencyMicroseconds(t *testing.T) {
+	s := New(Config{})
+	const n = 5
+	for i := 0; i < n; i++ {
+		if w := postJSON(t, s, "/v1/analyze", InstanceSpec{Family: "cycle", Size: 6, Homes: []int{0, 2}}); w.Code != http.StatusOK {
+			t.Fatalf("analyze: %d %s", w.Code, w.Body)
+		}
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(getPath(s, "/debug/metrics").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	h := snap.Histograms["serve_request_us"]
+	if h.Count != n || h.P50 <= 0 || h.Min <= 0 {
+		t.Fatalf("serve_request_us = %+v, want %d requests with a nonzero p50", h, n)
 	}
 }
 

@@ -122,11 +122,13 @@ func (r *ReplayStrategy) Next(ready []int, step int) int {
 // (0 for a faithful replay of an unmodified recording).
 func (r *ReplayStrategy) Divergences() int { return r.divergences }
 
-// ErrDeadlock is returned by Run when a strategy-driven schedule reaches a
-// state where every live agent is blocked in Wait — no grant can make
-// progress. A correct protocol never deadlocks on a legal input, so this is
-// itself a reportable protocol violation, not an adversary artifact:
-// strategies only choose among ready agents and cannot manufacture one.
+// ErrDeadlock is returned by Run when every live agent is blocked in Wait,
+// so no agent can write a board again: a strategy-driven schedule has no
+// grant that makes progress, or a free-running run has parked its last
+// running agent. A correct protocol never deadlocks on a legal input, so
+// this is itself a reportable protocol violation, not an adversary
+// artifact: strategies only choose among ready agents and cannot
+// manufacture one.
 var ErrDeadlock = errors.New("sim: schedule deadlock (every live agent is blocked)")
 
 // Per-agent turnstile states.

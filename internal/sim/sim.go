@@ -22,7 +22,10 @@
 // move and whiteboard access passes a scheduler hook that injects seeded
 // random delays — the paper's adversary that makes every action take "a
 // finite but otherwise unpredictable amount of time". Moves and accesses are
-// counted per agent to validate the O(r·|E|) bound of Theorem 3.1.
+// counted per agent to validate the O(r·|E|) bound of Theorem 3.1. A run
+// in which every live agent is blocked in Wait can never progress, so it
+// ends at once with ErrDeadlock; only a run that keeps acting without
+// finishing waits for the Timeout watchdog.
 package sim
 
 import (
@@ -237,6 +240,9 @@ type whiteboard struct {
 	// only touched when fault injection is on.
 	abandoned bool
 	stallLeft int
+	// parked counts the free-running agents blocked in Wait on this board
+	// that no broadcast has readied yet (see engine.park).
+	parked int
 }
 
 func newWhiteboard() *whiteboard {
@@ -546,6 +552,10 @@ func (a *Agent) Access(f func(b *Board)) error {
 	if wb.dirty {
 		wb.dirty = false
 		wb.cond.Broadcast()
+		if wb.parked > 0 {
+			a.eng.park(-wb.parked, 0)
+			wb.parked = 0
+		}
 		if a.eng.ts != nil {
 			// Ready the agents parked on this board while the writer still
 			// holds its turn, so the next scheduling decision already sees
@@ -606,6 +616,8 @@ func (a *Agent) Wait(pred func(Signs) bool) (Signs, error) {
 		if atomic.LoadInt32(&a.eng.aborted) != 0 {
 			return nil, ErrAborted
 		}
+		wb.parked++
+		a.eng.park(1, 0)
 		wb.cond.Wait()
 	}
 }
@@ -750,6 +762,15 @@ type engine struct {
 	takeovers     atomic.Int64
 	takeoverAfter int
 
+	// Free-running deadlock detection (ts == nil): live counts the agents
+	// whose goroutine has not returned, parked those blocked in Wait. stuck
+	// is closed once every live agent is parked — then no agent can write a
+	// board again, so none can ever wake.
+	parkMu       sync.Mutex
+	live, parked int
+	stuck        chan struct{}
+	stuckClosed  bool
+
 	// presMu guards the presentation cache and presRand, the one generator
 	// re-seeded for every new (agent, node) presentation.
 	presMu   sync.Mutex
@@ -794,6 +815,22 @@ func (e *engine) presentation(agent, node, deg int) []int {
 	p := e.presRand.Perm(deg)
 	e.pres[key] = p
 	return p
+}
+
+// park adjusts the free-running parked and live agent counts and closes
+// stuck when every live agent is parked. A waiter stays parked from
+// cond.Wait until a broadcast on its own board readies it (the
+// broadcaster un-parks it), not until it runs again, so a writer that
+// stamps a board and then halts cannot make a readied waiter look stuck.
+func (e *engine) park(parked, live int) {
+	e.parkMu.Lock()
+	defer e.parkMu.Unlock()
+	e.parked += parked
+	e.live += live
+	if e.live > 0 && e.parked == e.live && !e.stuckClosed {
+		e.stuckClosed = true
+		close(e.stuck)
+	}
 }
 
 // delay injects the adversarial asynchrony before each operation: a seeded
@@ -886,6 +923,9 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 	}
 	if cfg.Scheduler != nil {
 		e.ts = newTurnstile(len(cfg.Homes), cfg.Scheduler, cfg.Record)
+	} else {
+		e.live = len(cfg.Homes)
+		e.stuck = make(chan struct{})
 	}
 	for i := range e.boards {
 		e.boards[i] = newWhiteboard()
@@ -965,6 +1005,8 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 				// Retiring through the turnstile passes the turn on every
 				// exit path, including protocol errors.
 				defer e.ts.exit(i)
+			} else {
+				defer e.park(0, -1)
 			}
 			// Sleep until woken: a sleeping agent's first action is to wait
 			// for a wake sign on its home whiteboard.
@@ -1024,8 +1066,10 @@ func Run(cfg Config, protocol Protocol) (*Result, error) {
 	case <-done:
 	case <-ctxDone:
 		abort(fmt.Errorf("%w: %v", ErrCanceled, cfg.Context.Err()))
+	case <-e.stuck:
+		abort(ErrDeadlock)
 	case <-watchdog.C:
-		abort(fmt.Errorf("sim: %w after %v", ErrAborted, cfg.Timeout))
+		abort(fmt.Errorf("%w after %v", ErrAborted, cfg.Timeout))
 	}
 	res.Elapsed = time.Since(start)
 	for i := range e.agents {

@@ -241,6 +241,20 @@ func TestSleepingAgentWokenByVisitor(t *testing.T) {
 	}
 }
 
+// stall never finishes and never parks: it keeps re-reading its board,
+// a livelock the deadlock detector cannot see, so only the watchdog or
+// the run's context can end it.
+func stall(a *Agent) (Outcome, error) {
+	for {
+		if err := a.Access(func(*Board) {}); err != nil {
+			return Outcome{}, err
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTimeoutAbortsDeadlock: the watchdog aborts a run that never ends
+// and reports it as ErrAborted under a single "sim:" prefix.
 func TestTimeoutAbortsDeadlock(t *testing.T) {
 	cfg := Config{
 		Graph:   graph.Path(2),
@@ -249,12 +263,34 @@ func TestTimeoutAbortsDeadlock(t *testing.T) {
 		WakeAll: true,
 		Timeout: 100 * time.Millisecond,
 	}
+	_, err := Run(cfg, stall)
+	if !errors.Is(err, ErrAborted) {
+		t.Fatalf("want ErrAborted, got %v", err)
+	}
+	if want := "sim: run aborted (deadline reached) after 100ms"; err.Error() != want {
+		t.Fatalf("watchdog error %q, want %q", err, want)
+	}
+}
+
+// TestFreeRunningDeadlock: once every live agent is parked in Wait no one
+// can write a board again, so the run ends with ErrDeadlock at once
+// instead of sitting out its watchdog. Agent 0 halts; the others park on
+// signs nobody writes.
+func TestFreeRunningDeadlock(t *testing.T) {
+	cfg := Config{Graph: graph.Cycle(4), Homes: []int{0, 1, 2}, Seed: 3, WakeAll: true, Timeout: time.Minute}
+	start := time.Now()
 	_, err := Run(cfg, func(a *Agent) (Outcome, error) {
+		if a.index == 0 {
+			return Outcome{}, nil
+		}
 		_, err := a.Wait(func(ss Signs) bool { return ss.Has("never") })
 		return Outcome{}, err
 	})
-	if err == nil {
-		t.Fatal("expected timeout error")
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("deadlock reported after %v; detection waited for something", elapsed)
 	}
 }
 
@@ -273,10 +309,7 @@ func TestContextCancelAbortsRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := Run(cfg, func(a *Agent) (Outcome, error) {
-		_, err := a.Wait(func(ss Signs) bool { return ss.Has("never") })
-		return Outcome{}, err
-	})
+	_, err := Run(cfg, stall)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -298,10 +331,7 @@ func TestContextAlreadyCanceled(t *testing.T) {
 		WakeAll: true,
 		Context: ctx,
 	}
-	_, err := Run(cfg, func(a *Agent) (Outcome, error) {
-		_, err := a.Wait(func(ss Signs) bool { return ss.Has("never") })
-		return Outcome{}, err
-	})
+	_, err := Run(cfg, stall)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}

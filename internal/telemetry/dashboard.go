@@ -7,9 +7,10 @@ import "net/http"
 // works offline) that subscribes to the /debug/metrics/stream SSE feed
 // and renders the registry in real time: a throughput tile (rate of the
 // primary runs/requests counter), worker-pool depth, cache hit/coalesce
-// rates, shed/cancel counters, live quantile gauges, every histogram as
-// bucket bars, and a rate-annotated counter table. Mount it at
-// /debug/live on anything that also mounts StreamHandler.
+// rates, shed/cancel counters, live campaign move quantiles, every
+// histogram's count, mean and p50/p90/p99/max, and a rate-annotated
+// counter table. Mount it at /debug/live on anything that also mounts
+// StreamHandler.
 func DashboardHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -43,11 +44,6 @@ const dashboardHTML = `<!doctype html>
   th { color:var(--dim); font-weight:600; }
   td.num, th.num { text-align:right; }
   .section { margin:16px 0 6px; font-size:12px; color:var(--dim); text-transform:uppercase; letter-spacing:.06em; }
-  .bars { display:flex; align-items:flex-end; gap:2px; height:56px; margin-top:6px; }
-  .bar { flex:1; background:var(--acc); min-height:1px; border-radius:2px 2px 0 0; }
-  .bar[title*="overflow"] { background:var(--warn); }
-  .blabel { font-size:10px; color:var(--dim); margin-top:3px; overflow:hidden; white-space:nowrap; }
-  .hist { background:var(--card); border-radius:8px; padding:10px 12px; }
 </style>
 </head>
 <body>
@@ -55,7 +51,7 @@ const dashboardHTML = `<!doctype html>
 <div id="sub">connecting&hellip;</div>
 <div class="grid" id="tiles"></div>
 <div class="section">histograms</div>
-<div class="grid" id="hists"></div>
+<div class="card"><table id="hists"></table></div>
 <div class="section">counters</div>
 <div class="card"><table id="counters"></table></div>
 <div class="section">gauges</div>
@@ -133,12 +129,11 @@ function render(s) {
     var tot = ch + (cc||0) + cm;
     tiles += tile("cache hit+coalesce", tot > 0 ? (100*(ch+(cc||0))/tot).toFixed(1) : "0", "% of " + fmt(tot));
   }
-  // Live campaign quantiles from the sketch gauges.
-  var p50 = gauge(s, "campaign_moves_p50");
-  if (p50 !== null) {
-    tiles += tile("moves p50 / p90 / p99",
-      fmt(p50) + " / " + fmt(gauge(s, "campaign_moves_p90")||0) + " / " + fmt(gauge(s, "campaign_moves_p99")||0),
-      "of " + fmt(gauge(s, "campaign_runs_aggregated")||0) + " runs");
+  // Live campaign move quantiles from the run-moves histogram.
+  var mv = (s.histograms || {})["campaign_run_moves"];
+  if (mv && mv.count) {
+    tiles += tile("moves p50 / p90 / p99", fmt(mv.p50) + " / " + fmt(mv.p90) + " / " + fmt(mv.p99),
+      "of " + fmt(mv.count) + " runs");
   }
   // Shed / canceled / violations.
   [["serve_shed_total","shed"], ["serve_canceled_total","canceled requests"],
@@ -149,22 +144,17 @@ function render(s) {
   });
   document.getElementById("tiles").innerHTML = tiles;
 
-  // Histograms: bucket bars (sqrt scale so small buckets stay visible).
-  var hh = "";
-  var names = Object.keys(s.histograms || {}).sort();
-  names.forEach(function (n) {
+  // Histograms: the sketch summary of each (quantiles within ~3%).
+  var ht = "<tr><th>histogram</th><th class=num>count</th><th class=num>mean</th>" +
+    "<th class=num>p50</th><th class=num>p90</th><th class=num>p99</th><th class=num>max</th></tr>";
+  Object.keys(s.histograms || {}).sort().forEach(function (n) {
     var hg = s.histograms[n];
-    if (!hg.buckets || !hg.count) return;
-    var max = Math.max.apply(null, hg.buckets.map(function (b) { return b.count; }).concat([1]));
-    var bars = hg.buckets.map(function (b) {
-      var pct = Math.sqrt(b.count / max) * 100;
-      var label = b.overflow ? "overflow" : "&le;" + fmt(b.le);
-      return '<div class="bar" style="height:' + Math.max(2, pct) + '%" title="' + label + ": " + b.count + '"></div>';
-    }).join("");
-    hh += '<div class="hist"><h2>' + n + '</h2><div class="bars">' + bars + '</div>' +
-      '<div class="blabel">n=' + fmt(hg.count) + " mean=" + fmt(hg.count ? hg.sum / hg.count : 0) + "</div></div>";
+    if (!hg.count) return;
+    ht += "<tr><td>" + n + "</td>" + [hg.count, hg.sum / hg.count, hg.p50, hg.p90, hg.p99, hg.max].map(function (v) {
+      return "<td class=num>" + fmt(v) + "</td>";
+    }).join("") + "</tr>";
   });
-  document.getElementById("hists").innerHTML = hh || '<div class="card"><h2>none yet</h2></div>';
+  document.getElementById("hists").innerHTML = ht;
 
   var ct = "<tr><th>counter</th><th class=num>total</th><th class=num>rate/s</th></tr>";
   Object.keys(s.counters || {}).sort().forEach(function (n) {

@@ -1,12 +1,12 @@
 // Package telemetry is the repository's observability layer: a
-// dependency-free metrics registry (counters, gauges, fixed-bucket
-// histograms), a per-run collector of phase-scoped counters and protocol
-// spans, and a Chrome trace_event exporter so a run's timeline opens in
-// Perfetto (ui.perfetto.dev).
+// dependency-free metrics registry (counters, gauges, and histograms
+// that are sketch.Hist summaries), a per-run collector of phase-scoped
+// counters and protocol spans, and a Chrome trace_event exporter so a
+// run's timeline opens in Perfetto (ui.perfetto.dev).
 //
 // The package is deliberately at the bottom of the dependency graph — it
-// imports nothing from the repository — so every layer (sim, elect, iso,
-// campaign, the CLIs) can report into it. Two disciplines keep it out of
+// imports nothing from the repository but its own sketch subpackage — so
+// every layer (sim, elect, iso, campaign, the CLIs) can report into it. Two disciplines keep it out of
 // the hot paths it observes:
 //
 //   - Every collection entry point is nil-safe: methods on a nil *Run or

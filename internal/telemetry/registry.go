@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/telemetry/sketch"
 )
 
 // Counter is a monotonically increasing int64 metric. The zero value is
@@ -66,90 +67,54 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a fixed-bucket int64 histogram: observations are counted
-// into the first bucket whose upper bound is >= the value, with an
-// implicit overflow bucket past the last bound. Bounds are fixed at
-// construction, so Observe is an atomic add with a small linear scan — no
-// allocation, no locking.
+// Histogram is the registry's histogram: one sketch.Hist behind a mutex,
+// so any number of goroutines may Observe while scrapers snapshot it.
+// Memory is the sketch's O(log max) buckets whatever the observation
+// count, and every quantile it reports is within sketch.RelativeError of
+// the exact nearest-rank value. A nil *Histogram is a no-op.
 type Histogram struct {
-	bounds []int64        // ascending upper bounds
-	counts []atomic.Int64 // len(bounds)+1; last is overflow
-	count  atomic.Int64
-	sum    atomic.Int64
+	mu sync.Mutex
+	h  sketch.Hist
 }
 
-// Observe records one value.
+// Observe records one value (negatives count as 0).
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.mu.Lock()
+	h.h.Observe(v)
+	h.mu.Unlock()
 }
 
-// HistogramBucket is one bucket of a snapshot: the count of observations
-// with value <= Le. The overflow bucket has Overflow set and Le 0.
-type HistogramBucket struct {
-	Le       int64 `json:"le"`
-	Count    int64 `json:"count"`
-	Overflow bool  `json:"overflow,omitempty"`
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram.
+// HistogramSnapshot is a point-in-time summary of a histogram: the exact
+// count, sum, min and max, and the sketch's p50/p90/p99.
 type HistogramSnapshot struct {
-	Count   int64             `json:"count"`
-	Sum     int64             `json:"sum"`
-	Buckets []HistogramBucket `json:"buckets"`
+	Count int64 `json:"count"`
+	Sum   int64 `json:"sum"`
+	Min   int64 `json:"min"`
+	Max   int64 `json:"max"`
+	P50   int64 `json:"p50"`
+	P90   int64 `json:"p90"`
+	P99   int64 `json:"p99"`
 }
 
-// Snapshot copies the histogram's current state.
+// Snapshot summarizes the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{
-		Count:   h.count.Load(),
-		Sum:     h.sum.Load(),
-		Buckets: make([]HistogramBucket, len(h.counts)),
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return HistogramSnapshot{
+		Count: h.h.Count(),
+		Sum:   h.h.Sum(),
+		Min:   h.h.Min(),
+		Max:   h.h.Max(),
+		P50:   h.h.Quantile(0.50),
+		P90:   h.h.Quantile(0.90),
+		P99:   h.h.Quantile(0.99),
 	}
-	for i := range h.counts {
-		b := HistogramBucket{Count: h.counts[i].Load()}
-		if i < len(h.bounds) {
-			b.Le = h.bounds[i]
-		} else {
-			b.Overflow = true
-		}
-		s.Buckets[i] = b
-	}
-	return s
-}
-
-// ExpBuckets returns n ascending bucket bounds starting at start and
-// growing by factor (at least +1 per step), e.g. ExpBuckets(10, 4, 6) =
-// [10 40 160 640 2560 10240] — the default shape for move/access counts.
-func ExpBuckets(start, factor int64, n int) []int64 {
-	if start < 1 {
-		start = 1
-	}
-	if factor < 2 {
-		factor = 2
-	}
-	out := make([]int64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		next := v * factor
-		if next <= v {
-			next = v + 1
-		}
-		v = next
-	}
-	return out
 }
 
 // Registry is a named collection of metrics, safe for concurrent use.
@@ -212,9 +177,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket bounds on first use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -227,33 +191,10 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = &Histogram{
-			bounds: append([]int64(nil), bounds...),
-			counts: make([]atomic.Int64, len(bounds)+1),
-		}
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Unregister removes the named metric (counter, gauge or histogram) from
-// the registry so it no longer appears in snapshots. Handles already held
-// by callers keep working — they just update an orphan — and a later
-// lookup of the same name creates a fresh zeroed metric. Returns whether
-// anything was removed. Unregistering on a nil registry is a no-op.
-func (r *Registry) Unregister(name string) bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, c := r.counters[name]
-	_, g := r.gauges[name]
-	_, h := r.hists[name]
-	delete(r.counters, name)
-	delete(r.gauges, name)
-	delete(r.hists, name)
-	return c || g || h
 }
 
 // Snapshot is the JSON form of a registry: expvar-style maps keyed by
@@ -262,42 +203,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// Delta returns the change from prev to s: counters and histogram
-// counts/sums/buckets are subtracted (metrics absent from prev count from
-// zero, so a metric registered mid-window reports its full value), while
-// gauges keep their current value — a gauge is a level, not a flow. Use
-// it to report per-window activity from two scrapes of a long-lived
-// process without resetting the registry under concurrent writers.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-	}
-	for name, v := range s.Counters {
-		d.Counters[name] = v - prev.Counters[name]
-	}
-	for name, v := range s.Gauges {
-		d.Gauges[name] = v
-	}
-	for name, h := range s.Histograms {
-		p := prev.Histograms[name]
-		dh := HistogramSnapshot{
-			Count:   h.Count - p.Count,
-			Sum:     h.Sum - p.Sum,
-			Buckets: make([]HistogramBucket, len(h.Buckets)),
-		}
-		for i, b := range h.Buckets {
-			if i < len(p.Buckets) && p.Buckets[i].Le == b.Le && p.Buckets[i].Overflow == b.Overflow {
-				b.Count -= p.Buckets[i].Count
-			}
-			dh.Buckets[i] = b
-		}
-		d.Histograms[name] = dh
-	}
-	return d
 }
 
 // Snapshot copies the registry's current state. Safe to call from any
@@ -342,26 +247,4 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	if err := r.WriteJSON(w); err != nil {
 		http.Error(w, fmt.Sprintf("telemetry: %v", err), http.StatusInternalServerError)
 	}
-}
-
-// Names returns the sorted names of all registered metrics (counters,
-// gauges and histograms merged), for diagnostics and tests.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	for name := range r.gauges {
-		out = append(out, name)
-	}
-	for name := range r.hists {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

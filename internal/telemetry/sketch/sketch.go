@@ -1,25 +1,18 @@
-// Package sketch provides the mergeable streaming summaries behind
-// million-run campaign observability: an HDR-style log-linear histogram
-// whose memory is O(1) in the number of observations, and a count-min
-// sketch for frequency estimates over unbounded key spaces (invariant
-// violation signatures).
-//
-// Both structures are designed around the campaign engine's sharding
-// model: each worker folds its runs into a private sketch with no
-// synchronization, and shards combine with Merge — an associative,
-// commutative fold, so any merge tree (left fold, balanced tree, random
-// order) yields the same summary. Periodic partial merges give live
-// snapshots of an in-flight campaign without touching the workers.
+// Package sketch provides the repository's one histogram: an HDR-style
+// log-linear Hist whose memory is O(log max) in the observed values and
+// independent of the observation count. The telemetry registry's
+// histograms are Hists, and cmd/electload folds its request latencies
+// into one.
 //
 // Accuracy is a documented constant, not a function of the data: the
-// histogram's log-linear bucketing keeps every recorded value within a
-// RelativeError (1/32 ≈ 3.1%) of its bucket's reported upper bound, so
-// any quantile is off by at most one bucket — see Hist. The count-min
-// sketch only ever over-estimates, by at most total/width per row with
-// high probability — see CountMin.
+// log-linear bucketing keeps every recorded value within a RelativeError
+// (1/32 ≈ 3.1%) of its bucket's reported upper bound, so any quantile is
+// off by at most one bucket — see Hist.
 //
-// The structures are NOT safe for concurrent use; shard per goroutine
-// and merge, exactly like the campaign engine does.
+// Hists merge: Merge is an associative, commutative fold, so shards
+// observed separately combine into the histogram of all their values in
+// any order. A Hist is NOT safe for concurrent use; telemetry.Histogram
+// puts one behind a mutex.
 package sketch
 
 import (

@@ -167,73 +167,3 @@ func TestHistEdgeCases(t *testing.T) {
 		t.Fatalf("single observation quantile = %d, want 42 (clamped to max)", got)
 	}
 }
-
-// TestCountMinNeverUnderestimates: estimates are >= true counts, and the
-// over-estimate respects the width bound for a skewed key distribution.
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cm := NewCountMin(0, 0) // defaults
-	truth := map[string]int64{}
-	keys := []string{"one-leader", "agreement", "gcd-verdict", "move-bound"}
-	for i := 0; i < 200; i++ {
-		keys = append(keys, "sig-"+string(rune('a'+rng.Intn(26)))+string(rune('a'+rng.Intn(26))))
-	}
-	for i := 0; i < 50000; i++ {
-		k := keys[rng.Intn(len(keys))]
-		truth[k]++
-		cm.Add(k, 1)
-	}
-	if cm.Total() != 50000 {
-		t.Fatalf("total = %d, want 50000", cm.Total())
-	}
-	for k, want := range truth {
-		got := cm.Estimate(k)
-		if got < want {
-			t.Fatalf("key %q: estimate %d < true %d (count-min must never under-estimate)", k, got, want)
-		}
-		if got > want+4*cm.Total()/DefaultWidth {
-			t.Errorf("key %q: estimate %d overshoots true %d beyond the width bound", k, got, want)
-		}
-	}
-	if cm.Estimate("never-added") > 4*cm.Total()/DefaultWidth {
-		t.Errorf("absent key estimate %d too large", cm.Estimate("never-added"))
-	}
-}
-
-// TestCountMinMerge: sharded adds merged in random order equal the
-// single-sketch counts exactly (the rows add linearly).
-func TestCountMinMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	single := NewCountMin(64, 3)
-	shards := make([]*CountMin, 5)
-	for i := range shards {
-		shards[i] = NewCountMin(64, 3)
-	}
-	for i := 0; i < 10000; i++ {
-		k := "k" + string(rune('a'+rng.Intn(40)))
-		single.Add(k, 1)
-		shards[rng.Intn(len(shards))].Add(k, 1)
-	}
-	merged := NewCountMin(64, 3)
-	for _, i := range rng.Perm(len(shards)) {
-		if err := merged.Merge(shards[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(merged, single) {
-		t.Fatal("merged shards differ from the single sketch")
-	}
-	other := NewCountMin(8, 2)
-	other.Add("x", 1)
-	if err := merged.Merge(other); err == nil {
-		t.Fatal("merge of mismatched dimensions must error")
-	}
-	if err := merged.Merge(nil); err != nil {
-		t.Fatalf("nil merge: %v", err)
-	}
-	cl := merged.Clone()
-	cl.Reset()
-	if cl.Total() != 0 || merged.Total() == 0 {
-		t.Fatal("Reset must empty the clone and leave the original intact")
-	}
-}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry/sketch"
 )
 
 // TestStreamHandlerFraming is a golden test for the SSE wire format: two
@@ -15,7 +17,7 @@ func TestStreamHandlerFraming(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("runs_total").Add(42)
 	r.Gauge("inflight").Set(3)
-	r.Histogram("moves", ExpBuckets(10, 4, 3)).Observe(25)
+	r.Histogram("moves").Observe(25)
 
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/debug/metrics/stream?n=2&interval_ms=100", nil)
@@ -96,7 +98,7 @@ func TestDashboardHandler(t *testing.T) {
 		t.Fatalf("Content-Type = %q, want text/html", ct)
 	}
 	body := rec.Body.String()
-	for _, want := range []string{"EventSource", "/debug/metrics/stream", "histograms"} {
+	for _, want := range []string{"EventSource", "/debug/metrics/stream", "histograms", "hg.p99", "campaign_run_moves"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("dashboard HTML missing %q", want)
 		}
@@ -106,69 +108,9 @@ func TestDashboardHandler(t *testing.T) {
 	}
 }
 
-func TestUnregister(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("gone")
-	r.Gauge("stays").Set(7)
-	if !r.Unregister("gone") {
-		t.Fatal("Unregister(existing) = false")
-	}
-	if r.Unregister("gone") {
-		t.Fatal("Unregister(absent) = true")
-	}
-	c.Inc() // orphan handle must not panic or resurrect the metric
-	snap := r.Snapshot()
-	if _, ok := snap.Counters["gone"]; ok {
-		t.Fatal("unregistered counter still in snapshot")
-	}
-	if snap.Gauges["stays"] != 7 {
-		t.Fatal("Unregister removed an unrelated metric")
-	}
-	if v := r.Counter("gone").Value(); v != 0 {
-		t.Fatalf("re-created counter = %d, want fresh 0", v)
-	}
-	var nilReg *Registry
-	if nilReg.Unregister("x") {
-		t.Fatal("nil registry Unregister = true")
-	}
-}
-
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", ExpBuckets(10, 10, 2))
-	r.Counter("reqs").Add(100)
-	r.Gauge("depth").Set(5)
-	h.Observe(5)
-	before := r.Snapshot()
-
-	r.Counter("reqs").Add(23)
-	r.Counter("fresh").Add(9) // registered mid-window
-	r.Gauge("depth").Set(2)
-	h.Observe(500)
-	d := r.Snapshot().Delta(before)
-
-	if d.Counters["reqs"] != 23 {
-		t.Errorf("delta reqs = %d, want 23", d.Counters["reqs"])
-	}
-	if d.Counters["fresh"] != 9 {
-		t.Errorf("delta fresh = %d, want full value 9", d.Counters["fresh"])
-	}
-	if d.Gauges["depth"] != 2 {
-		t.Errorf("delta gauge = %d, want current level 2", d.Gauges["depth"])
-	}
-	dh := d.Histograms["lat"]
-	if dh.Count != 1 || dh.Sum != 500 {
-		t.Errorf("delta histogram = count %d sum %d, want 1/500", dh.Count, dh.Sum)
-	}
-	if dh.Buckets[0].Count != 0 || !dh.Buckets[len(dh.Buckets)-1].Overflow || dh.Buckets[len(dh.Buckets)-1].Count != 1 {
-		t.Errorf("delta buckets = %+v, want only the overflow bucket incremented", dh.Buckets)
-	}
-}
-
-// TestConcurrentScrape is the Unregister/Snapshot regression test: one
-// goroutine scrapes continuously while others register, update and
-// unregister the same names. Run under -race; correctness here is "no
-// race, no panic, snapshots internally consistent".
+// TestConcurrentScrape: one goroutine scrapes continuously while others
+// register and update the same names. Run under -race; correctness here
+// is "no race, no panic, snapshots internally consistent".
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	done := make(chan struct{})
@@ -187,10 +129,7 @@ func TestConcurrentScrape(t *testing.T) {
 				n := names[i%len(names)]
 				r.Counter(n).Inc()
 				r.Gauge(n + "_g").Set(int64(i))
-				r.Histogram(n+"_h", ExpBuckets(1, 2, 4)).Observe(int64(i % 10))
-				if i%7 == 0 {
-					r.Unregister(n)
-				}
+				r.Histogram(n + "_h").Observe(int64(i % 10))
 			}
 		}(w)
 	}
@@ -207,4 +146,51 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestHistogramConcurrentObserve: several goroutines observe into one
+// histogram while another scrapes it. Every scrape must be a consistent
+// summary (min ≤ p50 ≤ p90 ≤ p99 ≤ max), and once the writers finish the
+// count and sum are exact. Meaningful under -race.
+func TestHistogramConcurrentObserve(t *testing.T) {
+	const writers, perWriter = 4, 5000
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := r.Histogram("lat_us")
+			for i := 1; i <= perWriter; i++ {
+				h.Observe(int64(i))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	consistent := func(s HistogramSnapshot) bool {
+		return s.Count == 0 || (s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max)
+	}
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		if s := r.Snapshot().Histograms["lat_us"]; !consistent(s) {
+			t.Fatalf("inconsistent scrape %+v", s)
+		}
+	}
+	s := r.Histogram("lat_us").Snapshot()
+	if s.Count != writers*perWriter || s.Sum != writers*perWriter*(perWriter+1)/2 {
+		t.Fatalf("final count/sum %d/%d, want %d/%d", s.Count, s.Sum, writers*perWriter, writers*perWriter*(perWriter+1)/2)
+	}
+	if s.Min != 1 || s.Max != perWriter || !consistent(s) {
+		t.Fatalf("final snapshot %+v", s)
+	}
+	// Each writer observed 1..perWriter, so the exact median is perWriter/2;
+	// the sketch reports it within its relative error.
+	if exact := int64(perWriter / 2); s.P50 < exact || float64(s.P50) > float64(exact)*(1+sketch.RelativeError) {
+		t.Fatalf("p50 %d outside the sketch error of %d", s.P50, exact)
+	}
 }

@@ -26,22 +26,18 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if g.Value() != 4 {
 		t.Errorf("gauge: %d, want 4", g.Value())
 	}
-	h := r.Histogram("moves", []int64{10, 100})
+	h := r.Histogram("moves")
 	for _, v := range []int64{1, 10, 11, 1000} {
 		h.Observe(v)
 	}
-	s := h.Snapshot()
-	if s.Count != 4 || s.Sum != 1022 {
-		t.Errorf("histogram count/sum: %d/%d, want 4/1022", s.Count, s.Sum)
+	if r.Histogram("moves") != h {
+		t.Error("histogram handle not stable across lookups")
 	}
-	want := []int64{2, 1, 1} // <=10, <=100, overflow
-	for i, b := range s.Buckets {
-		if b.Count != want[i] {
-			t.Errorf("bucket %d: %d, want %d", i, b.Count, want[i])
-		}
-	}
-	if !s.Buckets[2].Overflow {
-		t.Error("last bucket should be marked overflow")
+	// Values below 32 are their own sketch buckets, so the low quantiles
+	// are exact; 1000 is the max, which clamps the top bucket's bound.
+	want := HistogramSnapshot{Count: 4, Sum: 1022, Min: 1, Max: 1000, P50: 10, P90: 1000, P99: 1000}
+	if s := h.Snapshot(); s != want {
+		t.Errorf("histogram snapshot %+v, want %+v", s, want)
 	}
 }
 
@@ -52,12 +48,9 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Counter("x").Add(5)
 	r.Gauge("y").Set(3)
-	r.Histogram("z", []int64{1}).Observe(9)
-	if r.Counter("x").Value() != 0 || r.Gauge("y").Value() != 0 {
+	r.Histogram("z").Observe(9)
+	if r.Counter("x").Value() != 0 || r.Gauge("y").Value() != 0 || r.Histogram("z").Snapshot().Count != 0 {
 		t.Error("nil metrics should read as zero")
-	}
-	if got := r.Names(); got != nil {
-		t.Errorf("nil registry names: %v", got)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -150,7 +143,7 @@ func TestRegistryJSONAndHTTP(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("campaign_runs_total").Add(3)
 	r.Gauge("campaign_inflight").Set(2)
-	r.Histogram("run_moves", ExpBuckets(10, 4, 3)).Observe(50)
+	r.Histogram("run_moves").Observe(50)
 
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/metrics", nil))
@@ -172,7 +165,7 @@ func TestRegistryJSONAndHTTP(t *testing.T) {
 		t.Errorf("metrics round-trip wrong: %+v", got)
 	}
 	h := got.Histograms["run_moves"]
-	if h.Count != 1 || h.Sum != 50 {
+	if h.Count != 1 || h.Sum != 50 || h.P50 != 50 || h.P99 != 50 {
 		t.Errorf("histogram round-trip wrong: %+v", h)
 	}
 }
@@ -212,7 +205,7 @@ func TestServeHTTPConcurrentScrape(t *testing.T) {
 			for i := 0; ; i++ {
 				r.Counter("hits").Inc()
 				r.Gauge("inflight").Set(int64(i))
-				r.Histogram("lat", ExpBuckets(1, 2, 8)).Observe(int64(i % 100))
+				r.Histogram("lat").Observe(int64(i % 100))
 				select {
 				case <-stop:
 					return
@@ -236,23 +229,6 @@ func TestServeHTTPConcurrentScrape(t *testing.T) {
 	wg.Wait()
 	if r.Counter("hits").Value() == 0 {
 		t.Fatal("writers never ran")
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(10, 4, 4)
-	want := []int64{10, 40, 160, 640}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExpBuckets: %v, want %v", got, want)
-		}
-	}
-	// Degenerate parameters still produce strictly ascending bounds.
-	got = ExpBuckets(0, 0, 3)
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("bounds not ascending: %v", got)
-		}
 	}
 }
 
