@@ -33,6 +33,7 @@ determinism:
 	$(GO) test -race -count=50 -run '^(TestViolatingRunReplays|TestRetriedRunReplays)$$' ./internal/campaign
 	$(GO) test -race -count=50 -run '^TestAnalyzeCtxDeadline$$' ./internal/elect
 	$(GO) test -race -count=50 -run '^TestConcurrentStateReuse$$' ./internal/iso
+	$(GO) test -race -count=50 -run '^TestMemoConcurrent$$' ./internal/order
 	$(GO) test -race -count=50 -run '^(TestChangRobertsAcrossBackends|TestDeadlockDetection|TestParkedAgentWakesOnBoardChange)$$' ./internal/runtime
 
 bench:
@@ -53,12 +54,13 @@ cover:
 	$(GO) test -cover ./...
 
 # The coverage gate, run by CI's coverage job: the protocol core, the
-# engine, the fault plane, the sketch layer, the runtime contract, the
+# class ordering (a wrong COMPUTE & ORDER memo hit is a wrong election),
+# the engine, the fault plane, the sketch layer, the runtime contract, the
 # protocol zoo and the seeded RNG must each keep statement coverage at or
 # above 70%.
 cover-gate:
 	@fail=0; \
-	for pkg in ./internal/elect ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/zoo ./internal/lazyrand; do \
+	for pkg in ./internal/elect ./internal/order ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/zoo ./internal/lazyrand; do \
 		$(GO) test -coverprofile=cover.out $$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg coverage: $$pct%"; \

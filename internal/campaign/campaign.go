@@ -133,9 +133,10 @@ type protoInfo struct {
 	quant bool
 }
 
-// protocolFor constructs the protocol for a kind. Protocols returned by the
-// elect package are stateless closures, safe to share across concurrent
-// runs.
+// protocolFor constructs the protocol for a kind, once per campaign. Each
+// ELECT-family protocol the elect package returns shares one COMPUTE &
+// ORDER memo (order.Memo) among all the agents it runs, and is safe to
+// share across concurrent runs.
 func protocolFor(kind ProtocolKind, opt Options) (protoInfo, error) {
 	ord := order.Direct
 	if opt.UseHairOrdering {

@@ -207,6 +207,29 @@ func stall(a *sim.Agent) (sim.Outcome, error) {
 	}
 }
 
+// TestElectSharesComputeAndOrder: the agents of one ELECT protocol value
+// share one COMPUTE & ORDER memo, so 1,000 runs of one instance key its
+// k = 3 classes at most once per agent of the first run (r·k = 9), not once
+// per agent per run (9,000).
+func TestElectSharesComputeAndOrder(t *testing.T) {
+	g := graph.Cycle(12)
+	runs := make([]Run, 1000)
+	for i := range runs {
+		runs[i] = Run{Instance: "cycle12[0 4 8]", G: g, Homes: []int{0, 4, 8}, Seed: int64(i + 1), Protocol: ProtoElect}
+	}
+	before := order.KeysComputed()
+	rep, err := ExecuteRuns(runs, Options{Workers: 1, NoAnalysis: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := rep.Failures(); len(f) > 0 {
+		t.Fatalf("%d failed runs, first: %+v", len(f), f[0])
+	}
+	if keys := order.KeysComputed() - before; keys > 9 {
+		t.Fatalf("1,000 runs computed %d class keys, want at most r·k = 9", keys)
+	}
+}
+
 // TestWatchdogRetry exercises the watchdog + reseeded-retry path: the first
 // attempt stalls until the watchdog aborts it, the retry runs the real
 // protocol and succeeds.

@@ -98,8 +98,10 @@ var ErrNotCayley = errors.New("elect: network is not a Cayley graph")
 // automorphism class size, so this loses nothing: d > 1 ⟹ gcd > 1. The
 // experiment suite validates the combined decision — elect iff the
 // automorphism-class gcd is 1 — against the exact Theorem 2.1 oracle on the
-// whole Cayley sweep (see DESIGN.md §6 and EXPERIMENTS.md E5).
+// whole Cayley sweep (see DESIGN.md §6 and EXPERIMENTS.md E5). Like Elect's,
+// its agents share one COMPUTE & ORDER memo.
 func CayleyElect(opt CayleyOptions) sim.Protocol {
+	memo := new(order.Memo)
 	return func(a *sim.Agent) (sim.Outcome, error) {
 		m, err := MapDraw(a)
 		if err != nil {
@@ -111,7 +113,7 @@ func CayleyElect(opt CayleyOptions) sim.Protocol {
 		}
 		if !isCayley {
 			if opt.FallbackToElect {
-				k := newKnowledge(a, m, opt.Ordering)
+				k := newKnowledge(a, m, opt.Ordering, memo)
 				return runReduction(k)
 			}
 			return sim.Outcome{}, ErrNotCayley
@@ -121,7 +123,7 @@ func CayleyElect(opt CayleyOptions) sim.Protocol {
 			// this conclusion from its own map; no coordination is needed.
 			return sim.Outcome{Role: sim.RoleUnsolvable}, nil
 		}
-		k := newKnowledge(a, m, opt.Ordering)
+		k := newKnowledge(a, m, opt.Ordering, memo)
 		return runReduction(k)
 	}
 }

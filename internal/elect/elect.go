@@ -21,13 +21,20 @@ type Options struct {
 // reduction by AGENT-REDUCE and NODE-REDUCE. It elects a leader iff
 // gcd(|C_1|, …, |C_k|) = 1 and otherwise lets every agent report that the
 // election failed (Theorem 3.1).
+//
+// COMPUTE & ORDER is a function of the drawn map's isomorphism class, so
+// all the agents the returned protocol runs, in any number of runs, share
+// one order.Memo of it; the protocol is safe to share across concurrent
+// runs. A memo hit changes no move, board access or decision, only local
+// time (DESIGN.md §6).
 func Elect(opt Options) sim.Protocol {
+	memo := new(order.Memo)
 	return func(a *sim.Agent) (sim.Outcome, error) {
 		m, err := MapDraw(a)
 		if err != nil {
 			return sim.Outcome{}, err
 		}
-		k := newKnowledge(a, m, opt.Ordering)
+		k := newKnowledge(a, m, opt.Ordering, memo)
 		return runReductionOpt(k, opt.NoSkip)
 	}
 }

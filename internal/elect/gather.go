@@ -3,6 +3,7 @@ package elect
 import (
 	"errors"
 
+	"repro/internal/order"
 	"repro/internal/sim"
 )
 
@@ -21,14 +22,16 @@ const tagGathered = "gathered"
 // included — wait until all r stamps are present, so when the protocol
 // returns successfully every agent is physically at the rendezvous node and
 // knows the gathering is complete. If ELECT determines election (and hence
-// this gathering strategy) impossible, every agent reports unsolvable.
+// this gathering strategy) impossible, every agent reports unsolvable. Like
+// Elect's, its agents share one COMPUTE & ORDER memo.
 func Gather(opt Options) sim.Protocol {
+	memo := new(order.Memo)
 	return func(a *sim.Agent) (sim.Outcome, error) {
 		m, err := MapDraw(a)
 		if err != nil {
 			return sim.Outcome{}, err
 		}
-		k := newKnowledge(a, m, opt.Ordering)
+		k := newKnowledge(a, m, opt.Ordering, memo)
 		out, err := runReduction(k)
 		if err != nil || out.Role == sim.RoleUnsolvable {
 			return out, err

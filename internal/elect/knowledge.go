@@ -17,17 +17,20 @@ type knowledge struct {
 	m   *Map
 	ord *order.Ordered
 
-	at   int   // current local node
-	tour []int // DFS preorder of nodes (tour visits them in this order)
-	par  []int // DFS tree parent
+	at    int   // current local node
+	tour  []int // DFS preorder of nodes (tour visits them in this order)
+	par   []int // DFS tree parent
+	depth []int // DFS tree depth (home is 0)
+	down  []int // moveTo's descent, target first; reused across calls
 }
 
-// newKnowledge runs COMPUTE & ORDER on a drawn map.
-func newKnowledge(a *sim.Agent, m *Map, ord order.Ordering) *knowledge {
+// newKnowledge runs COMPUTE & ORDER on a drawn map, through memo, the one
+// the protocol value shares among all the agents it runs.
+func newKnowledge(a *sim.Agent, m *Map, ord order.Ordering, memo *order.Memo) *knowledge {
 	a.SetPhase(telemetry.PhaseOrder)
 	sp := a.Span("compute-and-order")
 	k := &knowledge{a: a, m: m, at: m.Home}
-	k.ord = order.ComputeAndOrder(m.G, m.Colors(), ord)
+	k.ord = memo.ComputeAndOrder(m.G, m.Colors(), ord)
 	k.buildTour()
 	sp.End()
 	return k
@@ -38,6 +41,7 @@ func newKnowledge(a *sim.Agent, m *Map, ord order.Ordering) *knowledge {
 func (k *knowledge) buildTour() {
 	n := k.m.G.N()
 	k.par = make([]int, n)
+	k.depth = make([]int, n)
 	for i := range k.par {
 		k.par[i] = -1
 	}
@@ -49,6 +53,7 @@ func (k *knowledge) buildTour() {
 		for _, h := range k.m.G.Ports(v) {
 			if k.par[h.To] == -1 {
 				k.par[h.To] = v
+				k.depth[h.To] = k.depth[v] + 1
 				dfs(h.To)
 			}
 		}
@@ -60,39 +65,30 @@ func (k *knowledge) buildTour() {
 // moveTo walks the agent from its current node to the target local node
 // along DFS-tree paths (up to the common ancestor, then down).
 func (k *knowledge) moveTo(target int) error {
-	if k.at == target {
-		return nil
+	// Climb from both ends to the common ancestor, recording the target's
+	// side for the descent.
+	anc, down := k.at, k.down[:0]
+	for k.depth[target] > k.depth[anc] {
+		down = append(down, target)
+		target = k.par[target]
 	}
-	// Path from node to root.
-	pathUp := func(v int) []int {
-		var p []int
-		for v != k.m.Home {
-			p = append(p, v)
-			v = k.par[v]
-		}
-		p = append(p, k.m.Home)
-		return p
+	for k.depth[anc] > k.depth[target] {
+		anc = k.par[anc]
 	}
-	up := pathUp(k.at)
-	down := pathUp(target)
-	// Trim the common suffix (shared ancestry), keeping the joint.
-	i, j := len(up)-1, len(down)-1
-	for i > 0 && j > 0 && up[i-1] == down[j-1] {
-		i--
-		j--
+	for anc != target {
+		down = append(down, target)
+		target, anc = k.par[target], k.par[anc]
 	}
-	// Walk up[0..i] then down[j..0].
-	route := append([]int{}, up[1:i+1]...)
-	for t := j - 1; t >= 0; t-- {
-		route = append(route, down[t])
-	}
-	for _, next := range route {
-		if err := k.step(next); err != nil {
+	k.down = down
+	for k.at != anc {
+		if err := k.step(k.par[k.at]); err != nil {
 			return err
 		}
 	}
-	if k.at != target {
-		return fmt.Errorf("elect: navigation ended at %d, want %d", k.at, target)
+	for i := len(down) - 1; i >= 0; i-- {
+		if err := k.step(down[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

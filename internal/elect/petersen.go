@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/order"
 	"repro/internal/sim"
 )
 
@@ -20,8 +21,10 @@ import (
 //  5. the acquirer is the leader, the other agent is defeated.
 //
 // The girth-5 structure of the Petersen graph guarantees the two marked
-// nodes are distinct, non-adjacent, and have a unique common neighbor.
+// nodes are distinct, non-adjacent, and have a unique common neighbor. Like
+// Elect's, its agents share one COMPUTE & ORDER memo.
 func PetersenElect() sim.Protocol {
+	memo := new(order.Memo)
 	return func(a *sim.Agent) (sim.Outcome, error) {
 		m, err := MapDraw(a)
 		if err != nil {
@@ -49,7 +52,7 @@ func PetersenElect() sim.Protocol {
 			return sim.Outcome{}, errors.New("elect: PetersenElect requires one agent per home-base")
 		}
 		otherColor := m.HomeColor(other)
-		k := newKnowledge(a, m, 0)
+		k := newKnowledge(a, m, 0, memo)
 
 		// Step 2: mark a neighbor of home distinct from the other home-base.
 		myMark := -1

@@ -31,7 +31,10 @@
 // for draws k < 273 it reads a seeded word too, and from draw 273 on it
 // re-reads the slot written by draw k−273. A draw counter therefore says
 // which operands still need building; after 607 draws the register is
-// fully materialised and the source runs exactly as math/rand's.
+// fully materialised and the source runs exactly as math/rand's. Since no
+// draw before 273 reads a written word, the register itself is allocated
+// only when a stream reaches draw 273, which first replays the 273 earlier
+// writes into it (see materialize); a short stream never allocates it.
 //
 // # Recovering the seeding table
 //
@@ -115,7 +118,10 @@ type source struct {
 	seed      uint64 // normalised seed, in [1, modulus)
 	drawn     int    // draws since Seed, counted up to regLen
 	tap, feed int
-	vec       [regLen]uint64
+	// vec is the register, allocated by the first stream that reaches draw
+	// regTap: no earlier draw reads back a written word, and most streams
+	// end long before that.
+	vec *[regLen]uint64
 }
 
 // newSource returns a source seeded with seed.
@@ -150,27 +156,45 @@ func (s *source) word(i int) uint64 { return lcgWord(s.seed, i) ^ cooked[i] }
 
 // Uint64 returns the next 64-bit value of the stream.
 func (s *source) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += regLen
+	tap, feed := s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += regLen
 	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += regLen
+	if feed < 0 {
+		feed += regLen
 	}
-	var x uint64
-	if s.drawn < regLen {
-		tap := s.vec[s.tap]
-		if s.drawn < regTap {
-			tap = s.word(s.tap)
-		}
-		x = s.word(s.feed) + tap
+	s.tap, s.feed = tap, feed
+	// The steady state is tested first: a long stream spends nearly all its
+	// draws there.
+	if vec := s.vec; s.drawn >= regLen {
+		x := vec[feed] + vec[tap]
+		vec[feed] = x
+		return x
+	}
+	if s.drawn < regTap {
 		s.drawn++
-	} else {
-		x = s.vec[s.feed] + s.vec[s.tap]
+		return s.word(feed) + s.word(tap)
 	}
-	s.vec[s.feed] = x
+	if s.drawn == regTap {
+		s.materialize()
+	}
+	x := s.word(feed) + s.vec[tap]
+	s.vec[feed] = x
+	s.drawn++
 	return x
+}
+
+// materialize allocates the register on first use and writes into it the
+// words that draws 0 … regTap−1 of the current stream stored, which the
+// draws from regTap on read back through the tap cursor.
+func (s *source) materialize() {
+	if s.vec == nil {
+		s.vec = new([regLen]uint64)
+	}
+	for k := 0; k < regTap; k++ {
+		feed := feed0 - 1 - k
+		s.vec[feed] = s.word(feed) + s.word(regLen-1-k)
+	}
 }
 
 // Int63 returns the next value of the stream as a non-negative int64.

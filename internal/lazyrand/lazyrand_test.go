@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -87,6 +88,27 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	})
 }
 
+// TestShortStreamAllocatesNoRegister: a stream that ends before draw regTap
+// never allocates the 4.9 KB register, so New(seed).Perm(8) costs only the
+// Rand, the source and the permutation.
+func TestShortStreamAllocatesNoRegister(t *testing.T) {
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		permSink = New(int64(i)).Perm(8)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 256 {
+		t.Fatalf("New(seed).Perm(8) allocated %d B per call, want at most 256", per)
+	}
+}
+
+var (
+	permSink   []int
+	uint64Sink uint64
+)
+
 func BenchmarkPerm3(b *testing.B) {
 	b.Run("math-rand", func(b *testing.B) {
 		b.ReportAllocs()
@@ -103,4 +125,15 @@ func BenchmarkPerm3(b *testing.B) {
 			_ = r.Perm(3)
 		}
 	})
+}
+
+// BenchmarkLongStream draws from one seeded source without re-seeding, so
+// nearly every draw runs in the materialised steady state.
+func BenchmarkLongStream(b *testing.B) {
+	src := newSource(1)
+	var x uint64
+	for i := 0; i < b.N; i++ {
+		x += src.Uint64()
+	}
+	uint64Sink = x
 }

@@ -50,8 +50,8 @@ var LargeThreshold = 2048
 // before/after a workload for its delta (the same discipline as iso.Stats).
 var keysComputed atomic.Int64
 
-// KeysComputed returns the process-global count of surrounding keys
-// computed by COMPUTE & ORDER.
+// KeysComputed returns the process-global count of class keys computed by
+// COMPUTE & ORDER. A Memo hit computes no key and adds nothing.
 func KeysComputed() int64 { return keysComputed.Load() }
 
 // Surrounding returns the surrounding S(u) of node u in the bicolored graph
@@ -281,14 +281,9 @@ func Classes(g *graph.Graph, colors []int) [][]int {
 // ComputeAndOrder computes the equivalence classes of the bicolored graph
 // (g, colors) and orders them by ≺ under the chosen ordering. Graphs with
 // at least LargeThreshold nodes take the sparse single-canonicalization
-// path; see LargeThreshold.
+// path; see LargeThreshold. It memoizes nothing; see Memo.
 func ComputeAndOrder(g *graph.Graph, colors []int, ord Ordering) *Ordered {
-	o, err := ComputeAndOrderCtx(context.Background(), g, colors, ord)
-	if err != nil {
-		// Background is never canceled.
-		panic("order: unreachable: uncancelable ComputeAndOrder failed: " + err.Error())
-	}
-	return o
+	return (*Memo)(nil).ComputeAndOrder(g, colors, ord)
 }
 
 // ComputeAndOrderCtx is ComputeAndOrder under a context: cancellation
@@ -296,19 +291,7 @@ func ComputeAndOrder(g *graph.Graph, colors []int, ord Ordering) *Ordered {
 // for the classes, then the per-class surrounding searches on the small
 // path) and surfaces as ctx.Err().
 func ComputeAndOrderCtx(ctx context.Context, g *graph.Graph, colors []int, ord Ordering) (*Ordered, error) {
-	if g.N() >= LargeThreshold {
-		return computeAndOrderLarge(ctx, g, colors)
-	}
-	res, err := iso.CanonicalCtx(ctx, iso.FromGraph(g, colors))
-	if err != nil {
-		return nil, err
-	}
-	o, err := orderClassesCtx(ctx, g, colors, perm.OrbitsOf(g.N(), res.AutoGens), ord)
-	if err != nil {
-		return nil, err
-	}
-	o.Canon = res
-	return o, nil
+	return (*Memo)(nil).ComputeAndOrderCtx(ctx, g, colors, ord)
 }
 
 // computeAndOrderLarge is the large-graph COMPUTE & ORDER: one sparse
@@ -430,10 +413,14 @@ func assembleOrdered(g *graph.Graph, colors []int, classes [][]int, keys []Key) 
 		}
 		return entries[i].key.Compare(entries[j].key) < 0
 	})
-	out := &Ordered{ClassOf: make([]int, g.N())}
+	out := &Ordered{
+		Classes: make([][]int, len(entries)),
+		Keys:    make([]Key, len(entries)),
+		ClassOf: make([]int, g.N()),
+	}
 	for i, e := range entries {
-		out.Classes = append(out.Classes, e.members)
-		out.Keys = append(out.Keys, e.key)
+		out.Classes[i] = e.members
+		out.Keys[i] = e.key
 		if e.black {
 			out.NumBlack = i + 1
 		}
