@@ -15,10 +15,11 @@
 // -backend networked the election executes on a real message bus: one
 // worker per node shard (-workers), spawned either as in-process pipes
 // (-spawn pipe) or as re-exec'd OS processes (-spawn process) talking
-// length-prefixed JSON frames over -transport unix or tcp. -wire-fault
+// length-prefixed binary frames over -transport unix or tcp. -wire-fault
 // injects seeded wire faults on the agent-message layer and prints the
 // recorded plan (replayable via -wire-replay); -frame-log writes the
-// coordinator's frame transcript for byte-exact replay comparison.
+// coordinator's frame transcript, one JSON line per frame, for byte-exact
+// replay comparison.
 //
 // With -listen the command serves operator endpoints while running and
 // stays up after the election finishes (until SIGTERM/SIGINT) so the

@@ -440,6 +440,25 @@ func TestMixedProtocolRuns(t *testing.T) {
 	}
 }
 
+// TestHairOrderingSharedHomes: P3 with two agents on one end and one on
+// the other has classes that differ only in weight. Under the hair order
+// every run must still elect the one leader the oracle predicts.
+func TestHairOrderingSharedHomes(t *testing.T) {
+	spec := Spec{
+		Families: []FamilySpec{{Family: "path", Sizes: []int{3}, Homes: [][]int{{0, 0, 2}}}},
+		Seeds:    SeedRange{From: 1, To: 20},
+	}
+	rep, err := Execute(spec, Options{Workers: 2, UseHairOrdering: true, AllowSharedHomes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rep.Summary
+	if s.Runs != 20 || s.Errors != 0 || s.Mismatches != 0 || s.Outcomes["leader"] != 20 {
+		t.Fatalf("runs %d, errors %d, mismatches %d, outcomes %v; failures: %+v",
+			s.Runs, s.Errors, s.Mismatches, s.Outcomes, rep.Failures())
+	}
+}
+
 func TestParseFamilies(t *testing.T) {
 	fams, err := ParseFamilies("cycle:9,12 ; hypercube:3;petersen", "spread", 2)
 	if err != nil {

@@ -174,3 +174,41 @@ func TestSharedHomesQuantitative(t *testing.T) {
 func errFmt(format string, args ...any) error {
 	return fmt.Errorf("elect: "+format, args...)
 }
+
+// TestSharedHomesOneLeaderEitherOrdering: with shared homes two classes
+// can differ only in weight. The hair order keys a node's weight as its
+// tail count, so under either ordering every run elects exactly one
+// leader, whichever numbering each agent's map carries.
+func TestSharedHomesOneLeaderEitherOrdering(t *testing.T) {
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		homes []int
+	}{
+		{"P3-2+1", graph.Path(3), []int{0, 0, 2}},
+		{"C4-2+1", graph.Cycle(4), []int{0, 0, 2}},
+		{"C6-2+1", graph.Cycle(6), []int{0, 0, 3}},
+		{"star3-2+1+1", graph.Star(3), []int{1, 1, 2, 3}},
+	}
+	for _, c := range cases {
+		for name, ord := range map[string]order.Ordering{"direct": order.Direct, "hairs": order.Hairs} {
+			c, ord := c, ord
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				p := Elect(Options{Ordering: ord})
+				for seed := int64(1); seed <= 100; seed++ {
+					res, err := sim.Run(sim.Config{
+						Graph: c.g, Homes: c.homes, Seed: seed, WakeAll: true,
+						AllowSharedHomes: true,
+					}, p)
+					if err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					if !res.AgreedLeader() {
+						t.Fatalf("seed %d: want exactly one agreed leader, got %+v", seed, res.Outcomes)
+					}
+				}
+			})
+		}
+	}
+}

@@ -17,10 +17,7 @@ type memoCase struct {
 }
 
 // memoCorpus mixes symmetric and rigid graphs, node weights above 1, and a
-// multigraph with a loop and parallel edges. path3-weights ties under the
-// hair order (it recolors every nonzero weight black), so its protocol
-// order depends on the input's numbering and must never be served from the
-// memo.
+// multigraph with a loop and parallel edges.
 func memoCorpus() []memoCase {
 	mb := graph.NewBuilder(4)
 	mb.AddEdge(0, 1)

@@ -211,31 +211,42 @@ func maxHairLength(c *iso.Colored) int {
 }
 
 // hatTransform returns the uni-colored digraph obtained by recoloring every
-// black node white and attaching to it a tail of k+1 fresh white nodes
-// (edges of the tail are symmetric arcs). Non-isomorphic bicolored digraphs
-// with equal hair bound map to non-isomorphic uni-colored digraphs, which is
-// how Lemma 3.1 reduces bicolored ordering to uni-colored ordering.
+// node white and attaching to each node v Color[v] tails of k+1 fresh white
+// nodes (edges of the tail are symmetric arcs), so a node's weight is its
+// tail count. Non-isomorphic weighted digraphs with equal node count and
+// hair bound map to non-isomorphic uni-colored digraphs, which is how
+// Lemma 3.1 reduces bicolored ordering to uni-colored ordering.
+//
+// The transform is injective because every tail has k+1 edges, longer
+// than any hair of G (at most k). Attaching tails only raises degrees, so a
+// hair of the transform that starts at a degree-1 node of G stops inside G
+// within k edges, unless G is a path whose far end carries exactly one
+// tail and nothing else does. Otherwise the hairs with at least k+1 edges
+// are exactly those starting at tail ends, and stripping the k+1 edges at
+// the degree-1 end of each recovers G, each node's weight being the number
+// of tails stripped from it. In the exception the transform is itself a
+// path, and the node count and hair bound fix G as the path P_(k+1) with
+// one end weighted 1 — unique up to isomorphism.
 func hatTransform(c *iso.Colored, k int) *iso.Colored {
-	var blacks []int
+	tails := 0
 	for v := 0; v < c.N; v++ {
-		if c.Color[v] != 0 {
-			blacks = append(blacks, v)
-		}
+		tails += c.Color[v]
 	}
 	tail := k + 1
-	n := c.N + len(blacks)*tail
-	out := iso.NewColored(n)
+	out := iso.NewColored(c.N + tails*tail)
 	for x := 0; x < c.N; x++ {
 		copy(out.Adj[x][:c.N], c.Adj[x])
 	}
 	next := c.N
-	for _, b := range blacks {
-		prev := b
-		for t := 0; t < tail; t++ {
-			out.Adj[prev][next] = 1
-			out.Adj[next][prev] = 1
-			prev = next
-			next++
+	for v := 0; v < c.N; v++ {
+		for range c.Color[v] {
+			prev := v
+			for t := 0; t < tail; t++ {
+				out.Adj[prev][next] = 1
+				out.Adj[next][prev] = 1
+				prev = next
+				next++
+			}
 		}
 	}
 	return out

@@ -265,6 +265,19 @@ func TestHatTransformDistinguishesColorings(t *testing.T) {
 	if ka.Compare(kc) != 0 {
 		t.Error("hair keys differ on isomorphic bicolorings")
 	}
+	// A node gets one tail per unit of weight, so weights above 1 stay
+	// visible: P3 weighted {2, 0, 1} has three classes and none may tie.
+	p3 := graph.Path(3)
+	if o := ComputeAndOrder(p3, []int{2, 0, 1}, Hairs); o.Tied {
+		t.Errorf("weights {2, 0, 1}: classes %v tie under the hair order", o.Classes)
+	}
+	kw := func(w ...int) Key { return SurroundingKey(iso.FromGraph(p3, w), Hairs) }
+	if kw(2, 0, 1).Compare(kw(1, 0, 1)) == 0 {
+		t.Error("hair keys fail to distinguish weight 2 from weight 1")
+	}
+	if kw(2, 0, 1).Compare(kw(1, 0, 2)) != 0 {
+		t.Error("hair keys differ on mirrored weightings")
+	}
 }
 
 func TestKeyCompareTotalOrder(t *testing.T) {

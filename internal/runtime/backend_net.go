@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -29,10 +30,11 @@ const (
 // Networked is backend (d): a real message bus. The coordinator owns the
 // schedule, the agent messages in flight, and the wire-fault plane; one
 // worker per node shard owns its nodes' whiteboards and executes protocol
-// steps, talking length-prefixed JSON frames over unix sockets, TCP, or
-// in-process pipes. Activations are serialized by the coordinator, so runs
-// are deterministic per (Config, Protocol, WireFaults) — which is what
-// makes recorded wire-fault plans replayable frame for frame.
+// steps, talking length-prefixed binary frames (varint records, so memory
+// strings cross as opaque bytes) over unix sockets, TCP, or in-process
+// pipes. Activations are serialized by the coordinator, so runs are
+// deterministic per (Config, Protocol, WireFaults) — which is what makes
+// recorded wire-fault plans replayable frame for frame.
 //
 // Wire faults apply to the agent-message layer (the Figure 1 "a message is
 // an agent" channel), not to the coordinator-worker control frames: a
@@ -54,8 +56,9 @@ type Networked struct {
 	// faults.ReplayWire.
 	WireFaults faults.WireInjector
 	// FrameLog, when set, receives one line per control frame
-	// (">shard payload" sent, "<shard payload" received) — the replay
-	// artifact the wire-fault round-trip test compares bit for bit.
+	// (">shard frame" sent, "<shard frame" received, the frame rendered
+	// as one JSON object) — the replay artifact the wire-fault round-trip
+	// test compares bit for bit.
 	FrameLog io.Writer
 }
 
@@ -64,7 +67,7 @@ func (*Networked) Name() string { return "networked" }
 
 // netWorker is the coordinator's handle on one worker.
 type netWorker struct {
-	rw    io.ReadWriter
+	conn  *frameConn
 	close func()
 }
 
@@ -99,12 +102,15 @@ func (nw *Networked) Run(cfg Config, p Protocol) (*Result, error) {
 	}
 	defer func() {
 		for shard, wk := range workers {
-			if wk.rw != nil {
-				_, _ = nw.send(workers, shard, &frame{T: FrameDone})
+			if wk.conn != nil {
+				_ = nw.send(wk.conn, shard, &frame{T: FrameDone})
 			}
 			wk.close()
 		}
 	}()
+
+	// req is reused for every exec frame and resp for every answer.
+	var req, resp frame
 
 	// Ship each worker its shard and collect the acks.
 	for shard := 0; shard < w; shard++ {
@@ -121,7 +127,7 @@ func (nw *Networked) Run(cfg Config, p Protocol) (*Result, error) {
 			}
 			init.Nodes = append(init.Nodes, ni)
 		}
-		if err := nw.sendRecvInit(workers, shard, init); err != nil {
+		if err := nw.call(workers[shard].conn, shard, init, &resp, FrameOK); err != nil {
 			return nil, err
 		}
 	}
@@ -228,34 +234,34 @@ func (nw *Networked) Run(cfg Config, p Protocol) (*Result, error) {
 				continue
 			}
 		}
-		r, err := nw.exec(workers, v%w, &frame{T: FrameExec, Node: v, Agent: m.agent, Mem: m.memory, Entry: m.entry})
-		if err != nil {
+		req = frame{T: FrameExec, Node: v, Agent: m.agent, Mem: m.memory, Entry: m.entry}
+		if err := nw.call(workers[v%w].conn, v%w, &req, &resp, FrameResult); err != nil {
 			return res, err
 		}
-		rev[v] = r.Rev
+		rev[v] = resp.Rev
 		switch {
-		case r.Halt != "":
+		case resp.Halt != "":
 			// First halt wins: a duplicated agent's second copy halting
 			// again must not double-count.
 			if res.Outcomes[m.agent] == "" {
-				res.Outcomes[m.agent] = r.Halt
+				res.Outcomes[m.agent] = resp.Halt
 				halted++
 			}
-		case r.Move >= 0:
+		case resp.Move >= 0:
 			moved := false
 			for port, h := range cfg.Graph.Ports(v) {
-				if labels[v][port] == r.Move {
+				if labels[v][port] == resp.Move {
 					res.Moves[m.agent]++
-					deliver(v, h.To, netMsg{agent: m.agent, memory: r.Mem, entry: labels[h.To][h.Twin]})
+					deliver(v, h.To, netMsg{agent: m.agent, memory: resp.Mem, entry: labels[h.To][h.Twin]})
 					moved = true
 					break
 				}
 			}
 			if !moved {
-				return res, fmt.Errorf("runtime: networked: no port labeled %d at node %d", r.Move, v)
+				return res, fmt.Errorf("runtime: networked: no port labeled %d at node %d", resp.Move, v)
 			}
 		default:
-			park[v] = append(park[v], parkedMsg{netMsg: netMsg{agent: m.agent, memory: r.Mem, entry: m.entry}, seenRev: r.Rev})
+			park[v] = append(park[v], parkedMsg{netMsg: netMsg{agent: m.agent, memory: resp.Mem, entry: m.entry}, seenRev: resp.Rev})
 		}
 	}
 	if halted < len(cfg.Homes) {
@@ -265,60 +271,43 @@ func (nw *Networked) Run(cfg Config, p Protocol) (*Result, error) {
 }
 
 // send writes one control frame to a worker, logging it.
-func (nw *Networked) send(workers []netWorker, shard int, f *frame) ([]byte, error) {
-	payload, err := writeFrame(workers[shard].rw, f)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: worker %d: %w", shard, err)
+func (nw *Networked) send(c *frameConn, shard int, f *frame) error {
+	if err := c.write(f); err != nil {
+		return fmt.Errorf("runtime: worker %d: %w", shard, err)
 	}
-	if nw.FrameLog != nil {
-		fmt.Fprintf(nw.FrameLog, ">%d %s\n", shard, payload)
-	}
-	return payload, nil
+	nw.logFrame('>', shard, f)
+	return nil
 }
 
-// recv reads one control frame from a worker, logging it.
-func (nw *Networked) recv(workers []netWorker, shard int) (*frame, error) {
-	f, payload, err := readFrame(workers[shard].rw)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: worker %d: %w", shard, err)
-	}
-	if nw.FrameLog != nil {
-		fmt.Fprintf(nw.FrameLog, "<%d %s\n", shard, payload)
-	}
-	return f, nil
-}
-
-// sendRecvInit ships an init frame and validates the ack.
-func (nw *Networked) sendRecvInit(workers []netWorker, shard int, init *frame) error {
-	if _, err := nw.send(workers, shard, init); err != nil {
+// call sends req to a worker and reads its answer into resp, which must be
+// a want frame without an error.
+func (nw *Networked) call(c *frameConn, shard int, req, resp *frame, want string) error {
+	if err := nw.send(c, shard, req); err != nil {
 		return err
 	}
-	ack, err := nw.recv(workers, shard)
-	if err != nil {
-		return err
+	if err := c.read(resp); err != nil {
+		return fmt.Errorf("runtime: worker %d: %w", shard, err)
 	}
-	if ack.T != FrameOK || ack.Err != "" {
-		return fmt.Errorf("runtime: worker %d rejected init: %s", shard, ack.Err)
+	nw.logFrame('<', shard, resp)
+	if resp.T != want {
+		return fmt.Errorf("runtime: worker %d answered %q to %s", shard, resp.T, req.T)
+	}
+	if resp.Err != "" {
+		return fmt.Errorf("runtime: worker %d refused %s: %s", shard, req.T, resp.Err)
 	}
 	return nil
 }
 
-// exec ships an exec frame and validates the result.
-func (nw *Networked) exec(workers []netWorker, shard int, ef *frame) (*frame, error) {
-	if _, err := nw.send(workers, shard, ef); err != nil {
-		return nil, err
+// logFrame writes one FrameLog line: the direction, the shard, and the
+// frame as JSON. Only the log renders JSON; the wire never does.
+func (nw *Networked) logFrame(dir byte, shard int, f *frame) {
+	if nw.FrameLog == nil {
+		return
 	}
-	r, err := nw.recv(workers, shard)
-	if err != nil {
-		return nil, err
-	}
-	if r.T != FrameResult {
-		return nil, fmt.Errorf("runtime: worker %d answered %q to exec", shard, r.T)
-	}
-	if r.Err != "" {
-		return nil, fmt.Errorf("runtime: worker %d: %s", shard, r.Err)
-	}
-	return r, nil
+	// A frame holds only strings, ints and int slices, so Marshal cannot
+	// fail; invalid UTF-8 renders as U+FFFD.
+	line, _ := json.Marshal(f)
+	fmt.Fprintf(nw.FrameLog, "%c%d %s\n", dir, shard, line)
 }
 
 // spawn brings up the worker set in the configured mode.
@@ -331,7 +320,7 @@ func (nw *Networked) spawn(w int) ([]netWorker, error) {
 			go func() {
 				_ = ServeWorker(s) // errors surface as coordinator-side frame errors
 			}()
-			workers[i] = netWorker{rw: c, close: func() { c.Close(); s.Close() }}
+			workers[i] = netWorker{conn: newFrameConn(c), close: func() { c.Close(); s.Close() }}
 		}
 		return workers, nil
 	case SpawnProcess:
@@ -399,26 +388,29 @@ func (nw *Networked) spawnProcesses(w int) ([]netWorker, error) {
 		cmds[shard] = cmd
 	}
 	conns := make([]net.Conn, w)
+	fcs := make([]*frameConn, w)
 	for i := 0; i < w; i++ {
 		conn, err := acceptTimeout(ln, 30*time.Second)
 		if err != nil {
 			cleanupAll(cmds, conns)
 			return nil, fmt.Errorf("runtime: accept worker: %w", err)
 		}
-		hello, _, err := readFrame(conn)
+		fc := newFrameConn(conn)
+		var hello frame
+		err = fc.read(&hello)
 		if err != nil || hello.T != FrameHello || hello.Shard < 0 || hello.Shard >= w || conns[hello.Shard] != nil {
 			conn.Close()
 			cleanupAll(cmds, conns)
 			return nil, fmt.Errorf("runtime: bad worker hello (err=%v)", err)
 		}
-		conns[hello.Shard] = conn
+		conns[hello.Shard], fcs[hello.Shard] = conn, fc
 	}
 	workers := make([]netWorker, w)
 	for shard := range workers {
 		shard := shard
 		conn := conns[shard]
 		cmd := cmds[shard]
-		workers[shard] = netWorker{rw: conn, close: func() {
+		workers[shard] = netWorker{conn: fcs[shard], close: func() {
 			conn.Close()
 			_ = cmd.Wait()
 			if shard == 0 {

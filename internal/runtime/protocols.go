@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -60,29 +61,28 @@ func (dfsElection) Spec() string { return "dfs-election" }
 // home-base sees mode "").
 func (dfsElection) Init(int) string { return "" }
 
-// Step executes one DFS activation.
+// Step executes one DFS activation. The stack stays a substring of the
+// memory: a push appends ",<label>", a pop cuts at the last comma and
+// parses only the top label, and the home count is the only other field
+// parsed, so a step costs the same at any depth.
 func (dfsElection) Step(memory string, v View) (string, Effect) {
-	mode, stack, homes := decodeDFS(memory)
-	me := "v:" + strconv.Itoa(v.ID)
-	triedPrefix := "t:" + strconv.Itoa(v.ID) + ":"
-
+	mode, stack, homes := splitDFS(memory)
 	if mode == "W" {
 		return memory, waitEffect(v.Board, v.ID, homes)
 	}
+	id := strconv.Itoa(v.ID)
+	me := "v:" + id
+	triedPrefix := "t:" + id + ":"
 
 	var writes []string
+	pushEntry := false
 	if mode == "F" || mode == "" {
-		visited := false
 		for _, m := range v.Board {
 			if m == me {
-				visited = true
-				break
+				// Forward move into an already-visited node: bounce
+				// straight back through the arrival port.
+				return dfsMemory("B", stack, homes), Effect{Move: v.Entry}
 			}
-		}
-		if visited {
-			// Forward move into an already-visited node: bounce straight
-			// back through the arrival port.
-			return encodeDFS("B", stack, homes), Effect{Move: v.Entry}
 		}
 		// First visit: count this node's residents toward r. "home" marks
 		// are engine pre-marks present before any step runs (one per
@@ -93,42 +93,49 @@ func (dfsElection) Step(memory string, v View) (string, Effect) {
 				homes++
 			}
 		}
-		writes = append(writes, me)
+		writes = make([]string, 1, 3)
+		writes[0] = me
 		if v.Entry >= 0 {
-			stack = append(stack, v.Entry)
 			// The way home is for backtracking, not forward exploration.
+			pushEntry = true
 			writes = append(writes, triedPrefix+strconv.Itoa(v.Entry))
 		}
 	}
 	// Explore: smallest untried port label, else backtrack.
-	tried := map[int]bool{}
-	for _, m := range v.Board {
-		if strings.HasPrefix(m, triedPrefix) {
-			if k, err := strconv.Atoi(strings.TrimPrefix(m, triedPrefix)); err == nil {
-				tried[k] = true
-			}
-		}
+	var triedBuf [8]int
+	tried := triedBuf[:0]
+	if pushEntry {
+		tried = append(tried, v.Entry)
 	}
-	for _, m := range writes {
-		if strings.HasPrefix(m, triedPrefix) {
-			if k, err := strconv.Atoi(strings.TrimPrefix(m, triedPrefix)); err == nil {
-				tried[k] = true
+	for _, m := range v.Board {
+		if rest, ok := strings.CutPrefix(m, triedPrefix); ok {
+			if k, err := strconv.Atoi(rest); err == nil {
+				tried = append(tried, k)
 			}
 		}
 	}
 	next := -1
 	for _, lab := range v.Labels {
-		if !tried[lab] && (next == -1 || lab < next) {
+		if (next == -1 || lab < next) && !slices.Contains(tried, lab) {
 			next = lab
 		}
 	}
 	if next >= 0 {
 		writes = append(writes, triedPrefix+strconv.Itoa(next))
-		return encodeDFS("F", stack, homes), Effect{Write: writes, Move: next}
+		if pushEntry {
+			stack = pushDFS(stack, v.Entry)
+		}
+		return dfsMemory("F", stack, homes), Effect{Write: writes, Move: next}
 	}
-	if len(stack) > 0 {
-		back := stack[len(stack)-1]
-		return encodeDFS("B", stack[:len(stack)-1], homes), Effect{Write: writes, Move: back}
+	// No untried port: go back the way we came — through the entry of a
+	// node first entered just now, else through the stack's top label.
+	switch {
+	case pushEntry:
+		return dfsMemory("B", stack, homes), Effect{Write: writes, Move: v.Entry}
+	case stack != "":
+		rest, top := popDFS(stack)
+		back, _ := strconv.Atoi(top)
+		return dfsMemory("B", rest, homes), Effect{Write: writes, Move: back}
 	}
 	// Back home with the traversal complete: r is the accumulated home
 	// count. Decide now if everyone has stamped already, otherwise park
@@ -136,7 +143,7 @@ func (dfsElection) Step(memory string, v View) (string, Effect) {
 	// never be re-stepped).
 	eff := waitEffect(append(append([]string{}, v.Board...), writes...), v.ID, homes)
 	eff.Write = writes
-	return encodeDFS("W", nil, homes), eff
+	return dfsMemory("W", "", homes), eff
 }
 
 // waitEffect is the DFSElection home wait: park until r distinct visited
@@ -162,31 +169,36 @@ func waitEffect(board []string, id, r int) Effect {
 	return Effect{Halt: HaltDefeated, Move: -1, LeaderMark: "v:" + strconv.Itoa(best)}
 }
 
-func decodeDFS(memory string) (mode string, stack []int, homes int) {
-	if memory == "" {
-		return "", nil, 0
-	}
-	parts := strings.SplitN(memory, "|", 3)
-	mode = parts[0]
-	if len(parts) > 1 && parts[1] != "" {
-		for _, tok := range strings.Split(parts[1], ",") {
-			if k, err := strconv.Atoi(tok); err == nil {
-				stack = append(stack, k)
-			}
-		}
-	}
-	if len(parts) > 2 {
-		homes, _ = strconv.Atoi(parts[2])
-	}
+// splitDFS cuts a DFSElection memory "<mode>|<stack>|<homes>" into its
+// mode, its stack as the substring of comma-separated port labels, and its
+// parsed home count.
+func splitDFS(memory string) (mode, stack string, homes int) {
+	mode, rest, _ := strings.Cut(memory, "|")
+	stack, count, _ := strings.Cut(rest, "|")
+	homes, _ = strconv.Atoi(count)
 	return mode, stack, homes
 }
 
-func encodeDFS(mode string, stack []int, homes int) string {
-	toks := make([]string, len(stack))
-	for i, k := range stack {
-		toks[i] = strconv.Itoa(k)
+// pushDFS appends a port label to a stack substring.
+func pushDFS(stack string, label int) string {
+	if stack == "" {
+		return strconv.Itoa(label)
 	}
-	return mode + "|" + strings.Join(toks, ",") + "|" + strconv.Itoa(homes)
+	return stack + "," + strconv.Itoa(label)
+}
+
+// popDFS cuts the top label off a stack substring.
+func popDFS(stack string) (rest, top string) {
+	c := strings.LastIndexByte(stack, ',')
+	if c < 0 {
+		return "", stack
+	}
+	return stack[:c], stack[c+1:]
+}
+
+// dfsMemory renders a DFSElection memory.
+func dfsMemory(mode, stack string, homes int) string {
+	return mode + "|" + stack + "|" + strconv.Itoa(homes)
 }
 
 // Walker returns a protocol that walks steps hops through the port with

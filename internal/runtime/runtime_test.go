@@ -2,9 +2,14 @@ package runtime
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
 	"net"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -296,71 +301,211 @@ func TestBoardSetDedup(t *testing.T) {
 	}
 }
 
+// TestDFSStepAllocsIndependentOfDepth: a DFSElection step reads its stack
+// as a substring of the memory, so a forward step and a backtrack step
+// allocate as often at depth 2,000 as at depth 10.
+func TestDFSStepAllocsIndependentOfDepth(t *testing.T) {
+	p := DFSElection()
+	forward := View{Degree: 3, Labels: []int{0, 1, 2}, Entry: 1, Board: []string{TagHome, "v:2"}, ID: 1}
+	back := View{Degree: 3, Labels: []int{0, 1, 2}, Entry: 0,
+		Board: []string{"t:1:0", "t:1:1", "t:1:2", "v:1", "v:2"}, ID: 1}
+	allocs := func(memory string, v View) float64 {
+		return testing.AllocsPerRun(100, func() { p.Step(memory, v) })
+	}
+	var fwd, bwd []float64
+	for _, depth := range []int{10, 2000} {
+		labels := make([]string, depth)
+		for i := range labels {
+			labels[i] = strconv.Itoa(i % 3)
+		}
+		stack := strings.Join(labels, ",")
+		memory := "F|" + stack + "|2"
+		if got, eff := p.Step(memory, forward); got != "F|"+stack+",1|3" || eff.Move != 0 {
+			t.Fatalf("depth %d forward: memory %q move %d", depth, got, eff.Move)
+		}
+		memory = "B|" + stack + "|2"
+		if got, eff := p.Step(memory, back); got != "B|"+stack[:len(stack)-2]+"|2" || eff.Move != (depth-1)%3 {
+			t.Fatalf("depth %d backtrack: memory %q move %d", depth, got, eff.Move)
+		}
+		fwd = append(fwd, allocs("F|"+stack+"|2", forward))
+		bwd = append(bwd, allocs("B|"+stack+"|2", back))
+	}
+	if fwd[0] != fwd[1] || bwd[0] != bwd[1] {
+		t.Fatalf("allocations grow with depth: forward %v, backtrack %v at depths 10 and 2,000", fwd, bwd)
+	}
+	t.Logf("allocations per step: forward %v, backtrack %v", fwd[0], bwd[0])
+}
+
+// TestFrameRoundTrip sends frames through one frameConn over a buffer and
+// checks the length prefix's rejections: a header above the cap, a payload
+// cut short, a record with trailing bytes, and a frame too big to send.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := &frame{T: FrameExec, Node: 3, Agent: 1, Mem: "F|2|1", Entry: 0, Move: -1}
-	if _, err := writeFrame(&buf, in); err != nil {
-		t.Fatal(err)
+	c := newFrameConn(&buf)
+	for _, in := range []*frame{
+		{T: FrameExec, Node: 3, Agent: 1, Mem: "F|2|1", Entry: 0, Move: -1},
+		{T: FrameInit, Shard: 2, Spec: "walker:1,3", Agents: 2, Nodes: []nodeInit{
+			{V: 2, Labels: []int{0, 1, 2}, Homes: []int{1}},
+			{V: 5, Labels: []int{1, 0}},
+		}},
+		{T: FrameResult, Mem: "\xff\x00<&>\u2028", Move: -1, Halt: "\xfe", Rev: -7, Err: "x"},
+	} {
+		if err := c.write(in); err != nil {
+			t.Fatal(err)
+		}
+		var out frame
+		if err := c.read(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&out, in) {
+			t.Fatalf("round trip: %+v vs %+v", out, *in)
+		}
 	}
-	out, _, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("round trip: %+v vs %+v", out, in)
-	}
-	// Oversized and truncated frames are rejected.
+	var f frame
+	// A header above the cap is refused before anything is read.
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, _, err := readFrame(bytes.NewReader(huge)); err == nil {
-		t.Fatal("oversized frame accepted")
+	if err := newFrameConn(bytes.NewBuffer(huge)).read(&f); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("oversized frame: %v", err)
 	}
-	if _, _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 9, 'x'})); err == nil {
-		t.Fatal("truncated frame accepted")
+	if err := newFrameConn(bytes.NewBuffer([]byte{0, 0, 0, 9, 'x'})).read(&f); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated frame: %v", err)
 	}
+	if err := newFrameConn(bytes.NewBuffer([]byte{0, 0, 0, 2})).read(&f); err != io.ErrUnexpectedEOF {
+		t.Fatalf("missing payload: %v", err)
+	}
+	if err := newFrameConn(bytes.NewBuffer(nil)).read(&f); err != io.EOF {
+		t.Fatalf("empty stream: %v, want io.EOF", err)
+	}
+	rec := appendFrame(nil, &frame{T: FrameOK})
+	for name, payload := range map[string][]byte{
+		"trailing byte":   append(append([]byte(nil), rec...), 0),
+		"cut record":      rec[:len(rec)-1],
+		"empty record":    {},
+		"string too long": {9, 'o', 'k'},
+		"list too long":   append([]byte{2, 'o', 'k', 0, 0, 0}, 0x7f),
+		"varint overflow": append([]byte{2, 'o', 'k'}, bytes.Repeat([]byte{0xff}, 10)...),
+	} {
+		framed := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		if err := newFrameConn(bytes.NewBuffer(append(framed, payload...))).read(&f); !errors.Is(err, errBadFrame) {
+			t.Fatalf("%s: %v, want errBadFrame", name, err)
+		}
+	}
+	big := &frame{T: FrameExec, Mem: strings.Repeat("m", maxFramePayload)}
+	if err := newFrameConn(&bytes.Buffer{}).write(big); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("oversized write: %v", err)
+	}
+}
+
+// FuzzFrameCodec checks the bus codec both ways. Any frame — arbitrary
+// strings (invalid UTF-8 included), negative ints, node lists — comes back
+// from the wire equal to what was sent, and any cut of its record or any
+// byte appended to it is refused. Arbitrary bytes never panic the decoder:
+// they fail with errBadFrame or decode to a frame that round-trips. A
+// length prefix above the cap is refused before the payload is read.
+func FuzzFrameCodec(f *testing.F) {
+	f.Add("exec", "F|2,0|1", "", -1, 3, []byte{0, 1, 2}, []byte{})
+	f.Add("result", "\xff\x00a<&>\u2028", "corrupted:\xff", math.MinInt, math.MaxInt, []byte{}, []byte{4, 'e', 'x', 'e', 'c', 0})
+	f.Add("init", "", "walker:1,3", 0, 7, []byte{5, 0, 1, 3, 9, 2, 4, 6, 8}, appendFrame(nil, &frame{T: FrameOK}))
+	f.Fuzz(func(t *testing.T, typ, mem, halt string, move, rev int, nodes, raw []byte) {
+		in := &frame{T: typ, Shard: -rev, Spec: halt + typ, Agents: len(nodes), Node: rev,
+			Agent: move / 2, Mem: mem, Entry: -move, Move: move, Halt: halt, Rev: rev, Err: mem + halt}
+		for i, b := range nodes {
+			switch {
+			case i%4 == 0:
+				in.Nodes = append(in.Nodes, nodeInit{V: int(int8(b)) * rev})
+			case b%2 == 0:
+				ni := &in.Nodes[len(in.Nodes)-1]
+				ni.Labels = append(ni.Labels, int(int8(b)))
+			default:
+				ni := &in.Nodes[len(in.Nodes)-1]
+				ni.Homes = append(ni.Homes, -int(b)*move)
+			}
+		}
+		var buf bytes.Buffer
+		c := newFrameConn(&buf)
+		if err := c.write(in); err != nil {
+			t.Fatal(err)
+		}
+		var out frame
+		if err := c.read(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&out, in) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", out, *in)
+		}
+		rec := appendFrame(nil, in)
+		for _, cut := range []int{0, len(rec) / 2, len(rec) - 1} {
+			if err := decodeFrame(rec[:cut], &out); !errors.Is(err, errBadFrame) {
+				t.Fatalf("record cut to %d of %d bytes: %v", cut, len(rec), err)
+			}
+		}
+		if err := decodeFrame(append(rec, raw...), &out); len(raw) > 0 && !errors.Is(err, errBadFrame) {
+			t.Fatalf("record with %d trailing bytes: %v", len(raw), err)
+		}
+
+		if err := decodeFrame(raw, &out); err == nil {
+			again := out
+			if err := decodeFrame(appendFrame(nil, &out), &again); err != nil || !reflect.DeepEqual(again, out) {
+				t.Fatalf("decoded frame does not round-trip: %v %+v vs %+v", err, again, out)
+			}
+		} else if !errors.Is(err, errBadFrame) {
+			t.Fatalf("arbitrary bytes: %v, want errBadFrame", err)
+		}
+		over := binary.BigEndian.AppendUint32(nil, uint32(maxFramePayload+1+len(raw)))
+		if err := newFrameConn(bytes.NewBuffer(append(over, raw...))).read(&out); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Fatalf("payload over the cap: %v", err)
+		}
+	})
 }
 
 // TestServeWorkerErrors drives the worker loop over an in-memory pipe
 // through its failure branches: exec before init, a node outside the
-// shard, a bad protocol spec, and an unexpected frame type.
+// shard, a bad protocol spec, a malformed frame, and an unexpected frame
+// type.
 func TestServeWorkerErrors(t *testing.T) {
-	start := func() (net.Conn, chan error) {
+	start := func() (net.Conn, *frameConn, chan error) {
 		c, s := net.Pipe()
 		done := make(chan error, 1)
 		go func() { done <- ServeWorker(s) }()
-		return c, done
+		return c, newFrameConn(c), done
 	}
+	var res frame
 
-	c, done := start()
-	if _, err := writeFrame(c, &frame{T: FrameExec, Node: 0}); err != nil {
+	c, fc, done := start()
+	if err := fc.write(&frame{T: FrameExec, Node: 0}); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := readFrame(c)
-	if err != nil || !strings.Contains(res.Err, "before init") {
+	if err := fc.read(&res); err != nil || !strings.Contains(res.Err, "before init") {
 		t.Fatalf("exec before init: %v %+v", err, res)
 	}
 
-	if _, err := writeFrame(c, &frame{T: FrameInit, Spec: "no-such"}); err != nil {
+	if err := fc.write(&frame{T: FrameInit, Spec: "no-such"}); err != nil {
 		t.Fatal(err)
 	}
-	ack, _, err := readFrame(c)
-	if err != nil || ack.Err == "" {
-		t.Fatalf("bad spec must be refused: %v %+v", err, ack)
+	if err := fc.read(&res); err != nil || res.T != FrameOK || res.Err == "" {
+		t.Fatalf("bad spec must be refused: %v %+v", err, res)
 	}
 
-	if _, err := writeFrame(c, &frame{T: FrameInit, Spec: "walker:1,1",
+	if err := fc.write(&frame{T: FrameInit, Spec: "walker:1,1",
 		Nodes: []nodeInit{{V: 0, Labels: []int{0, 1}, Homes: []int{0}}}}); err != nil {
 		t.Fatal(err)
 	}
-	if ack, _, err = readFrame(c); err != nil || ack.Err != "" {
-		t.Fatalf("good init refused: %v %+v", err, ack)
+	if err := fc.read(&res); err != nil || res.Err != "" {
+		t.Fatalf("good init refused: %v %+v", err, res)
 	}
-	if _, err := writeFrame(c, &frame{T: FrameExec, Node: 5}); err != nil {
+	if err := fc.write(&frame{T: FrameExec, Node: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err = readFrame(c); err != nil || !strings.Contains(res.Err, "not in this shard") {
+	if err := fc.read(&res); err != nil || !strings.Contains(res.Err, "not in this shard") {
 		t.Fatalf("foreign node accepted: %v %+v", err, res)
 	}
-	if _, err := writeFrame(c, &frame{T: FrameDone}); err != nil {
+	if err := fc.write(&frame{T: FrameExec, Node: 0, Mem: "1", Entry: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.read(&res); err != nil || res.T != FrameResult || res.Mem != "0" || res.Move != 1 {
+		t.Fatalf("walker step: %v %+v", err, res)
+	}
+	if err := fc.write(&frame{T: FrameDone}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -368,8 +513,8 @@ func TestServeWorkerErrors(t *testing.T) {
 	}
 	c.Close()
 
-	c, done = start()
-	if _, err := writeFrame(c, &frame{T: "mystery"}); err != nil {
+	c, fc, done = start()
+	if err := fc.write(&frame{T: "mystery"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err == nil {
@@ -377,7 +522,16 @@ func TestServeWorkerErrors(t *testing.T) {
 	}
 	c.Close()
 
-	c, done = start()
+	c, _, done = start()
+	if _, err := c.Write([]byte{0, 0, 0, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, errBadFrame) {
+		t.Fatalf("malformed frame: %v, want errBadFrame", err)
+	}
+	c.Close()
+
+	c, _, done = start()
 	c.Close() // EOF is a clean shutdown
 	if err := <-done; err != nil {
 		t.Fatalf("EOF must end the worker cleanly: %v", err)

@@ -2,12 +2,56 @@ package runtime_test
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/runtime"
 )
+
+// Regenerate the golden frame log with:
+// go test ./internal/runtime -run TestFrameLogGolden -update
+var update = flag.Bool("update", false, "rewrite the golden files from current output")
+
+// TestFrameLogGolden pins the bus transcript of CI's networked smoke run
+// (cmd/electnode -graph cycle:9 -homes 0,3,6 -seed 7 -workers 3
+// -wire-fault mixed -wire-seed 3): every frame field, and every memory
+// string DFSElection writes, line for line. The pipe run here, and the
+// smoke run's worker processes over a unix socket, must write this file.
+func TestFrameLogGolden(t *testing.T) {
+	inj, err := faults.NewWire("mixed", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	nw := &runtime.Networked{Workers: 3, WireFaults: inj, FrameLog: &log}
+	cfg := runtime.Config{Graph: graph.Cycle(9), Homes: []int{0, 3, 6}, Seed: 7}
+	if _, err := nw.Run(cfg, runtime.DFSElection()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "cycle9-mixed.frames.golden")
+	if *update {
+		if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(log.Bytes(), want) {
+		got, exp := bytes.Split(log.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(got) && i < len(exp); i++ {
+			if !bytes.Equal(got[i], exp[i]) {
+				t.Fatalf("frame log line %d:\n got %s\nwant %s", i+1, got[i], exp[i])
+			}
+		}
+		t.Fatalf("frame log has %d lines, golden has %d", len(got), len(exp))
+	}
+}
 
 // TestWireFaultsPreserveElection runs DFSElection on the networked backend
 // under every wire-fault strategy and requires the leader to survive: the

@@ -49,7 +49,7 @@ func RunWorker(spec string) error {
 		return err
 	}
 	defer conn.Close()
-	if _, err := writeFrame(conn, &frame{T: FrameHello, Shard: shard}); err != nil {
+	if err := newFrameConn(conn).write(&frame{T: FrameHello, Shard: shard}); err != nil {
 		return err
 	}
 	return ServeWorker(conn)
@@ -71,75 +71,73 @@ type workerShard struct {
 // It serves net.Pipe ends and sockets alike — the in-process spawn mode
 // and the re-exec'd worker processes share this loop.
 func ServeWorker(conn io.ReadWriter) error {
+	c := newFrameConn(conn)
 	var sh *workerShard
+	var in, out frame
 	for {
-		f, _, err := readFrame(conn)
-		if err != nil {
+		if err := c.read(&in); err != nil {
 			if err == io.EOF {
 				return nil
 			}
 			return err
 		}
-		switch f.T {
+		switch in.T {
 		case FrameInit:
 			sh = &workerShard{
 				boards: make(map[int]*boardSet),
 				rev:    make(map[int]int),
 				labels: make(map[int][]int),
 			}
-			ack := &frame{T: FrameOK}
-			p, err := FromSpec(f.Spec)
+			out = frame{T: FrameOK}
+			p, err := FromSpec(in.Spec)
 			if err != nil {
-				ack.Err = err.Error()
+				out.Err = err.Error()
 			} else {
 				sh.proto = p
-				for _, ni := range f.Nodes {
+				for _, ni := range in.Nodes {
 					b := &boardSet{}
 					for _, agent := range ni.Homes {
 						b.write(agent, TagHome)
 					}
 					sh.boards[ni.V] = b
 					sh.rev[ni.V] = 0
-					sh.labels[ni.V] = append([]int(nil), ni.Labels...)
+					sh.labels[ni.V] = ni.Labels
 				}
-			}
-			if _, err := writeFrame(conn, ack); err != nil {
-				return err
 			}
 		case FrameExec:
-			res := &frame{T: FrameResult, Node: f.Node, Agent: f.Agent}
+			out = frame{T: FrameResult, Node: in.Node, Agent: in.Agent}
 			if sh == nil || sh.proto == nil {
-				res.Err = "runtime: exec before init"
-			} else if b, ok := sh.boards[f.Node]; !ok {
-				res.Err = fmt.Sprintf("runtime: node %d is not in this shard", f.Node)
+				out.Err = "runtime: exec before init"
+			} else if b, ok := sh.boards[in.Node]; !ok {
+				out.Err = fmt.Sprintf("runtime: node %d is not in this shard", in.Node)
 			} else {
-				mem, eff := sh.proto.Step(f.Mem, View{
-					Degree: len(sh.labels[f.Node]),
-					Labels: append([]int(nil), sh.labels[f.Node]...),
-					Entry:  f.Entry,
+				mem, eff := sh.proto.Step(in.Mem, View{
+					Degree: len(sh.labels[in.Node]),
+					Labels: append([]int(nil), sh.labels[in.Node]...),
+					Entry:  in.Entry,
 					Board:  b.view(),
-					ID:     f.Agent + 1,
+					ID:     in.Agent + 1,
 				})
 				for _, w := range eff.Write {
-					if b.write(f.Agent, w) {
-						sh.rev[f.Node]++
+					if b.write(in.Agent, w) {
+						sh.rev[in.Node]++
 					}
 				}
-				res.Mem = mem
-				res.Move = eff.Move
-				res.Halt = eff.Halt
-				res.Rev = sh.rev[f.Node]
+				out.Mem = mem
+				out.Move = eff.Move
+				out.Halt = eff.Halt
+				out.Rev = sh.rev[in.Node]
 				if eff.Halt != "" {
-					res.Move = -1
+					out.Move = -1
 				}
-			}
-			if _, err := writeFrame(conn, res); err != nil {
-				return err
 			}
 		case FrameDone:
 			return nil
 		default:
-			return fmt.Errorf("runtime: worker got unexpected frame %q", f.T)
+			return fmt.Errorf("runtime: worker got unexpected frame %q", in.T)
+		}
+		if err := c.write(&out); err != nil {
+			return err
 		}
 	}
 }
