@@ -56,11 +56,12 @@ cover:
 # The coverage gate, run by CI's coverage job: the protocol core, the
 # class ordering (a wrong COMPUTE & ORDER memo hit is a wrong election),
 # the engine, the fault plane, the sketch layer, the runtime contract, the
-# protocol zoo and the seeded RNG must each keep statement coverage at or
-# above 70%.
+# protocol zoo, the seeded RNG and the two oracles' packages (the Cayley
+# test in group, the Theorem 2.1 check in labeling) must each keep
+# statement coverage at or above 70%.
 cover-gate:
 	@fail=0; \
-	for pkg in ./internal/elect ./internal/order ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/zoo ./internal/lazyrand; do \
+	for pkg in ./internal/elect ./internal/order ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/zoo ./internal/lazyrand ./internal/group ./internal/labeling; do \
 		$(GO) test -coverprofile=cover.out $$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg coverage: $$pct%"; \
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz FuzzZooSchedule -fuzztime 30s -run '^$$' ./internal/zoo
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s -run '^$$' ./internal/lazyrand
 	$(GO) test -fuzz FuzzFrameCodec -fuzztime 30s -run '^$$' ./internal/runtime
+	$(GO) test -fuzz FuzzRegularSubgroup -fuzztime 30s -run '^$$' ./internal/group
 
 # Adversarial schedule sweep of a representative instance: every strategy
 # across seeds, protocol invariants checked per run (see DESIGN.md §10).

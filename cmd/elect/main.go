@@ -121,7 +121,11 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "analysis: class sizes %v, gcd %d; Cayley %v", an.Sizes, an.GCD, an.Cayley)
+		cayley := fmt.Sprint(an.Cayley)
+		if !an.CayleyChecked {
+			cayley = "undecided"
+		}
+		fmt.Fprintf(w, "analysis: class sizes %v, gcd %d; Cayley %s", an.Sizes, an.GCD, cayley)
 		if an.Cayley {
 			fmt.Fprintf(w, " (translation d = %d)", an.TranslationD)
 		}

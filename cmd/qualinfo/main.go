@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -63,10 +64,12 @@ func main() {
 	fmt.Printf("gcd of class sizes: %d  =>  Protocol ELECT %s\n", o.GCD(),
 		map[bool]string{true: "elects a leader", false: "reports failure"}[o.GCD() == 1])
 
-	rec, err := group.Recognize(g, 0)
+	rec, err := group.Recognize(g)
 	switch {
+	case errors.Is(err, group.ErrUndecided):
+		fmt.Printf("\nCayley graph: undecided (%v)\n", err)
 	case err != nil:
-		fmt.Printf("\nCayley recognition: undecided (%v)\n", err)
+		fail(err)
 	case rec.IsCayley:
 		fmt.Printf("\nCayley graph: yes — regular subgroup of order %d found", rec.Group.Order())
 		if rec.Group.IsAbelian() {
@@ -103,13 +106,15 @@ func main() {
 
 	if g.IsSimple() {
 		w, err := labeling.ExistsSymmetricLabeling(g, colors, 0)
-		if err != nil {
+		switch {
+		case errors.Is(err, group.ErrUndecided):
+			fmt.Printf("\nTheorem 2.1: undecided (%v)\n", err)
+		case err != nil:
 			fail(err)
-		}
-		if w != nil {
+		case w != nil:
 			fmt.Printf("\nTheorem 2.1: a symmetric labeling EXISTS (witness automorphism %v)\n", w.Phi)
 			fmt.Println("             => election is impossible in the qualitative model")
-		} else {
+		default:
 			fmt.Println("\nTheorem 2.1: no edge-labeling admits label-equivalence classes of size > 1")
 			fmt.Println("             => the necessary condition for impossibility fails")
 		}

@@ -15,7 +15,9 @@ import (
 
 // CayleyTranslationCount decides whether the bicolored graph is a Cayley
 // graph and, if so, returns d — the number of translations of the
-// recognized representation that preserve the black set.
+// recognized representation that preserve the black set. autCap is unused:
+// the test searches without listing the automorphism group, and an
+// exhausted search budget surfaces as group.ErrUndecided.
 //
 // Agreement matters here: the regular-subgroup search is deterministic in
 // the input labeling but not canonical across isomorphic inputs, and a
@@ -27,14 +29,15 @@ import (
 // search on the identical canonical input and extracts the identical d.
 func CayleyTranslationCount(g *graph.Graph, weight []int, autCap int) (bool, int, error) {
 	canon := iso.Canonical(iso.FromGraph(g, weight))
-	return cayleyTranslationCount(context.Background(), g, weight, canon.Perm, autCap)
+	return cayleyTranslationCount(context.Background(), g, weight, canon.Perm)
 }
 
 // cayleyTranslationCount is CayleyTranslationCount given canon, the
 // canonical relabeling of the bicolored graph (g, weight), under ctx.
 // AnalyzeCtx passes the relabeling of the search COMPUTE & ORDER already
-// ran on the same input.
-func cayleyTranslationCount(ctx context.Context, g *graph.Graph, weight []int, canon perm.Perm, autCap int) (bool, int, error) {
+// ran on the same input. Translation by γ is the vertex map R[γ] of the
+// recognized regular subgroup R, so d = #{γ : weight∘R[γ] = weight}.
+func cayleyTranslationCount(ctx context.Context, g *graph.Graph, weight []int, canon perm.Perm) (bool, int, error) {
 	cg, err := g.Relabel(canon)
 	if err != nil {
 		return false, 0, err
@@ -43,28 +46,36 @@ func cayleyTranslationCount(ctx context.Context, g *graph.Graph, weight []int, c
 	for v, w := range weight {
 		cweight[canon[v]] = w
 	}
-	rec, err := group.RecognizeCtx(ctx, cg, autCap)
+	rec, err := group.RecognizeCtx(ctx, cg)
 	if err != nil {
 		return false, 0, fmt.Errorf("elect: Cayley test: %w", err)
 	}
 	if !rec.IsCayley {
 		return false, 0, nil
 	}
-	cay, err := rec.RecognizedCayley(cg)
-	if err != nil {
-		return false, 0, err
+	d := 0
+	for _, t := range rec.Regular {
+		if preserves(t, cweight) {
+			d++
+		}
 	}
-	_, d := cay.TranslationClassesWeighted(cweight)
 	return true, d, nil
+}
+
+// preserves reports whether the vertex map t preserves every weight.
+func preserves(t perm.Perm, weight []int) bool {
+	for v, w := range weight {
+		if weight[t[v]] != w {
+			return false
+		}
+	}
+	return true
 }
 
 // CayleyOptions configures the Section 4 protocol.
 type CayleyOptions struct {
 	// Ordering selects the ≺ implementation.
 	Ordering order.Ordering
-	// AutCap bounds the automorphism enumeration of the Cayley test
-	// (0 = the group package default).
-	AutCap int
 	// FallbackToElect runs plain ELECT when the drawn map is not a Cayley
 	// graph (the paper's protocol is only specified for Cayley graphs;
 	// with the fallback the protocol degrades to Theorem 3.1 behaviour).
@@ -107,7 +118,7 @@ func CayleyElect(opt CayleyOptions) sim.Protocol {
 		if err != nil {
 			return sim.Outcome{}, err
 		}
-		isCayley, d, err := CayleyTranslationCount(m.G, m.Weight, opt.AutCap)
+		isCayley, d, err := CayleyTranslationCount(m.G, m.Weight, 0)
 		if err != nil {
 			return sim.Outcome{}, err
 		}

@@ -138,13 +138,14 @@ func (g *Graph) EdgeEndpoints() [][2]int {
 
 // IsSimple reports whether g has no loops and no parallel edges.
 func (g *Graph) IsSimple() bool {
+	// seenAt[w] == v+1 once a port of v has led to w.
+	seenAt := make([]int, g.N())
 	for v, hs := range g.halves {
-		seen := make(map[int]bool)
 		for _, h := range hs {
-			if h.To == v || seen[h.To] {
+			if h.To == v || seenAt[h.To] == v+1 {
 				return false
 			}
-			seen[h.To] = true
+			seenAt[h.To] = v + 1
 		}
 	}
 	return true
@@ -185,7 +186,7 @@ func (g *Graph) BFSDist(src int) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
+	queue := append(make([]int, 0, g.N()), src)
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]

@@ -10,9 +10,9 @@ import (
 // Recognize decides Sabidussi's criterion: C6 is a Cayley graph, the
 // Petersen graph is not.
 func ExampleRecognize() {
-	rec, _ := group.Recognize(graph.Cycle(6), 0)
+	rec, _ := group.Recognize(graph.Cycle(6))
 	fmt.Println(rec.IsCayley, rec.Group.Order())
-	rec, _ = group.Recognize(graph.Petersen(), 0)
+	rec, _ = group.Recognize(graph.Petersen())
 	fmt.Println(rec.IsCayley)
 	// Output:
 	// true 6

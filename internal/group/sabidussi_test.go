@@ -53,7 +53,7 @@ func TestSabidussiPetersenDestroysTranslations(t *testing.T) {
 	if s.StabilizerOrder() != 12 {
 		t.Errorf("stabilizer order %d, want 120/10 = 12", s.StabilizerOrder())
 	}
-	rec, err := Recognize(g, 0)
+	rec, err := Recognize(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ import (
 // surrounding searches, the orbit union-find and the sort: each node's class
 // is read from the entry by its canonical position, in O(n). The result
 // equals, field by field, what ComputeAndOrder computes on the same input.
-// The word stores each color and arc multiplicity in one byte, so an input
-// with a node weight or an edge multiplicity above 255 bypasses the memo.
+// The word's code for colors and arc multiplicities is injective at every
+// value (iso.Colored's word), so large node weights share the memo too.
 //
 // One entry bounds memory by construction and still hits almost always: the
 // r agents of one run draw isomorphic maps, and a campaign's work list runs
@@ -70,9 +70,6 @@ func (m *Memo) ComputeAndOrderCtx(ctx context.Context, g *graph.Graph, colors []
 	if err != nil {
 		return nil, err
 	}
-	if !fitsWord(c) {
-		m = nil
-	}
 	if e := m.lookup(ord, res.Word); e != nil {
 		return e.ordered(res), nil
 	}
@@ -83,25 +80,6 @@ func (m *Memo) ComputeAndOrderCtx(ctx context.Context, g *graph.Graph, colors []
 	o.Canon = res
 	m.store(ord, o)
 	return o, nil
-}
-
-// fitsWord reports whether every color and arc multiplicity of c fits in
-// the byte the dense canonical word stores it in. Only then do equal words
-// imply isomorphic inputs: a node weight of 257 writes the same byte as 1.
-func fitsWord(c *iso.Colored) bool {
-	for _, x := range c.Color {
-		if uint(x) > 255 {
-			return false
-		}
-	}
-	for _, row := range c.Adj {
-		for _, x := range row {
-			if uint(x) > 255 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // lookup returns the entry for (ord, word), or nil.

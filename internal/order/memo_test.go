@@ -140,10 +140,10 @@ func TestMemoConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMemoWeightsBeyondWordByte: the dense word stores a node weight in one
-// byte, so P2 with weights {1, 1} and {1, 257} share a word although only
-// the first is symmetric. The second must bypass the memo, not read the
-// first's single class of size 2.
+// TestMemoWeightsBeyondWordByte: P2 with weights {1, 1} and {1, 257} are
+// not isomorphic, yet a dense word that kept one byte per weight gave them
+// the same word. The second must not read the first's single class of
+// size 2 from the memo.
 func TestMemoWeightsBeyondWordByte(t *testing.T) {
 	var memo Memo
 	g := graph.Path(2)

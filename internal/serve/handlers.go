@@ -101,7 +101,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AnalyzeResponse{
 		Instance: name, N: g.N(), M: g.M(), R: len(req.Homes),
 		Sizes: an.Sizes, GCD: an.GCD, Solvable: an.GCD == 1,
-		Cayley: an.Cayley, TranslationD: an.TranslationD,
+		Cayley: an.Cayley, CayleyUndecided: !an.CayleyChecked, TranslationD: an.TranslationD,
 		Thm21Checked: an.Thm21Checked, Impossible21: an.Impossible21,
 		Cached:    cached,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),

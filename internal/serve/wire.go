@@ -87,11 +87,14 @@ type AnalyzeResponse struct {
 	GCD      int   `json:"gcd"`
 	Solvable bool  `json:"solvable"`
 	// Cayley recognition (Section 4) and the Theorem 2.1 impossibility
-	// check, when decidable.
-	Cayley       bool `json:"cayley"`
-	TranslationD int  `json:"translation_d,omitempty"`
-	Thm21Checked bool `json:"thm21_checked"`
-	Impossible21 bool `json:"impossible21,omitempty"`
+	// check, when decidable. CayleyUndecided is set, and Cayley false,
+	// when the Cayley test did not decide: the large path skips it, and
+	// its search may exhaust its budget.
+	Cayley          bool `json:"cayley"`
+	CayleyUndecided bool `json:"cayley_undecided,omitempty"`
+	TranslationD    int  `json:"translation_d,omitempty"`
+	Thm21Checked    bool `json:"thm21_checked"`
+	Impossible21    bool `json:"impossible21,omitempty"`
 	// Cached reports the analysis was served without computing (a cache
 	// hit or a coalesced join of an in-flight computation).
 	Cached    bool    `json:"cached"`
