@@ -38,6 +38,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"repro"
@@ -194,16 +195,17 @@ func run(args []string, w io.Writer) error {
 		tele = repro.NewTelemetryRun()
 		cfg.Telemetry = tele
 	}
-	// The sink runs behind a buffered tracer so terminal I/O and timeline
-	// bookkeeping happen off the simulation's hot path (events are emitted
-	// under the board lock); Close after the run flushes whatever is still
-	// buffered. With -timeline the sink replays whiteboard events as instant
-	// marks on the exported timeline, using each event's own timestamp so
-	// buffering does not skew it.
-	var tracer *repro.BufferedTracer
+	// The run emits events under a whiteboard lock, so the sink does no
+	// I/O: with -trace it appends each event to a slice, printed after the
+	// run in emission order. With -timeline it also replays whiteboard
+	// events as instant marks on the exported timeline, each at its own
+	// timestamp.
+	var (
+		traceMu sync.Mutex
+		events  []repro.TraceEvent
+	)
 	if *trace || tele != nil {
-		printEvents := *trace
-		tracer = repro.NewBufferedTracer(func(e repro.TraceEvent) {
+		cfg.Trace = func(e repro.TraceEvent) {
 			if tele != nil && e.Kind != repro.EvMove {
 				name := e.Kind.String()
 				if e.Tag != "" {
@@ -211,19 +213,12 @@ func run(args []string, w io.Writer) error {
 				}
 				tele.Instant(e.Agent, name, e.Phase, e.At)
 			}
-			if !printEvents {
-				return
+			if *trace {
+				traceMu.Lock()
+				events = append(events, e)
+				traceMu.Unlock()
 			}
-			switch e.Kind.String() {
-			case "move":
-				fmt.Fprintf(w, "%12v agent %d -> node %d\n", e.At.Round(time.Microsecond), e.Agent, e.Node)
-			case "write", "erase":
-				fmt.Fprintf(w, "%12v agent %d %s %q at node %d\n", e.At.Round(time.Microsecond), e.Agent, e.Kind, e.Tag, e.Node)
-			default:
-				fmt.Fprintf(w, "%12v agent %d %s %s\n", e.At.Round(time.Microsecond), e.Agent, e.Kind, e.Tag)
-			}
-		}, 0)
-		cfg.Trace = tracer.Trace
+		}
 	}
 	var res *repro.Result
 	switch *protocol {
@@ -240,10 +235,15 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown protocol %q", *protocol)
 	}
-	if tracer != nil {
-		tracer.Close()
-		if d := tracer.Dropped(); d > 0 {
-			fmt.Fprintf(w, "trace: %d events dropped (buffer full)\n", d)
+	for _, e := range events {
+		at := e.At.Round(time.Microsecond)
+		switch e.Kind {
+		case repro.EvMove:
+			fmt.Fprintf(w, "%12v agent %d -> node %d\n", at, e.Agent, e.Node)
+		case repro.EvWrite, repro.EvErase:
+			fmt.Fprintf(w, "%12v agent %d %s %q at node %d\n", at, e.Agent, e.Kind, e.Tag, e.Node)
+		default:
+			fmt.Fprintf(w, "%12v agent %d %s %s\n", at, e.Agent, e.Kind, e.Tag)
 		}
 	}
 	writeRecord := func() error {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -115,5 +116,32 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 				t.Fatalf("fault plan not re-injected exactly:\n%s", rep.String())
 			}
 		})
+	}
+}
+
+// totalMoves reads the move count off the totals line.
+var totalMoves = regexp.MustCompile(`(?m)^total: (\d+) moves`)
+
+// TestTraceListsEveryMove runs free-running elections, whose agents emit
+// events from their own goroutines at once, with -trace: the trace must
+// print one move line per move the run counted, so no event is lost on
+// the way from the agents to the output.
+func TestTraceListsEveryMove(t *testing.T) {
+	for _, args := range [][]string{
+		{"-graph", "hypercube", "-n", "4", "-homes", "0,7,9", "-trace"},
+		{"-graph", "cycle", "-n", "9", "-homes", "0,3,6", "-trace"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		out := buf.String()
+		m := totalMoves.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("%v: no totals line:\n%s", args, out)
+		}
+		if got := strings.Count(out, " -> node "); strconv.Itoa(got) != m[1] {
+			t.Errorf("%v: %d move lines, totals line says %s moves", args, got, m[1])
+		}
 	}
 }

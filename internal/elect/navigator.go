@@ -5,8 +5,8 @@ import (
 )
 
 // Navigator exposes map-based navigation to custom protocol authors: after
-// MAP-DRAWING, it can tour the network, walk to specific map nodes, and
-// wait at the home-base — the same primitives the built-in protocols use.
+// MAP-DRAWING, it can mark every whiteboard and wait at the home-base —
+// the same primitives the built-in protocols use.
 type Navigator struct {
 	k *knowledge
 }
@@ -31,31 +31,9 @@ func (n *Navigator) WriteEverywhere(tag string) error {
 	return n.k.writeEverywhere(tag)
 }
 
-// TourAll visits every node (home first), invoking f with the local node id
-// and the board, and returns home.
-func (n *Navigator) TourAll(f func(local int, b *sim.Board)) error {
-	n.ensureTour()
-	return n.k.tourAll(f)
-}
-
-// MoveTo walks to the given local map node.
-func (n *Navigator) MoveTo(local int) error {
-	n.ensureTour()
-	return n.k.moveTo(local)
-}
-
 // WaitHome returns to the home-base and blocks until pred holds on its
 // whiteboard.
 func (n *Navigator) WaitHome(pred func(sim.Signs) bool) (sim.Signs, error) {
 	n.ensureTour()
 	return n.k.waitHome(pred)
 }
-
-// AccessHome returns to the home-base and runs f on its whiteboard.
-func (n *Navigator) AccessHome(f func(b *sim.Board)) error {
-	n.ensureTour()
-	return n.k.accessHome(f)
-}
-
-// At returns the agent's current local map node.
-func (n *Navigator) At() int { return n.k.at }

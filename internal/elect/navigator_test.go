@@ -18,7 +18,7 @@ func TestNavigatorPrimitives(t *testing.T) {
 			return sim.Outcome{}, err
 		}
 		nav := NewNavigator(a, m)
-		if nav.At() != m.Home {
+		if nav.k.at != m.Home {
 			return sim.Outcome{}, errors.New("navigator does not start at home")
 		}
 		// Write everywhere, then verify via a second tour that every board
@@ -27,7 +27,7 @@ func TestNavigatorPrimitives(t *testing.T) {
 			return sim.Outcome{}, err
 		}
 		missing := 0
-		if err := nav.TourAll(func(local int, b *sim.Board) {
+		if err := nav.k.tourAll(func(local int, b *sim.Board) {
 			if !b.Signs().HasBy(a.Color(), "nav-mark") {
 				missing++
 			}
@@ -36,20 +36,6 @@ func TestNavigatorPrimitives(t *testing.T) {
 		}
 		if missing > 0 {
 			return sim.Outcome{}, errors.New("marks missing after WriteEverywhere")
-		}
-		// MoveTo a far node and back.
-		far := m.G.N() - 1
-		if err := nav.MoveTo(far); err != nil {
-			return sim.Outcome{}, err
-		}
-		if nav.At() != far {
-			return sim.Outcome{}, errors.New("MoveTo landed elsewhere")
-		}
-		if err := nav.AccessHome(func(b *sim.Board) { b.Write("back") }); err != nil {
-			return sim.Outcome{}, err
-		}
-		if nav.At() != m.Home {
-			return sim.Outcome{}, errors.New("AccessHome did not return home")
 		}
 		// WaitHome sees the other agent's mark eventually (both agents mark
 		// everywhere, including each other's homes).

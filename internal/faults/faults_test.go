@@ -68,17 +68,6 @@ func TestNewUnknownStrategy(t *testing.T) {
 	}
 }
 
-func TestParseNamesAll(t *testing.T) {
-	got := faults.ParseNames([]string{"all"})
-	if !reflect.DeepEqual(got, faults.Strategies()) {
-		t.Fatalf("ParseNames(all) = %v", got)
-	}
-	got = faults.ParseNames([]string{faults.FaultStaleReads})
-	if !reflect.DeepEqual(got, []string{faults.FaultStaleReads}) {
-		t.Fatalf("ParseNames passthrough = %v", got)
-	}
-}
-
 // deterministicTrace is an Event stream with timestamps zeroed, comparable
 // across runs.
 func collectTrace(events *[]sim.Event) sim.Tracer {

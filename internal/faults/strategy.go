@@ -68,20 +68,6 @@ func New(name string, seed int64, r int, homes []int) (*Injector, error) {
 	return &Injector{name: name, decide: mk(seed, r, homes)}, nil
 }
 
-// ParseNames expands a comma-free list of fault strategy names, with "all"
-// meaning every built-in. Validation happens in New.
-func ParseNames(names []string) []string {
-	out := make([]string, 0, len(names))
-	for _, n := range names {
-		if n == "all" {
-			out = append(out, Strategies()...)
-			continue
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
 // split64 folds a seed into small deterministic knobs without pulling in
 // math/rand (one fault per run needs no stream).
 func split64(seed int64) uint64 {

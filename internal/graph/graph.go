@@ -165,20 +165,6 @@ func (g *Graph) IsRegular() (bool, int) {
 	return true, d
 }
 
-// DegreeSequence returns the sorted (non-increasing) degree sequence.
-func (g *Graph) DegreeSequence() []int {
-	out := make([]int, g.N())
-	for v := range out {
-		out[v] = g.Deg(v)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort, descending
-		for j := i; j > 0 && out[j] > out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // BFSDist returns the array of hop distances from src (-1 if unreachable).
 func (g *Graph) BFSDist(src int) []int {
 	dist := make([]int, g.N())

@@ -261,16 +261,6 @@ func TestEdgeEndpoints(t *testing.T) {
 	}
 }
 
-func TestDegreeSequence(t *testing.T) {
-	ds := Star(4).DegreeSequence()
-	want := []int{4, 1, 1, 1, 1}
-	for i := range want {
-		if ds[i] != want[i] {
-			t.Fatalf("degree sequence %v, want %v", ds, want)
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	g := Cycle(4)
 	h := g.Clone()

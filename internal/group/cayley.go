@@ -93,17 +93,6 @@ func NewCayley(g *Group, gens []int) (*Cayley, error) {
 // Degree returns |S|, the degree of every vertex.
 func (c *Cayley) Degree() int { return len(c.Gens) }
 
-// NaturalLabels returns, for every vertex, the generator label of each port
-// (a copy of PortGen). This is the labeling ℓ_x({x, y}) = x⁻¹y used in the
-// proof of Theorem 4.1; translations preserve it.
-func (c *Cayley) NaturalLabels() [][]int {
-	out := make([][]int, len(c.PortGen))
-	for v := range out {
-		out[v] = append([]int(nil), c.PortGen[v]...)
-	}
-	return out
-}
-
 // Translation returns the translation φ_γ : a ↦ γa as a vertex permutation.
 func (c *Cayley) Translation(gamma int) perm.Perm {
 	n := c.Group.Order()
@@ -112,15 +101,6 @@ func (c *Cayley) Translation(gamma int) perm.Perm {
 		p[a] = c.Group.Mul(gamma, a)
 	}
 	return p
-}
-
-// Translations returns all n translations, indexed by γ.
-func (c *Cayley) Translations() []perm.Perm {
-	out := make([]perm.Perm, c.Group.Order())
-	for gamma := range out {
-		out[gamma] = c.Translation(gamma)
-	}
-	return out
 }
 
 // TranslationClasses returns the translation-equivalence classes of the
@@ -188,20 +168,6 @@ func CycleCayley(n int) *Cayley {
 		panic("group: cycle construction failed: " + err.Error())
 	}
 	return c
-}
-
-// CirculantCayley returns Cay(Z_n, jumps ∪ −jumps).
-func CirculantCayley(n int, jumps []int) (*Cayley, error) {
-	g := Cyclic(n)
-	var gens []int
-	for _, j := range jumps {
-		jm := ((j % n) + n) % n
-		if jm == 0 {
-			return nil, errors.New("group: zero jump")
-		}
-		gens = append(gens, jm, n-jm)
-	}
-	return NewCayley(g, gens)
 }
 
 // TorusCayley returns Cay(Z_a × Z_b, {(±1,0), (0,±1)}).

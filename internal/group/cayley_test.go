@@ -2,6 +2,7 @@ package group
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -43,16 +44,6 @@ func TestCompleteCayleyMatchesGraph(t *testing.T) {
 	c := CompleteCayley(5)
 	if !iso.Isomorphic(iso.FromGraph(c.G, nil), iso.FromGraph(graph.Complete(5), nil)) {
 		t.Error("CompleteCayley(5) mismatch")
-	}
-}
-
-func TestCirculantCayley(t *testing.T) {
-	c, err := CirculantCayley(8, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iso.Isomorphic(iso.FromGraph(c.G, nil), iso.FromGraph(graph.Circulant(8, []int{1, 2}), nil)) {
-		t.Error("CirculantCayley(8,{1,2}) mismatch")
 	}
 }
 
@@ -216,7 +207,7 @@ func TestRecognizeCayleyFamilies(t *testing.T) {
 		"torus33": graph.Torus(3, 3),
 	}
 	for name, g := range positive {
-		rec, err := Recognize(g)
+		rec, err := RecognizeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -224,14 +215,14 @@ func TestRecognizeCayleyFamilies(t *testing.T) {
 			t.Errorf("%s: should be recognized as Cayley", name)
 			continue
 		}
-		// The reconstructed group must be a genuine group of order n whose
-		// Cayley graph is the input (identity vertex correspondence).
-		if rec.Group.Order() != g.N() {
-			t.Errorf("%s: group order %d, want %d", name, rec.Group.Order(), g.N())
-		}
 		cay, err := rec.RecognizedCayley(g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		// The reconstructed group must be a genuine group of order n whose
+		// Cayley graph is the input (identity vertex correspondence).
+		if cay.Group.Order() != g.N() {
+			t.Errorf("%s: group order %d, want %d", name, cay.Group.Order(), g.N())
 		}
 		// Check the natural labeling property on the recognized structure.
 		for v := 0; v < g.N(); v++ {
@@ -252,7 +243,7 @@ func TestRecognizeCayleyFamilies(t *testing.T) {
 		"K23":      graph.CompleteBipartite(2, 3), // not regular
 	}
 	for name, g := range negative {
-		rec, err := Recognize(g)
+		rec, err := RecognizeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -264,8 +255,8 @@ func TestRecognizeCayleyFamilies(t *testing.T) {
 
 func TestRecognizeDeterministic(t *testing.T) {
 	g := graph.Hypercube(3)
-	r1, err1 := Recognize(g)
-	r2, err2 := Recognize(g)
+	r1, err1 := RecognizeCtx(context.Background(), g)
+	r2, err2 := RecognizeCtx(context.Background(), g)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -276,26 +267,75 @@ func TestRecognizeDeterministic(t *testing.T) {
 	}
 }
 
+// TestRecognizeAllocationBound: the regular-subgroup search opens an
+// enumeration only for the slots it branches on, so one RecognizeCtx call
+// on C1000 allocates about 27 MB. Opening one enumeration per vertex up
+// front costs 85 MB there; the bound sits at half of that.
+func TestRecognizeAllocationBound(t *testing.T) {
+	g := graph.Cycle(1000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec, err := RecognizeCtx(context.Background(), g)
+	runtime.ReadMemStats(&after)
+	if err != nil || !rec.IsCayley {
+		t.Fatalf("RecognizeCtx(C1000) = %+v, %v", rec, err)
+	}
+	const bound = 42 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("RecognizeCtx(C1000) allocated %d bytes, want at most %d", got, bound)
+	}
+}
+
 // TestRecognizeUndecidedOnHugeAut: a search that runs out of its budget
 // reports ErrUndecided, never a silent false. K8 meets about 5,000 dead
 // ends before it is decided; ten do not suffice.
 func TestRecognizeUndecidedOnHugeAut(t *testing.T) {
 	SetSearchBudget(t, 10)
-	_, err := Recognize(graph.Complete(8))
+	_, err := RecognizeCtx(context.Background(), graph.Complete(8))
 	if err != ErrUndecided {
 		t.Fatalf("expected ErrUndecided, got %v", err)
 	}
 }
 
-// TestRecognizedCayleyNeedsGroup: RecognizeCtx leaves Group nil, and
-// RecognizedCayley reports that as an error rather than dereferencing it.
+// TestRecognizedCayleyNeedsGroup: RecognizedCayley needs the abstract
+// group and builds it from Regular, so a RecognizeCtx result converts:
+// vertex 0 is the identity, element v is Regular[v], and port p of v leads
+// to v·PortGen[v][p]. A non-Cayley recognition is refused.
 func TestRecognizedCayleyNeedsGroup(t *testing.T) {
 	g := graph.Cycle(6)
 	rec, err := RecognizeCtx(context.Background(), g)
-	if err != nil || !rec.IsCayley || rec.Group != nil {
+	if err != nil || !rec.IsCayley {
 		t.Fatalf("RecognizeCtx(C6) = %+v, %v", rec, err)
 	}
-	if _, err := rec.RecognizedCayley(g); err == nil {
-		t.Fatal("RecognizedCayley accepted a recognition without a group")
+	cay, err := rec.RecognizedCayley(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cay.Group.Order() != g.N() || cay.Group.Identity() != 0 || len(cay.Gens) != 2 {
+		t.Fatalf("RecognizedCayley(C6): order %d, gens %v", cay.Group.Order(), cay.Gens)
+	}
+	for u := range rec.Regular {
+		for v := range rec.Regular {
+			if cay.Group.Mul(u, v) != rec.Regular[u][v] {
+				t.Fatalf("element %d·%d = %d, want Regular[%d][%d] = %d",
+					u, v, cay.Group.Mul(u, v), u, v, rec.Regular[u][v])
+			}
+		}
+	}
+	for v := range g.N() {
+		for p, h := range g.Ports(v) {
+			if cay.Group.Mul(v, cay.PortGen[v][p]) != h.To {
+				t.Fatalf("port %d of %d: generator %d does not lead to %d", p, v, cay.PortGen[v][p], h.To)
+			}
+		}
+	}
+	petersen := graph.Petersen()
+	rec, err = RecognizeCtx(context.Background(), petersen)
+	if err != nil || rec.IsCayley {
+		t.Fatalf("RecognizeCtx(Petersen) = %+v, %v", rec, err)
+	}
+	if _, err := rec.RecognizedCayley(petersen); err == nil {
+		t.Fatal("RecognizedCayley accepted a non-Cayley recognition")
 	}
 }

@@ -1,18 +1,19 @@
 package group_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
 	"repro/internal/group"
 )
 
-// Recognize decides Sabidussi's criterion: C6 is a Cayley graph, the
-// Petersen graph is not.
-func ExampleRecognize() {
-	rec, _ := group.Recognize(graph.Cycle(6))
-	fmt.Println(rec.IsCayley, rec.Group.Order())
-	rec, _ = group.Recognize(graph.Petersen())
+// RecognizeCtx decides Sabidussi's criterion: C6 is a Cayley graph, with
+// a regular subgroup of order 6; the Petersen graph is not.
+func ExampleRecognizeCtx() {
+	rec, _ := group.RecognizeCtx(context.Background(), graph.Cycle(6))
+	fmt.Println(rec.IsCayley, len(rec.Regular))
+	rec, _ = group.RecognizeCtx(context.Background(), graph.Petersen())
 	fmt.Println(rec.IsCayley)
 	// Output:
 	// true 6

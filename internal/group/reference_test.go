@@ -140,10 +140,6 @@ func refPropagate(n int, chosen []perm.Perm, assigned map[int]perm.Perm) bool {
 func refTranslationCount(t *testing.T, cg *graph.Graph, cweight []int, reg []perm.Perm) int {
 	t.Helper()
 	rec := &Recognition{IsCayley: true, Regular: reg}
-	var err error
-	if rec.Group, rec.Gens, err = abstractFromRegular(cg, reg); err != nil {
-		t.Fatal(err)
-	}
 	cay, err := rec.RecognizedCayley(cg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -53,7 +54,7 @@ func TestSabidussiPetersenDestroysTranslations(t *testing.T) {
 	if s.StabilizerOrder() != 12 {
 		t.Errorf("stabilizer order %d, want 120/10 = 12", s.StabilizerOrder())
 	}
-	rec, err := Recognize(g)
+	rec, err := RecognizeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

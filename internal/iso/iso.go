@@ -74,41 +74,12 @@ func FromGraph(g *graph.Graph, colors []int) *Colored {
 	return c
 }
 
-// NewDigraph builds a Colored digraph on n vertices from arc list (u, v)
-// pairs; parallel arcs accumulate multiplicity. colors may be nil.
-func NewDigraph(n int, arcs [][2]int, colors []int) *Colored {
-	c := NewColored(n)
-	for _, a := range arcs {
-		c.Adj[a[0]][a[1]]++
-	}
-	if colors != nil {
-		if len(colors) != n {
-			panic("iso: color slice length mismatch")
-		}
-		copy(c.Color, colors)
-	}
-	return c
-}
-
 // Clone returns a deep copy.
 func (c *Colored) Clone() *Colored {
 	d := NewColored(c.N)
 	copy(d.Color, c.Color)
 	for i := range d.Adj {
 		copy(d.Adj[i], c.Adj[i])
-	}
-	return d
-}
-
-// Permuted returns the graph with vertex v renamed p[v].
-func (c *Colored) Permuted(p perm.Perm) *Colored {
-	d := NewColored(c.N)
-	for v := 0; v < c.N; v++ {
-		d.Color[p[v]] = c.Color[v]
-		row, drow := c.Adj[v], d.Adj[p[v]]
-		for w, m := range row {
-			drow[p[w]] = m
-		}
 	}
 	return d
 }
@@ -278,21 +249,6 @@ func Isomorphic(a, b *Colored) bool {
 		return false
 	}
 	return bytes.Equal(CanonicalWord(a), CanonicalWord(b))
-}
-
-// IsomorphismBetween returns a color-preserving isomorphism a→b (as the
-// permutation sending vertex v of a to IsomorphismBetween(a,b)[v] of b),
-// or nil if none exists.
-func IsomorphismBetween(a, b *Colored) perm.Perm {
-	if a.N != b.N {
-		return nil
-	}
-	ra, rb := Canonical(a), Canonical(b)
-	if !bytes.Equal(ra.Word, rb.Word) {
-		return nil
-	}
-	// v --ra--> canonical pos --rb⁻¹--> vertex of b.
-	return ra.Perm.Compose(rb.Perm.Inverse())
 }
 
 // AutomorphismGens returns generators of the color-preserving automorphism

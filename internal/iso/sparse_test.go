@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -235,4 +236,76 @@ func TestSparseFromGraphLoopsAndMultis(t *testing.T) {
 		CanonicalSparse(SparseFromColored(c.Permuted(pm))).Word) {
 		t.Fatal("sparse words differ across a relabeling of the multigraph")
 	}
+}
+
+// SparseFromColored converts a dense Colored (for differential tests
+// between the two engines).
+func SparseFromColored(c *Colored) *Sparse {
+	sp := &Sparse{N: c.N, Color: append([]int(nil), c.Color...), g: new(csr)}
+	sp.g.fill(c)
+	return sp
+}
+
+// SparseFromArcs builds a Sparse digraph on n vertices from (u, v) arc
+// pairs; repeated pairs accumulate multiplicity. colors may be nil.
+func SparseFromArcs(n int, arcs [][2]int, colors []int) *Sparse {
+	sp := &Sparse{N: n, Color: make([]int, n)}
+	if colors != nil {
+		if len(colors) != n {
+			panic("iso: color slice length mismatch")
+		}
+		copy(sp.Color, colors)
+	}
+	as := append([][2]int(nil), arcs...)
+	c := &csr{outStart: make([]int32, n+1), inStart: make([]int32, n+1)}
+	sort.Slice(as, func(i, j int) bool {
+		if as[i][0] != as[j][0] {
+			return as[i][0] < as[j][0]
+		}
+		return as[i][1] < as[j][1]
+	})
+	src := 0
+	for i := 0; i < len(as); {
+		j := i
+		for j < len(as) && as[j] == as[i] {
+			j++
+		}
+		for src < as[i][0] {
+			src++
+			c.outStart[src] = int32(len(c.outDst))
+		}
+		c.outDst = append(c.outDst, int32(as[i][1]))
+		c.outMult = append(c.outMult, int32(j-i))
+		i = j
+	}
+	for src < n {
+		src++
+		c.outStart[src] = int32(len(c.outDst))
+	}
+	sort.Slice(as, func(i, j int) bool {
+		if as[i][1] != as[j][1] {
+			return as[i][1] < as[j][1]
+		}
+		return as[i][0] < as[j][0]
+	})
+	dst := 0
+	for i := 0; i < len(as); {
+		j := i
+		for j < len(as) && as[j] == as[i] {
+			j++
+		}
+		for dst < as[i][1] {
+			dst++
+			c.inStart[dst] = int32(len(c.inDst))
+		}
+		c.inDst = append(c.inDst, int32(as[i][0]))
+		c.inMult = append(c.inMult, int32(j-i))
+		i = j
+	}
+	for dst < n {
+		dst++
+		c.inStart[dst] = int32(len(c.inDst))
+	}
+	sp.g = c
+	return sp
 }

@@ -7,33 +7,32 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// docPackages are the packages whose exported API must be fully documented
-// (the CI revive step enforces the same rule; this test keeps the gate
-// runnable offline with no tooling beyond the standard library).
-var docPackages = []string{
-	"../..",        // package repro (facade)
-	"../sim",       // the runtime users program against
-	"../elect",     // the protocol layer
-	"../adversary", // the scheduling strategies and the replay codec
-	"../runtime",   // the unified Protocol/Runtime contract
-	"../zoo",       // the related-work protocol zoo
-	"../lazyrand",  // the module's one seeded-RNG constructor
-}
-
-// TestExportedSymbolsDocumented parses each gated package and fails on any
-// exported declaration without a doc comment. Grouped specs inherit their
-// group's comment (const blocks with one leading comment are fine).
+// TestExportedSymbolsDocumented parses every package of the main module
+// and fails on any exported declaration without a doc comment. Grouped
+// specs inherit their group's comment (const blocks with one leading
+// comment are fine). Each subtest is named by the package directory
+// relative to this one ("../..", "../sim", "../../cmd/elect"). The CI
+// revive step enforces the same rule on a listed subset; this test keeps
+// the gate runnable offline with no tooling beyond the standard library.
 func TestExportedSymbolsDocumented(t *testing.T) {
-	for _, dir := range docPackages {
-		dir := dir
-		t.Run(filepath.Clean(dir), func(t *testing.T) {
+	dirs := packageDirs(t)
+	if len(dirs) == 0 {
+		t.Fatal("found no packages; is the module root right?")
+	}
+	for _, dir := range dirs {
+		name, err := filepath.Rel(filepath.Join("internal", "lint"), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(filepath.Clean(name), func(t *testing.T) {
 			fset := token.NewFileSet()
-			pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			pkgs, err := parser.ParseDir(fset, filepath.Join(moduleRoot, dir), func(fi fs.FileInfo) bool {
 				return !strings.HasSuffix(fi.Name(), "_test.go")
 			}, parser.ParseComments)
 			if err != nil {
@@ -46,6 +45,45 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 			}
 		})
 	}
+}
+
+// packageDirs lists, relative to the module root, every directory of the
+// main module that holds non-test Go files. Hidden directories, testdata
+// and nested modules (directories with their own go.mod, such as
+// benchmark/) are skipped.
+func packageDirs(t *testing.T) []string {
+	t.Helper()
+	var dirs []string
+	seen := map[string]bool{}
+	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(moduleRoot, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if rel != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); rel != "." && err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir := filepath.Dir(rel)
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") && !seen[dir] {
+			seen[dir] = true
+			dirs = append(dirs, dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
 }
 
 func checkFile(t *testing.T, fset *token.FileSet, path string, file *ast.File) {

@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -29,39 +28,24 @@ var lazyrandDir = filepath.Join("internal", "lazyrand")
 func TestNoEagerSeeding(t *testing.T) {
 	fset := token.NewFileSet()
 	scanned := 0
-	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, dir := range packageDirs(t) {
+		if dir == lazyrandDir {
+			continue
 		}
-		rel, err := filepath.Rel(moduleRoot, path)
+		pkgs, err := parser.ParseDir(fset, filepath.Join(moduleRoot, dir), func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if rel != "." && (strings.HasPrefix(name, ".") || name == "testdata" || rel == lazyrandDir) {
-				return filepath.SkipDir
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				scanned++
+				for _, pos := range newSourceUses(file) {
+					t.Errorf("%s: rand.NewSource seeds eagerly; use lazyrand.New", fset.Position(pos))
+				}
 			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); rel != "." && err == nil {
-				return filepath.SkipDir
-			}
-			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		scanned++
-		for _, pos := range newSourceUses(file) {
-			t.Errorf("%s: rand.NewSource seeds eagerly; use lazyrand.New", fset.Position(pos))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if scanned == 0 {
 		t.Fatal("scanned no Go files; is the module root right?")

@@ -9,10 +9,8 @@
 // (1/32 ≈ 3.1%) of its bucket's reported upper bound, so any quantile is
 // off by at most one bucket — see Hist.
 //
-// Hists merge: Merge is an associative, commutative fold, so shards
-// observed separately combine into the histogram of all their values in
-// any order. A Hist is NOT safe for concurrent use; telemetry.Histogram
-// puts one behind a mutex.
+// A Hist is NOT safe for concurrent use; telemetry.Histogram puts one
+// behind a mutex.
 package sketch
 
 import (
@@ -36,15 +34,14 @@ const RelativeError = 1.0 / subCount
 // maxBuckets bounds the bucket array: values up to 2^62 index below it.
 const maxBuckets = (63-SubBits)*subCount + subCount
 
-// Hist is a mergeable log-linear histogram of non-negative int64 values
+// Hist is a log-linear histogram of non-negative int64 values
 // (negatives clamp to 0). Values below 2^SubBits are counted exactly;
 // above that, each power of two splits into 2^SubBits linear sub-buckets,
 // so the bucket containing v has width <= v·RelativeError. Memory is
 // O(log(max observed value)) — ~15 KiB fully grown — independent of the
 // observation count.
 //
-// The zero value is ready to use. Not safe for concurrent use: shard per
-// goroutine and Merge.
+// The zero value is ready to use. Not safe for concurrent use.
 type Hist struct {
 	// counts grows lazily to the highest bucket observed; index i counts
 	// observations in bucket i's value range.
@@ -108,31 +105,6 @@ func (h *Hist) Add(v int64, n int64) {
 	h.sum += v * n
 }
 
-// Merge folds o into h. Merge is associative and commutative: any shard
-// tree produces the same histogram as observing every value into one
-// sketch. A nil or empty o is a no-op; o is not modified.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if len(o.counts) > len(h.counts) {
-		grown := make([]int64, len(o.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-}
-
 // Count returns the number of recorded observations.
 func (h *Hist) Count() int64 { return h.count }
 
@@ -153,14 +125,6 @@ func (h *Hist) Max() int64 {
 		return 0
 	}
 	return h.max
-}
-
-// Mean returns the arithmetic mean of recorded values (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
 }
 
 // Quantile returns the q-th quantile (q in [0,1]) by nearest rank: the

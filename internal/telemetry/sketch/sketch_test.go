@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 )
@@ -67,86 +66,9 @@ func TestQuantileErrorBound(t *testing.T) {
 	}
 }
 
-// TestMergeEqualsSingle is the property the campaign sharding relies on:
-// random shards merged in random order are identical — field for field —
-// to the single sketch that observed every value.
-func TestMergeEqualsSingle(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		nShards := 1 + rng.Intn(8)
-		shards := make([]*Hist, nShards)
-		for i := range shards {
-			shards[i] = &Hist{}
-		}
-		var single Hist
-		for i := 0; i < 5000; i++ {
-			v := rng.Int63n(1 << uint(1+rng.Intn(40)))
-			single.Observe(v)
-			shards[rng.Intn(nShards)].Observe(v)
-		}
-		// Merge in a random order.
-		merged := &Hist{}
-		for _, i := range rng.Perm(nShards) {
-			merged.Merge(shards[i])
-		}
-		if merged.Count() != single.Count() || merged.Sum() != single.Sum() ||
-			merged.Min() != single.Min() || merged.Max() != single.Max() {
-			t.Fatalf("trial %d: merged (%d,%d,%d,%d) != single (%d,%d,%d,%d)",
-				trial, merged.Count(), merged.Sum(), merged.Min(), merged.Max(),
-				single.Count(), single.Sum(), single.Min(), single.Max())
-		}
-		for q := 0.0; q <= 1.0; q += 0.05 {
-			if merged.Quantile(q) != single.Quantile(q) {
-				t.Fatalf("trial %d: q=%v merged %d != single %d", trial, q, merged.Quantile(q), single.Quantile(q))
-			}
-		}
-	}
-}
-
-// TestMergeAssociativeCommutative: (a⊕b)⊕c == a⊕(b⊕c) == c⊕(b⊕a),
-// compared by deep equality of the full state.
-func TestMergeAssociativeCommutative(t *testing.T) {
-	build := func(seed int64, n int) *Hist {
-		rng := rand.New(rand.NewSource(seed))
-		h := &Hist{}
-		for i := 0; i < n; i++ {
-			h.Observe(rng.Int63n(1 << 30))
-		}
-		return h
-	}
-	a, b, c := build(1, 100), build(2, 5000), build(3, 17)
-	left := &Hist{}
-	left.Merge(a)
-	left.Merge(b)
-	left.Merge(c)
-	rightInner := b.Clone()
-	rightInner.Merge(c)
-	right := a.Clone()
-	right.Merge(rightInner)
-	rev := &Hist{}
-	rev.Merge(c)
-	rev.Merge(b)
-	rev.Merge(a)
-	norm := func(h *Hist) *Hist {
-		// Trailing-zero bucket tails depend on merge order; trim before
-		// comparing.
-		n := h.Clone()
-		for len(n.counts) > 0 && n.counts[len(n.counts)-1] == 0 {
-			n.counts = n.counts[:len(n.counts)-1]
-		}
-		return n
-	}
-	if !reflect.DeepEqual(norm(left), norm(right)) {
-		t.Fatal("merge is not associative")
-	}
-	if !reflect.DeepEqual(norm(left), norm(rev)) {
-		t.Fatal("merge is not commutative")
-	}
-}
-
 func TestHistEdgeCases(t *testing.T) {
 	var h Hist
-	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Mean() != 0 {
+	if h.Quantile(0.5) != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram should read as zero")
 	}
 	h.Observe(-5) // clamps to 0
@@ -157,7 +79,6 @@ func TestHistEdgeCases(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatal("Add with n<=0 must not count")
 	}
-	h.Merge(nil) // no-op
 	h.Reset()
 	if h.Count() != 0 || h.Quantile(1) != 0 {
 		t.Fatal("reset did not empty the histogram")

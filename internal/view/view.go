@@ -9,8 +9,7 @@
 // this package decides it by synchronized partition refinement (depth-k
 // classes are exactly k rounds of refinement), keeps the explicit tree
 // construction for display and cross-checking, and computes the
-// symmetricity σ_ℓ(G) (the common size of the view classes) per labeling as
-// well as σ(G) = max over labelings for small graphs.
+// symmetricity σ_ℓ(G) (the common size of the view classes) per labeling.
 package view
 
 import (
@@ -111,15 +110,6 @@ func ComputeClasses(g *graph.Graph, l graph.EdgeLabeling, colors []int) (*Classe
 	return fromAssignment(cls), nil
 }
 
-// ClassesAtDepth returns the coarser partition by views truncated at the
-// given depth — exposed so tests can verify Norris's theorem empirically.
-func ClassesAtDepth(g *graph.Graph, l graph.EdgeLabeling, colors []int, depth int) (*Classes, error) {
-	if err := l.Validate(g); err != nil {
-		return nil, err
-	}
-	return fromAssignment(depthClasses(g, l, colors, depth)), nil
-}
-
 func fromAssignment(cls []int) *Classes {
 	// Renumber classes by smallest member.
 	first := map[int]int{}
@@ -149,9 +139,6 @@ func fromAssignment(cls []int) *Classes {
 
 // Count returns the number of classes.
 func (c *Classes) Count() int { return len(c.Members) }
-
-// SameView reports whether nodes u and v have label-isomorphic views.
-func (c *Classes) SameView(u, v int) bool { return c.Class[u] == c.Class[v] }
 
 // Sizes returns the class sizes in class order.
 func (c *Classes) Sizes() []int {
@@ -253,90 +240,3 @@ func (t *Tree) Equal(o *Tree) bool { return t.render() == o.render() }
 
 // String renders the tree canonically (one line).
 func (t *Tree) String() string { return t.render() }
-
-// SymmetricityMax computes σ(G) = max over all edge-labelings ℓ of σ_ℓ(G),
-// by exhaustive enumeration of labelings (each node independently permutes
-// labels 0..deg−1 over its ports). The number of labelings is ∏ deg(v)!,
-// so this is only feasible for tiny graphs; limit caps the number of
-// labelings tried (0 means 10^7) and an error is returned if exceeded.
-func SymmetricityMax(g *graph.Graph, colors []int, limit int) (int, graph.EdgeLabeling, error) {
-	if limit <= 0 {
-		limit = 10_000_000
-	}
-	total := 1
-	for v := 0; v < g.N(); v++ {
-		f := factorial(g.Deg(v))
-		if total > limit/max(f, 1) {
-			return 0, nil, fmt.Errorf("view: labeling space exceeds limit %d", limit)
-		}
-		total *= f
-	}
-	best := 0
-	var bestL graph.EdgeLabeling
-	l := graph.PortLabeling(g)
-	var rec func(v int) error
-	rec = func(v int) error {
-		if v == g.N() {
-			cl, err := ComputeClasses(g, l, colors)
-			if err != nil {
-				return err
-			}
-			if s, ok := cl.Symmetricity(); ok && s > best {
-				best = s
-				bestL = l.Clone()
-			}
-			return nil
-		}
-		perms := permutations(g.Deg(v))
-		for _, p := range perms {
-			l[v] = p
-			if err := rec(v + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return 0, nil, err
-	}
-	return best, bestL, nil
-}
-
-func permutations(n int) [][]int {
-	var out [][]int
-	cur := make([]int, 0, n)
-	used := make([]bool, n)
-	var rec func()
-	rec = func() {
-		if len(cur) == n {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for i := 0; i < n; i++ {
-			if !used[i] {
-				used[i] = true
-				cur = append(cur, i)
-				rec()
-				cur = cur[:len(cur)-1]
-				used[i] = false
-			}
-		}
-	}
-	rec()
-	return out
-}
-
-func factorial(n int) int {
-	f := 1
-	for i := 2; i <= n; i++ {
-		f *= i
-	}
-	return f
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -109,6 +109,12 @@ func Fig2cLabeling() graph.EdgeLabeling {
 	}
 }
 
+// classesAtDepth is the coarser partition by views truncated at depth, on
+// all-white nodes: the refinement ComputeClasses runs, stopped early.
+func classesAtDepth(g *graph.Graph, l graph.EdgeLabeling, depth int) *Classes {
+	return fromAssignment(depthClasses(g, l, nil, depth))
+}
+
 func TestNorrisDepthSufficient(t *testing.T) {
 	// Classes at depth n-1 must equal the stable classes, and must be
 	// strictly coarser at depth 0 for graphs with asymmetry.
@@ -127,10 +133,7 @@ func TestNorrisDepthSufficient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		atN1, err := ClassesAtDepth(c.g, c.l, nil, c.g.N()-1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		atN1 := classesAtDepth(c.g, c.l, c.g.N()-1)
 		if stable.Count() != atN1.Count() {
 			t.Errorf("case %d: depth n-1 classes %d != stable %d", i, atN1.Count(), stable.Count())
 		}
@@ -162,88 +165,20 @@ func TestTreeMatchesRefinement(t *testing.T) {
 		}
 		for u := 0; u < g.N(); u++ {
 			for v := u + 1; v < g.N(); v++ {
-				if (render[u] == render[v]) != cl.SameView(u, v) {
+				same := cl.Class[u] == cl.Class[v]
+				if (render[u] == render[v]) != same {
 					t.Errorf("graph %d: nodes %d,%d tree-equal=%v refinement=%v",
-						gi, u, v, render[u] == render[v], cl.SameView(u, v))
+						gi, u, v, render[u] == render[v], same)
 				}
 			}
 		}
 	}
 }
 
-func TestSymmetricityMaxK2AndPath(t *testing.T) {
-	// K2: both labelings give σ = 2 (the two nodes always look alike).
-	k2 := graph.Path(2)
-	s, _, err := SymmetricityMax(k2, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 2 {
-		t.Errorf("σ(K2) = %d, want 2", s)
-	}
-	// P3: middle node always distinguishable; σ = max is 2 when the two
-	// end ports of y get... in fact ends can look alike, so σ(P3)=2? The
-	// ends have degree 1, the middle degree 2; ends can share a view.
-	s, _, err = SymmetricityMax(graph.Path(3), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 1 {
-		// σ_ℓ is the COMMON class size; since the middle is always alone,
-		// every labeling has classes of unequal sizes unless ends also
-		// split. Symmetricity is only well-defined when all classes have
-		// equal size; Yamashita-Kameda guarantee equal sizes, so for P3
-		// all classes must be singletons and σ = 1.
-		t.Errorf("σ(P3) = %d, want 1", s)
-	}
-	// C4: fully symmetric labeling exists, σ = 4? The oriented labeling
-	// gives one class of size 4.
-	s, l, err := SymmetricityMax(graph.Cycle(4), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 4 {
-		t.Errorf("σ(C4) = %d, want 4 (witness %v)", s, l)
-	}
-}
-
-func TestSymmetricityWithBlackNodes(t *testing.T) {
-	// C4 with one black node: no labeling can make the black node look
-	// like a white one, and the two neighbors of black can look alike,
-	// but classes would then have sizes (1,2,1) — unequal — so σ = 1.
-	colors := []int{1, 0, 0, 0}
-	s, _, err := SymmetricityMax(graph.Cycle(4), colors, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 1 {
-		t.Errorf("σ(C4, one black) = %d, want 1", s)
-	}
-	// C4 with two antipodal blacks: the rotation by 2 can be label-
-	// preserving, σ = 2.
-	colors = []int{1, 0, 1, 0}
-	s, _, err = SymmetricityMax(graph.Cycle(4), colors, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 2 {
-		t.Errorf("σ(C4, antipodal blacks) = %d, want 2", s)
-	}
-}
-
-func TestSymmetricityLimitError(t *testing.T) {
-	if _, _, err := SymmetricityMax(graph.Complete(6), nil, 1000); err == nil {
-		t.Error("expected limit error for K6 labeling space")
-	}
-}
-
 func TestClassesAtDepthZero(t *testing.T) {
 	// Depth 0 groups by (color, degree) only.
 	g := graph.Star(3)
-	cl, err := ClassesAtDepth(g, graph.PortLabeling(g), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := classesAtDepth(g, graph.PortLabeling(g), 0)
 	if cl.Count() != 2 {
 		t.Errorf("depth-0 classes %d, want 2 (center vs leaves)", cl.Count())
 	}
@@ -258,10 +193,7 @@ func TestNorrisDepthCanBeNecessary(t *testing.T) {
 	n := 12
 	g := graph.Path(n)
 	l := graph.PortLabeling(g)
-	shallow, err := ClassesAtDepth(g, l, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shallow := classesAtDepth(g, l, 1)
 	stable, err := ComputeClasses(g, l, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -274,11 +206,7 @@ func TestNorrisDepthCanBeNecessary(t *testing.T) {
 	// at most n-1 (Norris) and, for the path, grow with n.
 	stabilized := -1
 	for k := 0; k < n; k++ {
-		atK, err := ClassesAtDepth(g, l, nil, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if atK.Count() == stable.Count() {
+		if classesAtDepth(g, l, k).Count() == stable.Count() {
 			stabilized = k
 			break
 		}
@@ -305,10 +233,7 @@ func TestBoldiVignaDiameterDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		atDiam, err := ClassesAtDepth(g, l, nil, g.Diameter())
-		if err != nil {
-			t.Fatal(err)
-		}
+		atDiam := classesAtDepth(g, l, g.Diameter())
 		if stable.Count() != atDiam.Count() {
 			t.Errorf("%v: depth-diameter classes %d != stable %d",
 				g, atDiam.Count(), stable.Count())

@@ -212,18 +212,6 @@ const (
 	EvTorn    = sim.EvTorn
 )
 
-// BufferedTracer decouples a slow trace sink (printing, file I/O) from the
-// simulation: events buffer through a channel drained off the hot path, and
-// a full buffer drops events (counted) instead of stalling agents under the
-// whiteboard lock.
-type BufferedTracer = sim.BufferedTracer
-
-// NewBufferedTracer starts a buffered tracer feeding sink; install its
-// Trace method as RunConfig.Trace and Close it after the run to flush.
-func NewBufferedTracer(sink Tracer, size int) *BufferedTracer {
-	return sim.NewBufferedTracer(sink, size)
-}
-
 func (c RunConfig) ordering() order.Ordering {
 	if c.UseHairOrdering {
 		return order.Hairs
