@@ -33,7 +33,6 @@ determinism:
 	$(GO) test -race -count=50 -run '^(TestViolatingRunReplays|TestRetriedRunReplays)$$' ./internal/campaign
 	$(GO) test -race -count=50 -run '^TestAnalyzeCtxDeadline$$' ./internal/elect
 	$(GO) test -race -count=50 -run '^TestConcurrentStateReuse$$' ./internal/iso
-	$(GO) test -race -count=50 -run '^TestMemoConcurrent$$' ./internal/order
 	$(GO) test -race -count=50 -run '^(TestChangRobertsAcrossBackends|TestDeadlockDetection|TestParkedAgentWakesOnBoardChange)$$' ./internal/runtime
 
 bench:
@@ -54,7 +53,7 @@ cover:
 	$(GO) test -cover ./...
 
 # The coverage gate, run by CI's coverage job: the protocol core, the
-# class ordering (a wrong COMPUTE & ORDER memo hit is a wrong election),
+# class ordering (a wrong class order is a wrong election),
 # the engine, the fault plane, the sketch layer, the runtime contract, the
 # protocol zoo, the seeded RNG and the two oracles' packages (the Cayley
 # test in group, the Theorem 2.1 check in labeling) must each keep

@@ -134,9 +134,8 @@ type protoInfo struct {
 }
 
 // protocolFor constructs the protocol for a kind, once per campaign. Each
-// ELECT-family protocol the elect package returns shares one COMPUTE &
-// ORDER memo (order.Memo) among all the agents it runs, and is safe to
-// share across concurrent runs.
+// protocol the elect package returns keeps no state between agents, so it
+// is safe to share across concurrent runs.
 func protocolFor(kind ProtocolKind, opt Options) (protoInfo, error) {
 	ord := order.Direct
 	if opt.UseHairOrdering {

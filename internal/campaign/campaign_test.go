@@ -16,6 +16,7 @@ import (
 	"repro/internal/analysiscache"
 	"repro/internal/elect"
 	"repro/internal/graph"
+	"repro/internal/iso"
 	"repro/internal/order"
 	"repro/internal/sim"
 )
@@ -207,17 +208,16 @@ func stall(a *sim.Agent) (sim.Outcome, error) {
 	}
 }
 
-// TestElectSharesComputeAndOrder: the agents of one ELECT protocol value
-// share one COMPUTE & ORDER memo, so 1,000 runs of one instance key its
-// k = 3 classes at most once per agent of the first run (r·k = 9), not once
-// per agent per run (9,000).
-func TestElectSharesComputeAndOrder(t *testing.T) {
+// TestElectRunsOneSearchPerAgent: each agent's COMPUTE & ORDER is one
+// sparse canonical search of its map, so 1,000 runs of C12 with r = 3
+// agents and no analysis run exactly 3,000 canonical searches.
+func TestElectRunsOneSearchPerAgent(t *testing.T) {
 	g := graph.Cycle(12)
 	runs := make([]Run, 1000)
 	for i := range runs {
 		runs[i] = Run{Instance: "cycle12[0 4 8]", G: g, Homes: []int{0, 4, 8}, Seed: int64(i + 1), Protocol: ProtoElect}
 	}
-	before := order.KeysComputed()
+	before := iso.Stats()
 	rep, err := ExecuteRuns(runs, Options{Workers: 1, NoAnalysis: true})
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +225,8 @@ func TestElectSharesComputeAndOrder(t *testing.T) {
 	if f := rep.Failures(); len(f) > 0 {
 		t.Fatalf("%d failed runs, first: %+v", len(f), f[0])
 	}
-	if keys := order.KeysComputed() - before; keys > 9 {
-		t.Fatalf("1,000 runs computed %d class keys, want at most r·k = 9", keys)
+	if got := iso.Stats().Sub(before).Searches; got != 3000 {
+		t.Fatalf("1,000 runs of 3 agents ran %d canonical searches, want 3,000", got)
 	}
 }
 

@@ -25,14 +25,15 @@ import (
 // Cay(Z2³,·) and Cay(Z4×Z2,·)), whose translations preserve different black
 // sets. Two agents running the search directly on their own drawn maps can
 // therefore disagree on d — a protocol-splitting bug this function avoids
-// by first canonicalizing the bicolored graph: every agent then runs the
-// search on the identical canonical input and extracts the identical d.
+// by first canonicalizing the bicolored graph with the sparse engine, as
+// COMPUTE & ORDER does: every agent then runs the search on the identical
+// canonical input and extracts the identical d, the one AnalyzeCtx reports.
 func CayleyTranslationCount(g *graph.Graph, weight []int, autCap int) (bool, int, error) {
-	canon := iso.Canonical(iso.FromGraph(g, weight))
+	canon := iso.CanonicalSparse(iso.SparseFromGraph(g, weight))
 	return cayleyTranslationCount(context.Background(), g, weight, canon.Perm)
 }
 
-// cayleyTranslationCount is CayleyTranslationCount given canon, the
+// cayleyTranslationCount is CayleyTranslationCount given canon, the sparse
 // canonical relabeling of the bicolored graph (g, weight), under ctx.
 // AnalyzeCtx passes the relabeling of the search COMPUTE & ORDER already
 // ran on the same input. Translation by γ is the vertex map R[γ] of the
@@ -109,10 +110,8 @@ var ErrNotCayley = errors.New("elect: network is not a Cayley graph")
 // automorphism class size, so this loses nothing: d > 1 ⟹ gcd > 1. The
 // experiment suite validates the combined decision — elect iff the
 // automorphism-class gcd is 1 — against the exact Theorem 2.1 oracle on the
-// whole Cayley sweep (see DESIGN.md §6 and EXPERIMENTS.md E5). Like Elect's,
-// its agents share one COMPUTE & ORDER memo.
+// whole Cayley sweep (see DESIGN.md §6 and EXPERIMENTS.md E5).
 func CayleyElect(opt CayleyOptions) sim.Protocol {
-	memo := new(order.Memo)
 	return func(a *sim.Agent) (sim.Outcome, error) {
 		m, err := MapDraw(a)
 		if err != nil {
@@ -124,7 +123,7 @@ func CayleyElect(opt CayleyOptions) sim.Protocol {
 		}
 		if !isCayley {
 			if opt.FallbackToElect {
-				k := newKnowledge(a, m, opt.Ordering, memo)
+				k := newKnowledge(a, m, opt.Ordering)
 				return runReduction(k)
 			}
 			return sim.Outcome{}, ErrNotCayley
@@ -134,7 +133,7 @@ func CayleyElect(opt CayleyOptions) sim.Protocol {
 			// this conclusion from its own map; no coordination is needed.
 			return sim.Outcome{Role: sim.RoleUnsolvable}, nil
 		}
-		k := newKnowledge(a, m, opt.Ordering, memo)
+		k := newKnowledge(a, m, opt.Ordering)
 		return runReduction(k)
 	}
 }

@@ -22,19 +22,16 @@ type Options struct {
 // gcd(|C_1|, …, |C_k|) = 1 and otherwise lets every agent report that the
 // election failed (Theorem 3.1).
 //
-// COMPUTE & ORDER is a function of the drawn map's isomorphism class, so
-// all the agents the returned protocol runs, in any number of runs, share
-// one order.Memo of it; the protocol is safe to share across concurrent
-// runs. A memo hit changes no move, board access or decision, only local
-// time (DESIGN.md §6).
+// Each agent runs COMPUTE & ORDER on its own map, one sparse canonical
+// search under order.Direct. The protocol keeps no state between agents, so
+// it is safe to share across concurrent runs.
 func Elect(opt Options) sim.Protocol {
-	memo := new(order.Memo)
 	return func(a *sim.Agent) (sim.Outcome, error) {
 		m, err := MapDraw(a)
 		if err != nil {
 			return sim.Outcome{}, err
 		}
-		k := newKnowledge(a, m, opt.Ordering, memo)
+		k := newKnowledge(a, m, opt.Ordering)
 		return runReductionOpt(k, opt.NoSkip)
 	}
 }

@@ -24,13 +24,12 @@ type knowledge struct {
 	down  []int // moveTo's descent, target first; reused across calls
 }
 
-// newKnowledge runs COMPUTE & ORDER on a drawn map, through memo, the one
-// the protocol value shares among all the agents it runs.
-func newKnowledge(a *sim.Agent, m *Map, ord order.Ordering, memo *order.Memo) *knowledge {
+// newKnowledge runs COMPUTE & ORDER on a drawn map.
+func newKnowledge(a *sim.Agent, m *Map, ord order.Ordering) *knowledge {
 	a.SetPhase(telemetry.PhaseOrder)
 	sp := a.Span("compute-and-order")
 	k := &knowledge{a: a, m: m, at: m.Home}
-	k.ord = memo.ComputeAndOrder(m.G, m.Colors(), ord)
+	k.ord = order.ComputeAndOrder(m.G, m.Colors(), ord)
 	k.buildTour()
 	sp.End()
 	return k

@@ -58,23 +58,21 @@ func Analyze(g *graph.Graph, homes []int, ord order.Ordering) (*Analysis, error)
 }
 
 // AnalyzeCtx is Analyze under a context: cancellation propagates through
-// COMPUTE & ORDER into every canonical search it runs (the whole-graph
-// search for the classes and, below order.LargeThreshold, one surrounding
-// search per class), and into the Cayley test and the Theorem 2.1 check,
-// and surfaces as ctx.Err(). This is the hook by which a canceled
-// /v1/analyze request stops its analysis mid-computation.
+// COMPUTE & ORDER into every canonical search it runs (the sparse
+// whole-graph search and, under order.Hairs, one surrounding search per
+// class), and into the Cayley test and the Theorem 2.1 check, and surfaces
+// as ctx.Err(). This is the hook by which a canceled /v1/analyze request
+// stops its analysis mid-computation.
 //
-// The whole-graph search of (G, p) runs once: the Cayley test relabels G by
-// its canonical Perm, and the Theorem 2.1 check colors G by the orbits of
-// its AutoGens.
+// The whole-graph search of (G, p) runs once, in COMPUTE & ORDER: the
+// Cayley test relabels G by its canonical Perm, and the Theorem 2.1 check
+// colors G by the orbits of its AutoGens.
 //
-// Graphs with at least order.LargeThreshold nodes take the scaled path: the
-// class structure comes from one sparse whole-graph canonicalization, and
-// the Cayley test and the Theorem 2.1 search, which need an n×n distance
-// table, are skipped, leaving their fields unset exactly as an undecided
-// small instance would. A connected simple graph with gcd 1 still gets its
-// Theorem 2.1 answer, which needs no search (see
-// labeling.ExistsSymmetricLabelingGens).
+// On graphs with at least order.LargeThreshold nodes the Cayley test and
+// the Theorem 2.1 search, which need an n×n distance table, are skipped,
+// leaving their fields unset exactly as an undecided small instance would.
+// A connected simple graph with gcd 1 still gets its Theorem 2.1 answer,
+// which needs no search (see labeling.ExistsSymmetricLabelingGens).
 func AnalyzeCtx(ctx context.Context, g *graph.Graph, homes []int, ord order.Ordering) (*Analysis, error) {
 	colors := BlackColors(g.N(), homes)
 	o, err := order.ComputeAndOrderCtx(ctx, g, colors, ord)

@@ -14,10 +14,11 @@ import (
 
 // TestAnalyzeCtxDeadline: AnalyzeCtx honors its deadline in each of its
 // stages.
-//   - A rigid 1,000-node graph, below order.LargeThreshold: every canonical
-//     search of COMPUTE & ORDER polls ctx, so a 50 ms deadline surfaces
-//     within a second. Uncanceled, the analysis runs 1,001 searches and
-//     takes about 13 s on a 2-vCPU Xeon.
+//   - A rigid 1,000-node graph under order.Hairs: COMPUTE & ORDER runs one
+//     hair-surrounding search per class, each polling ctx, so a 50 ms
+//     deadline surfaces within a second. Under order.Direct the whole
+//     analysis takes about 30–40 ms there, one sparse search and a Cayley
+//     test that rejects the graph before searching.
 //   - K12 with one home, whose Theorem 2.1 check needs no search (gcd 1):
 //     COMPUTE & ORDER takes under 1 ms (13–25 ms under -race), so a 50 ms
 //     deadline lands in the Cayley test, whose automorphism enumeration
@@ -29,15 +30,16 @@ func TestAnalyzeCtxDeadline(t *testing.T) {
 		name            string
 		g               *graph.Graph
 		homes           []int
+		ord             order.Ordering
 		deadline, limit time.Duration
 		stage           string // a prefix the error must carry, if any
 	}{
-		{"rr3-1000", graph.RandomRegular(1000, 3, 1), []int{0, 1, 2}, 50 * time.Millisecond, time.Second, ""},
-		{"K12", graph.Complete(12), []int{0}, 50 * time.Millisecond, 250 * time.Millisecond, "elect: Cayley test: "},
+		{"rr3-1000", graph.RandomRegular(1000, 3, 1), []int{0, 1, 2}, order.Hairs, 50 * time.Millisecond, time.Second, ""},
+		{"K12", graph.Complete(12), []int{0}, order.Direct, 50 * time.Millisecond, 250 * time.Millisecond, "elect: Cayley test: "},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), tc.deadline)
 		start := time.Now()
-		_, err := AnalyzeCtx(ctx, tc.g, tc.homes, order.Direct)
+		_, err := AnalyzeCtx(ctx, tc.g, tc.homes, tc.ord)
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) || !strings.HasPrefix(err.Error(), tc.stage) {
@@ -49,19 +51,19 @@ func TestAnalyzeCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSearchCount: one analysis runs the whole-graph search of
-// (G, p) once. On a rigid RR3-200 with three homes that is 202 searches:
-// the whole-graph search and 200 class surroundings in COMPUTE & ORDER,
-// whose canonical Perm and generators the Cayley test and the Theorem 2.1
-// check reuse, plus the Cayley test's search of uncoloured G.
+// TestAnalyzeSearchCount: one analysis runs one canonical search. On a
+// rigid RR3-200 with three homes that is COMPUTE & ORDER's sparse search of
+// (G, p), whose canonical Perm and generators the Cayley test and the
+// Theorem 2.1 check reuse; the Cayley test rejects the rigid G by its
+// distance counts before searching it.
 func TestAnalyzeSearchCount(t *testing.T) {
 	g := graph.RandomRegular(200, 3, 1)
 	before := iso.Stats()
 	if _, err := Analyze(g, []int{0, 1, 2}, order.Direct); err != nil {
 		t.Fatal(err)
 	}
-	if got := iso.Stats().Sub(before).Searches; got != 202 {
-		t.Fatalf("Analyze ran %d canonical searches, want 202", got)
+	if got := iso.Stats().Sub(before).Searches; got != 1 {
+		t.Fatalf("Analyze ran %d canonical searches, want 1", got)
 	}
 }
 

@@ -267,6 +267,22 @@ func TestRecognizeDeterministic(t *testing.T) {
 	}
 }
 
+// TestRecognizeRejectsRigidBeforeSearch: on a rigid random 3-regular graph
+// some vertex sees a different number of vertices at some distance than
+// vertex 0 does, so RecognizeCtx answers "not Cayley" without a canonical
+// search of G.
+func TestRecognizeRejectsRigidBeforeSearch(t *testing.T) {
+	g := graph.RandomRegular(200, 3, 1)
+	before := iso.Stats()
+	rec, err := RecognizeCtx(context.Background(), g)
+	if err != nil || rec.IsCayley {
+		t.Fatalf("RecognizeCtx(RR3-200) = %+v, %v", rec, err)
+	}
+	if got := iso.Stats().Sub(before).Searches; got != 0 {
+		t.Fatalf("RecognizeCtx(RR3-200) ran %d canonical searches, want 0", got)
+	}
+}
+
 // TestRecognizeAllocationBound: the regular-subgroup search opens an
 // enumeration only for the slots it branches on, so one RecognizeCtx call
 // on C1000 allocates about 27 MB. Opening one enumeration per vertex up

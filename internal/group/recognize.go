@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -31,16 +32,19 @@ type Recognition struct {
 // deterministic, so every caller — in particular every agent of the
 // Section 4 protocol — finds the same subgroup for the same input.
 //
-// The paper notes this test is "time-consuming, but decidable". After the
-// canonical search of g, transitivity is read off the orbits of its
-// automorphism generators. The regular-subgroup search then draws its
+// The paper notes this test is "time-consuming, but decidable". A vertex
+// whose count of vertices at some distance differs from vertex 0's rules
+// out vertex-transitivity before any search, which rejects rigid regular
+// graphs at the cost of the AutSearch's distance table. Otherwise
+// transitivity is read off the orbits of the automorphism generators of
+// g's sparse canonical search. The regular-subgroup search then draws its
 // candidates for R[v] — the fixed-point-free automorphisms mapping 0 to v,
-// in lexicographic order of their image arrays — lazily from an AutSearch,
-// so Aut(g) is never materialized. The canonical search polls ctx once per
-// node, the enumeration every few hundred nodes, and the subgroup search
-// once per candidate; a fired ctx surfaces as ctx.Err(), an exhausted
-// budget of dead ends as ErrUndecided. K9, K10, K6,6, Q6, Q7, C2047 and
-// T45×45 stay inside the budget; Q8 and K12 do not.
+// in lexicographic order of their image arrays — lazily from the same
+// AutSearch, so Aut(g) is never materialized. The canonical search polls
+// ctx once per node, the enumeration every few hundred nodes, and the
+// subgroup search once per candidate; a fired ctx surfaces as ctx.Err(), an
+// exhausted budget of dead ends as ErrUndecided. K9, K10, K6,6, Q6, Q7,
+// C2047 and T45×45 stay inside the budget; Q8 and K12 do not.
 func RecognizeCtx(ctx context.Context, g *graph.Graph) (*Recognition, error) {
 	n := g.N()
 	if n == 0 {
@@ -53,18 +57,44 @@ func RecognizeCtx(ctx context.Context, g *graph.Graph) (*Recognition, error) {
 		// Cayley graphs are vertex-transitive, hence regular.
 		return &Recognition{IsCayley: false}, nil
 	}
-	res, err := iso.CanonicalCtx(ctx, iso.FromGraph(g, nil))
+	aut := NewAutSearch(ctx, g, nil, true)
+	if !distanceCountsAgree(aut) {
+		return &Recognition{IsCayley: false}, nil
+	}
+	res, err := iso.CanonicalSparseCtx(ctx, iso.SparseFromGraph(g, nil))
 	if err != nil {
 		return nil, err
 	}
 	if len(perm.OrbitsOf(n, res.AutoGens)) != 1 {
 		return &Recognition{IsCayley: false}, nil
 	}
-	reg, err := findRegularSubgroup(ctx, g)
+	reg, err := findRegularSubgroup(aut)
 	if err != nil {
 		return nil, err
 	}
 	return &Recognition{IsCayley: reg != nil, Regular: reg}, nil
+}
+
+// distanceCountsAgree reports whether every vertex of the connected graph
+// behind s has as many vertices at each distance as vertex 0 has. An
+// automorphism mapping 0 to u carries the one count onto the other, so a
+// vertex-transitive graph passes.
+func distanceCountsAgree(s *AutSearch) bool {
+	n := s.n
+	want, got := make([]int, n), make([]int, n)
+	for _, r := range s.rel[:n] {
+		want[r>>32]++
+	}
+	for u := 1; u < n; u++ {
+		clear(got)
+		for _, r := range s.rel[u*n : (u+1)*n] {
+			got[r>>32]++
+		}
+		if !slices.Equal(got, want) {
+			return false
+		}
+	}
+	return true
 }
 
 // regularSearch is the backtracking search for a regular subgroup R of
@@ -89,15 +119,16 @@ type regularSearch struct {
 	tmp  []int
 }
 
-// findRegularSubgroup searches Aut(g) for a subgroup acting regularly on
-// the vertices and returns it indexed by image of vertex 0, or nil if none
+// findRegularSubgroup searches the automorphisms aut enumerates, which
+// must be the fixed-point-free ones, for a subgroup acting regularly on the
+// vertices and returns it indexed by image of vertex 0, or nil if none
 // exists. Candidates are tried in the lexicographic order of their image
 // arrays, so the result is that of scanning a sorted element list.
-func findRegularSubgroup(ctx context.Context, g *graph.Graph) ([]perm.Perm, error) {
-	n := g.N()
+func findRegularSubgroup(aut *AutSearch) ([]perm.Perm, error) {
+	n := aut.n
 	r := &regularSearch{
 		n:     n,
-		aut:   NewAutSearch(ctx, g, nil, true),
+		aut:   aut,
 		cand:  make([][]perm.Perm, n),
 		iters: make([]*AutIter, n),
 		elem:  make([]int, n*n),

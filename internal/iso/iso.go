@@ -173,18 +173,20 @@ type Result struct {
 	AutoGens []perm.Perm
 }
 
-// referenceEngine, when set, routes Canonical through the frozen pre-PR
-// engine in reference.go. A benchmarking hook (cmd/benchiso measures the
-// optimized engine's speedup on identical workloads, including
-// elect.Analyze, without plumbing an engine parameter through every layer);
-// not intended for production use.
+// referenceEngine, when set, routes Canonical and CanonicalSparse through
+// the frozen pre-optimization engine in reference.go. A benchmarking hook
+// (cmd/benchiso measures the optimized engines' speedup on identical
+// workloads, including elect.Analyze, without plumbing an engine parameter
+// through every layer); not intended for production use.
 var referenceEngine atomic.Bool
 
-// SetReferenceEngine routes Canonical through the frozen pre-optimization
-// engine (on=true) or the optimized engine (on=false, the default). Both
-// engines produce canonical forms; see reference.go for when their words
-// coincide. Safe to call concurrently, but toggling while other goroutines
-// are comparing words across the switch is a logic error.
+// SetReferenceEngine routes Canonical and CanonicalSparse through the
+// frozen pre-optimization engine (on=true) or the optimized engines
+// (on=false, the default). Under the switch CanonicalSparse returns the
+// frozen engine's dense word. Both engines produce canonical forms; see
+// reference.go for when their words coincide. Safe to call concurrently,
+// but toggling while other goroutines are comparing words across the
+// switch is a logic error.
 func SetReferenceEngine(on bool) { referenceEngine.Store(on) }
 
 // Canonical computes a canonical form of c: the minimum serialized word

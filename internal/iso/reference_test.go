@@ -63,15 +63,29 @@ func TestNewVsReferenceWordEquality(t *testing.T) {
 }
 
 // TestSetReferenceEngineRoutes checks the benchmarking switch: with the
-// reference engine selected, Canonical must produce the reference result.
+// reference engine selected, Canonical and CanonicalSparse must both
+// produce the reference result, the sparse entry on the input's exact dense
+// form (loops and parallel edges included).
 func TestSetReferenceEngineRoutes(t *testing.T) {
-	c := FromGraph(graph.Petersen(), nil)
-	want := ReferenceCanonical(c).Word
-	SetReferenceEngine(true)
-	got := CanonicalWord(c)
-	SetReferenceEngine(false)
-	if !bytes.Equal(got, want) {
-		t.Fatal("SetReferenceEngine(true) did not route through the reference engine")
+	b := graph.NewBuilder(4)
+	for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 2}, {2, 2}, {2, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	for name, g := range map[string]*graph.Graph{"petersen": graph.Petersen(), "multigraph": b.Graph()} {
+		colors := make([]int, g.N())
+		colors[0] = 1
+		c := FromGraph(g, colors)
+		want := ReferenceCanonical(c).Word
+		SetReferenceEngine(true)
+		got := CanonicalWord(c)
+		gotSparse := CanonicalSparse(SparseFromGraph(g, colors)).Word
+		SetReferenceEngine(false)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: SetReferenceEngine(true) did not route Canonical through the reference engine", name)
+		}
+		if !bytes.Equal(gotSparse, want) {
+			t.Fatalf("%s: SetReferenceEngine(true) did not route CanonicalSparse through the reference engine", name)
+		}
 	}
 }
 

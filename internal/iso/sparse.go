@@ -146,5 +146,22 @@ func CanonicalSparseCtx(ctx context.Context, sp *Sparse) (*Result, error) {
 	if sp.N == 0 {
 		return &Result{Perm: perm.Perm{}, Word: []byte{}}, nil
 	}
+	if referenceEngine.Load() {
+		// The benchmark-only reference switch: the frozen engine runs on
+		// the dense form, uncancelable, and returns a dense word.
+		return referenceCanonical(sp.dense()), nil
+	}
 	return sparseState(sp).run(ctx)
+}
+
+// dense returns sp in Colored form: its n×n multiplicity matrix.
+func (sp *Sparse) dense() *Colored {
+	c := NewColored(sp.N)
+	copy(c.Color, sp.Color)
+	for v := range sp.N {
+		for a := sp.g.outStart[v]; a < sp.g.outStart[v+1]; a++ {
+			c.Adj[v][sp.g.outDst[a]] = int(sp.g.outMult[a])
+		}
+	}
+	return c
 }

@@ -38,8 +38,9 @@ func analyzeC32(b *testing.B) {
 // AnalyzeC32 runs the headline kernel under the optimized engine.
 func AnalyzeC32(b *testing.B) { analyzeC32(b) }
 
-// AnalyzeC32Reference runs the headline kernel with Canonical routed through
-// the frozen pre-optimization engine, giving the perf-trajectory baseline.
+// AnalyzeC32Reference runs the headline kernel with Canonical and
+// CanonicalSparse routed through the frozen pre-optimization engine, giving
+// the perf-trajectory baseline.
 func AnalyzeC32Reference(b *testing.B) {
 	iso.SetReferenceEngine(true)
 	defer iso.SetReferenceEngine(false)
@@ -55,17 +56,19 @@ func canonical(c *iso.Colored) func(b *testing.B) {
 	}
 }
 
-// surrounding returns the C32 surrounding digraph kernel input: the exact
-// bicolored digraph shape Analyze feeds the engine once per class.
+// surrounding returns the C32 surrounding digraph kernel input: the
+// bicolored digraph of one class that the hair order keys, through its hat
+// transformation, once per class.
 func surrounding() *iso.Colored {
 	g := graph.Cycle(32)
 	return order.Surrounding(g, elect.BlackColors(32, []int{0, 8, 16, 24}), 0)
 }
 
 // analyzeRR3200 is the mid-size kernel: the full analysis of a rigid random
-// 3-regular graph on 200 nodes with homes at nodes 0, 1 and 2, below
-// order.LargeThreshold, so COMPUTE & ORDER runs one whole-graph search for
-// the classes and one surrounding search per class (200 classes).
+// 3-regular graph on 200 nodes with homes at nodes 0, 1 and 2. COMPUTE &
+// ORDER runs one sparse whole-graph search, whose labeling ranks the 200
+// classes; the Cayley test rejects the graph by its distance counts before
+// any search, and Theorem 2.1 needs none (gcd 1).
 func analyzeRR3200(b *testing.B) {
 	g := graph.RandomRegular(200, 3, 1)
 	homes := []int{0, 1, 2}

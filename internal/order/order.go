@@ -2,26 +2,26 @@
 // node surroundings (Definition 3.1), the equivalence classes of a bicolored
 // graph (Definition 2.1, computed equivalently as automorphism orbits or as
 // surrounding-isomorphism classes — Lemma 3.1 proves these coincide), and
-// the deterministic total order ≺ on classes (Lemma 3.1).
+// a deterministic total order ≺ on classes (Lemma 3.1).
 //
-// Two implementations of ≺ are provided:
+// Every COMPUTE & ORDER starts from one sparse canonical search of the whole
+// bicolored graph: the orbits of its automorphism generators are the
+// classes. Two implementations of ≺ rank them, black classes first:
 //
-//   - the direct order, keyed by (|V|, canonical word of the bicolored
-//     surrounding digraph), and
-//   - the paper's hair order, keyed by (|V|, maximum hair length, canonical
-//     word of the uni-colored digraph obtained by replacing every black node
-//     with a white node carrying a white tail of length k+1).
+//   - the positional order (Direct), by each class's smallest position in
+//     that search's canonical labeling, and
+//   - the paper's hair order (Hairs), keyed by (|V|, maximum hair length,
+//     canonical word of the uni-colored digraph obtained by replacing every
+//     black node with a white node carrying a white tail of length k+1).
 //
-// Both are deterministic total orders on isomorphism classes of bicolored
-// digraphs, which is all Protocol ELECT requires (every agent must compute
-// the same order from its own map). They need not rank classes identically;
-// ablation benchmarks compare their cost.
+// Both are deterministic total orders, which is all Protocol ELECT requires
+// (every agent must compute the same order from its own map). They need not
+// rank classes identically; ablation benchmarks compare their cost.
 package order
 
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"sort"
 	"sync/atomic"
 
@@ -30,28 +30,21 @@ import (
 	"repro/internal/perm"
 )
 
-// LargeThreshold is the node count at or above which ComputeAndOrder takes
-// the large-graph path: one sparse canonical labeling of the whole bicolored
-// graph (iso.CanonicalSparseCtx), orbits from the automorphisms that search
-// records (they generate the whole group; see iso.AutomorphismGens), and
-// positional class keys — the varint-encoded sorted canonical positions of
-// each class's members — instead of one surrounding canonicalization per
-// class. Positional keys are a third ≺ implementation: deterministic
-// (canonical positions are relabeling-invariant) and total (distinct classes
-// occupy disjoint position sets), which is all Protocol ELECT requires of an
-// ordering; like Direct versus Hairs, it need not rank classes the same way
-// as the small-graph orders. Tests lower this to force the large path onto
+// LargeThreshold is the node count at or above which the hair order stops
+// keying every class's surrounding, one dense n×n canonical search each, and
+// ranks the classes by position as Direct does. elect.AnalyzeCtx skips its
+// n×n oracles at the same size. Tests lower it to force the fallback onto
 // small instances.
 var LargeThreshold = 2048
 
-// keysComputed counts the class keys computed process-wide — one per class
-// ordered, whether classKeys keys its surrounding by a canonical search or
-// the large path keys it by canonical positions. Monotonic; snapshot
-// before/after a workload for its delta (the same discipline as iso.Stats).
+// keysComputed counts the classes ranked process-wide: one per class per
+// COMPUTE & ORDER, whether the hair order keys its surrounding or the class
+// is ranked by position. Monotonic; snapshot before/after a workload for its
+// delta (the same discipline as iso.Stats).
 var keysComputed atomic.Int64
 
-// KeysComputed returns the process-global count of class keys computed by
-// COMPUTE & ORDER. A Memo hit computes no key and adds nothing.
+// KeysComputed returns the process-global count of classes ranked by
+// COMPUTE & ORDER, one per class per call.
 func KeysComputed() int64 { return keysComputed.Load() }
 
 // Surrounding returns the surrounding S(u) of node u in the bicolored graph
@@ -87,10 +80,11 @@ func addSurroundingArcs(c *iso.Colored, edges [][2]int, dist []int, delta int) {
 	}
 }
 
-// Key is a comparable total-order key for a bicolored digraph.
+// Key is the hair-order key of a bicolored digraph: two digraphs get equal
+// keys iff they are isomorphic.
 type Key struct {
 	N    int
-	Hair int // used only by the hair order; 0 in the direct order
+	Hair int
 	Word []byte
 }
 
@@ -116,45 +110,30 @@ func (k Key) Compare(o Key) int {
 type Ordering int
 
 const (
-	// Direct keys a surrounding by the canonical word of the bicolored
-	// digraph itself.
+	// Direct ranks classes by their smallest position in the canonical
+	// labeling of the whole bicolored graph. Relabeling the graph can move
+	// a node only to the position of another node of its class, so a
+	// class's set of positions, and with it the order, is the same on every
+	// agent's map; classes are disjoint, so no two share a smallest
+	// position.
 	Direct Ordering = iota
-	// Hairs keys a surrounding by the paper's Lemma 3.1 construction:
-	// (|V|, max hair length, canonical word of the hat transformation).
+	// Hairs keys each class's surrounding by the paper's Lemma 3.1
+	// construction: (|V|, max hair length, canonical word of the hat
+	// transformation). At or above LargeThreshold nodes it ranks by
+	// position, as Direct does.
 	Hairs
 )
 
-// SurroundingKey computes the ≺ key of a bicolored digraph under the chosen
-// ordering.
-func SurroundingKey(c *iso.Colored, ord Ordering) Key {
-	k, err := surroundingKeyCtx(context.Background(), c, ord)
+// hairKey computes the hair-order key of the bicolored digraph c, with the
+// canonical search running under ctx, so a canceled analysis stops mid-word
+// rather than finishing the search it is in.
+func hairKey(ctx context.Context, c *iso.Colored) (Key, error) {
+	k := maxHairLength(c)
+	r, err := iso.CanonicalCtx(ctx, hatTransform(c, k))
 	if err != nil {
-		panic("order: unreachable: uncancelable SurroundingKey failed: " + err.Error())
+		return Key{}, err
 	}
-	return k
-}
-
-// surroundingKeyCtx is SurroundingKey with the canonical search running
-// under ctx, so a canceled analysis stops mid-word rather than finishing
-// the search it is in.
-func surroundingKeyCtx(ctx context.Context, c *iso.Colored, ord Ordering) (Key, error) {
-	switch ord {
-	case Direct:
-		r, err := iso.CanonicalCtx(ctx, c)
-		if err != nil {
-			return Key{}, err
-		}
-		return Key{N: c.N, Word: r.Word}, nil
-	case Hairs:
-		k := maxHairLength(c)
-		r, err := iso.CanonicalCtx(ctx, hatTransform(c, k))
-		if err != nil {
-			return Key{}, err
-		}
-		return Key{N: c.N, Hair: k, Word: r.Word}, nil
-	default:
-		panic("order: unknown ordering")
-	}
+	return Key{N: c.N, Hair: k, Word: r.Word}, nil
 }
 
 // maxHairLength returns the maximum length of a hair of the underlying
@@ -261,22 +240,20 @@ type Ordered struct {
 	Classes [][]int
 	// NumBlack is ℓ, the number of classes containing home-bases.
 	NumBlack int
-	// Keys[i] is the ≺ key of Classes[i]'s surrounding.
+	// Keys[i] is the hair-order key of Classes[i]'s surrounding. Nil when
+	// the classes are ranked by position, which keys nothing.
 	Keys []Key
 	// ClassOf[v] is the index into Classes of node v's class.
 	ClassOf []int
 	// Tied reports whether two distinct classes of the same color group
-	// received equal keys. This cannot happen for the equivalence classes
-	// of Definition 2.1 (distinct classes have non-isomorphic surroundings,
-	// Lemma 3.1) but can for externally supplied partitions such as the
-	// translation classes of Section 4 (see DESIGN.md §6).
+	// received equal hair keys. Lemma 3.1 rules this out (distinct classes
+	// have non-isomorphic surroundings); tests check it. The positional
+	// order never ties.
 	Tied bool
-	// Canon is the canonical search of the whole bicolored graph that
-	// ComputeAndOrder derived the classes from: dense below LargeThreshold,
-	// sparse at or above it. Its Perm is a canonical relabeling and its
-	// AutoGens generate the color-preserving automorphism group, so the
+	// Canon is the sparse canonical search of the whole bicolored graph
+	// that the classes come from. Its Perm is a canonical relabeling and
+	// its AutoGens generate the color-preserving automorphism group, so the
 	// side analyses of the same (G, p) reuse it instead of searching again.
-	// Nil for OrderClasses, whose partition comes from the caller.
 	Canon *iso.Result
 }
 
@@ -290,75 +267,91 @@ func Classes(g *graph.Graph, colors []int) [][]int {
 }
 
 // ComputeAndOrder computes the equivalence classes of the bicolored graph
-// (g, colors) and orders them by ≺ under the chosen ordering. Graphs with
-// at least LargeThreshold nodes take the sparse single-canonicalization
-// path; see LargeThreshold. It memoizes nothing; see Memo.
+// (g, colors) and orders them by ≺ under the chosen ordering.
 func ComputeAndOrder(g *graph.Graph, colors []int, ord Ordering) *Ordered {
-	return (*Memo)(nil).ComputeAndOrder(g, colors, ord)
+	o, err := ComputeAndOrderCtx(context.Background(), g, colors, ord)
+	if err != nil {
+		// Background is never canceled.
+		panic("order: unreachable: uncancelable ComputeAndOrder failed: " + err.Error())
+	}
+	return o
 }
 
 // ComputeAndOrderCtx is ComputeAndOrder under a context: cancellation
-// propagates into every canonical search it runs (the whole-graph search
-// for the classes, then the per-class surrounding searches on the small
-// path) and surfaces as ctx.Err().
+// propagates into every canonical search it runs (the whole-graph search,
+// then the hair order's per-class searches) and surfaces as ctx.Err().
+//
+// One sparse canonical search of the whole bicolored graph yields the
+// classes, as the orbits of its automorphism generators (they generate the
+// whole group; see iso.CanonicalSparse), and under Direct their order too:
+// Direct runs exactly one canonical search at every size. Hairs below
+// LargeThreshold adds one search per class.
 func ComputeAndOrderCtx(ctx context.Context, g *graph.Graph, colors []int, ord Ordering) (*Ordered, error) {
-	return (*Memo)(nil).ComputeAndOrderCtx(ctx, g, colors, ord)
-}
-
-// computeAndOrderLarge is the large-graph COMPUTE & ORDER: one sparse
-// canonical labeling of the whole bicolored graph, orbits from its
-// automorphism generators, and positional class keys. Total cost is one
-// canonical search, versus one surrounding canonicalization per class on
-// the small path.
-func computeAndOrderLarge(ctx context.Context, g *graph.Graph, colors []int) (*Ordered, error) {
 	res, err := iso.CanonicalSparseCtx(ctx, iso.SparseFromGraph(g, colors))
 	if err != nil {
 		return nil, err
 	}
 	classes := perm.OrbitsOf(g.N(), res.AutoGens)
 	keysComputed.Add(int64(len(classes)))
-	keys := positionalKeys(g.N(), res.Perm, classes)
-	o := assembleOrdered(g, colors, classes, keys)
+	var o *Ordered
+	if ord == Hairs && g.N() < LargeThreshold {
+		keys, err := hairKeys(ctx, g, colors, classes)
+		if err != nil {
+			return nil, err
+		}
+		o = assembleOrdered(g, colors, classes, keys)
+	} else {
+		o = byPosition(colors, classes, res.Perm)
+	}
 	o.Canon = res
 	return o, nil
 }
 
-// positionalKeys builds the large-path ≺ keys: class i is keyed by the
-// delta-varint encoding of the ascending canonical positions of its members.
-// Canonical positions are invariant under relabeling of the input graph, so
-// every agent computes identical keys from its own map; classes partition
-// the nodes, so distinct classes get distinct words and the order is total.
-func positionalKeys(n int, p []int, classes [][]int) []Key {
-	keys := make([]Key, len(classes))
-	var buf []int
+// byPosition ranks the classes by their smallest canonical position under
+// p, black classes first, in one walk over the positions: no key and no
+// sort.
+func byPosition(colors []int, classes [][]int, p perm.Perm) *Ordered {
+	n := len(p)
+	// first[q] is 1 + the index of the class whose smallest position is q,
+	// or 0.
+	first := make([]int, n)
 	for i, cl := range classes {
-		buf = buf[:0]
+		least := n
 		for _, v := range cl {
-			buf = append(buf, p[v])
+			least = min(least, p[v])
 		}
-		sort.Ints(buf)
-		word := make([]byte, 0, 2*len(buf))
-		prev := 0
-		for _, pos := range buf {
-			word = binary.AppendUvarint(word, uint64(pos-prev))
-			prev = pos
-		}
-		keys[i] = Key{N: n, Word: word}
+		first[least] = i + 1
 	}
-	return keys
+	var black, white [][]int
+	for _, i := range first {
+		if i == 0 {
+			continue
+		}
+		if cl := classes[i-1]; colors != nil && colors[cl[0]] != 0 {
+			black = append(black, cl)
+		} else {
+			white = append(white, cl)
+		}
+	}
+	// The walk is done with first, so it becomes ClassOf.
+	o := &Ordered{Classes: append(black, white...), NumBlack: len(black), ClassOf: first}
+	for i, cl := range o.Classes {
+		for _, v := range cl {
+			o.ClassOf[v] = i
+		}
+	}
+	return o
 }
 
-// classKeys computes the ≺ keys of the classes' surroundings, one class
-// after another. Canonical-word work is deduped per class: only each
-// class's representative (smallest member) is keyed, never every node. The
-// surroundings are drawn into one n×n matrix, erased after each key, so the
-// whole ordering allocates one matrix instead of one per class; the
-// canonical searches recycle their own state (iso's statePool). Keying
-// serially beat a GOMAXPROCS worker pool even for one caller once both
-// recycled their state, and callers such as electd already run analyses
-// side by side (DESIGN.md §8).
-func classKeys(ctx context.Context, g *graph.Graph, colors []int, classes [][]int, ord Ordering) ([]Key, error) {
-	keysComputed.Add(int64(len(classes)))
+// hairKeys computes the hair-order keys of the classes' surroundings, one
+// class after another: only each class's representative (smallest member)
+// is keyed, never every node. The surroundings are drawn into one n×n
+// matrix, erased after each key, so the whole ordering allocates one matrix
+// instead of one per class; the canonical searches recycle their own state
+// (iso's statePool). Keying serially beat a GOMAXPROCS worker pool even for
+// one caller once both recycled their state, and callers such as electd
+// already run analyses side by side (DESIGN.md §8).
+func hairKeys(ctx context.Context, g *graph.Graph, colors []int, classes [][]int) ([]Key, error) {
 	keys := make([]Key, len(classes))
 	s := iso.NewColored(g.N())
 	if colors != nil {
@@ -368,7 +361,7 @@ func classKeys(ctx context.Context, g *graph.Graph, colors []int, classes [][]in
 	for i, cl := range classes {
 		dist := g.BFSDist(cl[0])
 		addSurroundingArcs(s, edges, dist, 1)
-		k, err := surroundingKeyCtx(ctx, s, ord)
+		k, err := hairKey(ctx, s)
 		if err != nil {
 			return nil, err
 		}
@@ -378,31 +371,8 @@ func classKeys(ctx context.Context, g *graph.Graph, colors []int, classes [][]in
 	return keys, nil
 }
 
-// OrderClasses orders an externally supplied partition of the nodes (for
-// example the translation classes of Section 4) by the ≺ keys of its
-// members' surroundings, black classes first. All members of a supplied
-// class must be mutually equivalent (share the surrounding); the key of the
-// smallest member is used. Ties between distinct classes set Tied.
-func OrderClasses(g *graph.Graph, colors []int, classes [][]int, ord Ordering) *Ordered {
-	o, err := orderClassesCtx(context.Background(), g, colors, classes, ord)
-	if err != nil {
-		panic("order: unreachable: uncancelable OrderClasses failed: " + err.Error())
-	}
-	return o
-}
-
-// orderClassesCtx keys the classes under ctx and assembles the protocol
-// order.
-func orderClassesCtx(ctx context.Context, g *graph.Graph, colors []int, classes [][]int, ord Ordering) (*Ordered, error) {
-	keys, err := classKeys(ctx, g, colors, classes, ord)
-	if err != nil {
-		return nil, err
-	}
-	return assembleOrdered(g, colors, classes, keys), nil
-}
-
 // assembleOrdered sorts (classes, keys) into protocol order — black classes
-// first, each color group by ≺ — and builds the Ordered result.
+// first, each color group by its hair keys — and builds the Ordered result.
 func assembleOrdered(g *graph.Graph, colors []int, classes [][]int, keys []Key) *Ordered {
 	type entry struct {
 		members []int

@@ -1,8 +1,9 @@
 package order
 
-// Tests of the large-graph COMPUTE & ORDER path (one sparse
-// canonicalization + positional keys), forced onto small instances by
-// lowering LargeThreshold.
+// Tests of the positional order (one sparse canonicalization, classes ranked
+// by smallest canonical position), which Direct runs at every size and
+// Hairs falls back to at LargeThreshold, forced onto small instances by
+// lowering the threshold.
 
 import (
 	"context"
@@ -16,8 +17,8 @@ import (
 	"repro/internal/iso"
 )
 
-// withLowThreshold runs f with LargeThreshold lowered so every test graph
-// takes the large path.
+// withLowThreshold runs f with LargeThreshold lowered so the hair order
+// falls back to the positional order on every test graph.
 func withLowThreshold(t *testing.T, f func()) {
 	t.Helper()
 	old := LargeThreshold
@@ -52,84 +53,39 @@ func blackColors(n int, homes []int) []int {
 	return out
 }
 
-// canonPartition sorts a class list into a comparable canonical form.
-func canonPartition(classes [][]int) [][]int {
-	out := make([][]int, len(classes))
-	for i, c := range classes {
-		out[i] = append([]int(nil), c...)
-		sort.Ints(out[i])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// TestLargePathMatchesSmallPath: the large path must produce the same class
-// partition, black-class count, size multiset and GCD as the per-class
-// surrounding path. (The order within a color group may differ — positional
-// keys are a different ≺ — but everything Protocol ELECT consumes must
-// agree.)
-func TestLargePathMatchesSmallPath(t *testing.T) {
-	for name, tc := range largeFamilies() {
-		colors := blackColors(tc.g.N(), tc.homes)
-		small := ComputeAndOrder(tc.g, colors, Direct)
-		var large *Ordered
-		withLowThreshold(t, func() {
-			large = ComputeAndOrder(tc.g, colors, Direct)
-		})
-		if !reflect.DeepEqual(canonPartition(large.Classes), canonPartition(small.Classes)) {
-			t.Fatalf("%s: large path computed a different class partition", name)
-		}
-		if large.NumBlack != small.NumBlack {
-			t.Fatalf("%s: NumBlack %d != %d", name, large.NumBlack, small.NumBlack)
-		}
-		ls, ss := large.Sizes(), small.Sizes()
-		sort.Ints(ls)
-		sort.Ints(ss)
-		if !reflect.DeepEqual(ls, ss) {
-			t.Fatalf("%s: size multiset %v != %v", name, ls, ss)
-		}
-		if large.GCD() != small.GCD() {
-			t.Fatalf("%s: GCD %d != %d", name, large.GCD(), small.GCD())
-		}
-		if large.Tied {
-			t.Fatalf("%s: positional keys tied — they must be distinct per class", name)
-		}
-	}
-}
-
-// TestLargePathRelabelingInvariant: the class *sequence* produced by the
-// large path must be invariant under relabeling — every agent computes the
-// same protocol order from its own map. Class i of the relabeled graph must
-// be exactly the image of class i of the original.
+// TestLargePathRelabelingInvariant: the class *sequence* of the positional
+// order must be invariant under relabeling — every agent computes the same
+// protocol order from its own map. Class i of the relabeled graph must be
+// exactly the image of class i of the original.
 func TestLargePathRelabelingInvariant(t *testing.T) {
 	withLowThreshold(t, func() {
 		for name, tc := range largeFamilies() {
-			n := tc.g.N()
-			colors := blackColors(n, tc.homes)
-			base := ComputeAndOrder(tc.g, colors, Direct)
-			p := rand.New(rand.NewSource(int64(n))).Perm(n)
-			h, err := tc.g.Relabel(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hcolors := make([]int, n)
-			for v, c := range colors {
-				hcolors[p[v]] = c
-			}
-			got := ComputeAndOrder(h, hcolors, Direct)
-			if len(got.Classes) != len(base.Classes) {
-				t.Fatalf("%s: class count changed under relabeling", name)
-			}
-			for i := range base.Classes {
-				img := make([]int, 0, len(base.Classes[i]))
-				for _, v := range base.Classes[i] {
-					img = append(img, p[v])
+			for _, ord := range []Ordering{Direct, Hairs} {
+				n := tc.g.N()
+				colors := blackColors(n, tc.homes)
+				base := ComputeAndOrder(tc.g, colors, ord)
+				p := rand.New(rand.NewSource(int64(n))).Perm(n)
+				h, err := tc.g.Relabel(p)
+				if err != nil {
+					t.Fatal(err)
 				}
-				sort.Ints(img)
-				want := append([]int(nil), got.Classes[i]...)
-				sort.Ints(want)
-				if !reflect.DeepEqual(img, want) {
-					t.Fatalf("%s: class %d is not the relabeled image — order not invariant", name, i)
+				hcolors := make([]int, n)
+				for v, c := range colors {
+					hcolors[p[v]] = c
+				}
+				got := ComputeAndOrder(h, hcolors, ord)
+				if len(got.Classes) != len(base.Classes) {
+					t.Fatalf("%s ordering %v: class count changed under relabeling", name, ord)
+				}
+				for i := range base.Classes {
+					img := make([]int, 0, len(base.Classes[i]))
+					for _, v := range base.Classes[i] {
+						img = append(img, p[v])
+					}
+					sort.Ints(img)
+					if !reflect.DeepEqual(img, got.Classes[i]) {
+						t.Fatalf("%s ordering %v: class %d is not the relabeled image — order not invariant", name, ord, i)
+					}
 				}
 			}
 		}
@@ -137,32 +93,42 @@ func TestLargePathRelabelingInvariant(t *testing.T) {
 }
 
 // TestComputeAndOrderCtxCancel: a pre-canceled context must surface
-// context.Canceled on both the small and the large path.
+// context.Canceled under both orderings.
 func TestComputeAndOrderCtxCancel(t *testing.T) {
 	g := graph.Torus(4, 6)
 	colors := blackColors(24, []int{0, 12})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ComputeAndOrderCtx(ctx, g, colors, Direct); !errors.Is(err, context.Canceled) {
-		t.Fatalf("small path: got err=%v, want context.Canceled", err)
-	}
-	withLowThreshold(t, func() {
-		if _, err := ComputeAndOrderCtx(ctx, g, colors, Direct); !errors.Is(err, context.Canceled) {
-			t.Fatalf("large path: got err=%v, want context.Canceled", err)
+	for _, ord := range []Ordering{Direct, Hairs} {
+		if _, err := ComputeAndOrderCtx(ctx, g, colors, ord); !errors.Is(err, context.Canceled) {
+			t.Fatalf("ordering %v: got err=%v, want context.Canceled", ord, err)
 		}
-	})
+	}
 }
 
-// TestComputeAndOrderSearchCount pins the cost of COMPUTE & ORDER on a
-// rigid mid-size graph: one whole-graph canonical search yields the classes
-// (its generators span the automorphism group), then each class costs one
-// surrounding search.
+// TestComputeAndOrderSearchCount pins the cost of COMPUTE & ORDER: one
+// sparse whole-graph canonical search yields the classes (its generators
+// span the automorphism group), and under Direct their order too, at every
+// size; the hair order adds one surrounding search per class. RR3-200 is
+// rigid (200 classes); C2047 with one home has 1,024 classes.
 func TestComputeAndOrderSearchCount(t *testing.T) {
-	g := graph.RandomRegular(200, 3, 1)
-	before := iso.Stats()
-	o := ComputeAndOrder(g, blackColors(200, []int{0, 1, 2}), Direct)
-	got := iso.Stats().Sub(before).Searches
-	if want := int64(1 + len(o.Classes)); got != want || want != 201 {
-		t.Fatalf("ran %d canonical searches for %d classes, want 201 = 1 + 200 classes", got, len(o.Classes))
+	rr3 := graph.RandomRegular(200, 3, 1)
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		homes   []int
+		ord     Ordering
+		classes int
+		want    int64
+	}{
+		{"rr3-200 direct", rr3, []int{0, 1, 2}, Direct, 200, 1},
+		{"c2047 direct", graph.Cycle(2047), []int{0}, Direct, 1024, 1},
+		{"rr3-200 hairs", rr3, []int{0, 1, 2}, Hairs, 200, 1 + 200},
+	} {
+		before := iso.Stats()
+		o := ComputeAndOrder(tc.g, blackColors(tc.g.N(), tc.homes), tc.ord)
+		if got := iso.Stats().Sub(before).Searches; got != tc.want || len(o.Classes) != tc.classes {
+			t.Fatalf("%s: ran %d canonical searches for %d classes, want %d for %d", tc.name, got, len(o.Classes), tc.want, tc.classes)
+		}
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/iso"
 )
 
 // The ordered class structure is a partition: every node in exactly one
-// class, ClassOf consistent, black classes first, keys sorted within each
-// color group, and GCD dividing every class size.
+// class, ClassOf consistent, black classes first, each color group sorted
+// by ≺ (hair keys, or smallest canonical position), and GCD dividing every
+// class size.
 func TestQuickOrderedIsConsistentPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -43,10 +45,12 @@ func TestQuickOrderedIsConsistentPartition(t *testing.T) {
 					return false
 				}
 			}
-			// Keys sorted within each color group.
+			// Sorted by ≺ within each color group.
 			for i := 1; i < len(o.Classes); i++ {
 				sameGroup := (i < o.NumBlack) == (i-1 < o.NumBlack)
-				if sameGroup && o.Keys[i-1].Compare(o.Keys[i]) > 0 {
+				sorted := o.Keys == nil && leastPosition(o, i-1) < leastPosition(o, i) ||
+					o.Keys != nil && o.Keys[i-1].Compare(o.Keys[i]) <= 0
+				if sameGroup && !sorted {
 					return false
 				}
 			}
@@ -67,8 +71,8 @@ func TestQuickOrderedIsConsistentPartition(t *testing.T) {
 	}
 }
 
-// Surrounding keys agree across equivalent nodes and differ across
-// inequivalent ones (the two halves of Lemma 3.1).
+// Canonical words of surroundings agree across equivalent nodes and differ
+// across inequivalent ones (the two halves of Lemma 3.1).
 func TestQuickSurroundingKeysCharacterizeClasses(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -77,13 +81,13 @@ func TestQuickSurroundingKeysCharacterizeClasses(t *testing.T) {
 		colors := make([]int, n)
 		colors[rng.Intn(n)] = 1
 		o := ComputeAndOrder(g, colors, Direct)
-		keys := make([]Key, n)
+		words := make([]string, n)
 		for v := 0; v < n; v++ {
-			keys[v] = SurroundingKey(Surrounding(g, colors, v), Direct)
+			words[v] = string(iso.CanonicalWord(Surrounding(g, colors, v)))
 		}
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				same := keys[u].Compare(keys[v]) == 0
+				same := words[u] == words[v]
 				if same != (o.ClassOf[u] == o.ClassOf[v]) {
 					return false
 				}
@@ -94,4 +98,14 @@ func TestQuickSurroundingKeysCharacterizeClasses(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// leastPosition returns the smallest canonical position of class i's
+// members.
+func leastPosition(o *Ordered, i int) int {
+	least := len(o.ClassOf)
+	for _, v := range o.Classes[i] {
+		least = min(least, o.Canon.Perm[v])
+	}
+	return least
 }

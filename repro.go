@@ -94,7 +94,7 @@ type RunConfig struct {
 	// Timeout aborts a stuck run (default 30s).
 	Timeout time.Duration
 	// UseHairOrdering selects the paper's Lemma 3.1 hair construction for
-	// the class order ≺ instead of the direct canonical order.
+	// the class order ≺ instead of the positional order (order.Direct).
 	UseHairOrdering bool
 	// AllowSharedHomes permits repeated entries in the homes list — the
 	// Section 1.2 extension where several agents start on one node.
