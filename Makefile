@@ -53,14 +53,15 @@ cover:
 	$(GO) test -cover ./...
 
 # The coverage gate, run by CI's coverage job: the protocol core, the
-# class ordering (a wrong class order is a wrong election),
-# the engine, the fault plane, the sketch layer, the runtime contract, the
+# class ordering (a wrong class order is a wrong election), the canonical
+# engine (every solvability decision runs through it), the simulation
+# engine, the fault plane, the sketch layer, the runtime contract, the
 # protocol zoo, the seeded RNG and the two oracles' packages (the Cayley
 # test in group, the Theorem 2.1 check in labeling) must each keep
 # statement coverage at or above 70%.
 cover-gate:
 	@fail=0; \
-	for pkg in ./internal/elect ./internal/order ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/zoo ./internal/lazyrand ./internal/group ./internal/labeling; do \
+	for pkg in ./internal/elect ./internal/order ./internal/iso ./internal/sim ./internal/faults ./internal/telemetry/sketch ./internal/runtime ./internal/zoo ./internal/lazyrand ./internal/group ./internal/labeling; do \
 		$(GO) test -coverprofile=cover.out $$pkg >/dev/null || exit 1; \
 		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg coverage: $$pct%"; \

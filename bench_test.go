@@ -239,15 +239,22 @@ func BenchmarkOrderingHairs(b *testing.B) {
 }
 
 func BenchmarkCanonicalSearch(b *testing.B) {
-	c := iso.FromGraph(graph.Complete(7), nil)
+	sp := iso.SparseFromGraph(graph.Complete(7), nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		iso.CanonicalWord(c)
+		iso.CanonicalSparse(sp)
 	}
 }
 
 func BenchmarkCanonicalBrute(b *testing.B) {
-	c := iso.FromGraph(graph.Complete(7), nil)
+	c := iso.NewColored(7) // K7
+	for u := range c.Adj {
+		for v := range c.Adj[u] {
+			if u != v {
+				c.Adj[u][v] = 1
+			}
+		}
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		iso.BruteCanonicalWord(c)

@@ -15,6 +15,8 @@
 // workloads) for fast local iteration. -gate sets the required Analyze(C32)
 // speedup of the optimized engine over the frozen reference; a full run
 // exits nonzero when the measured speedup falls below it (CI enforces 15).
+// The report records the host it was measured on: GOMAXPROCS, the CPU count
+// and model, and the Go version.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,6 +56,9 @@ type report struct {
 	Benchmarks []benchResult `json:"benchmarks"`
 	Smoke      bool          `json:"smoke,omitempty"`
 	GoMaxProcs int           `json:"gomaxprocs"`
+	NProc      int           `json:"nproc"`
+	CPUModel   string        `json:"cpu_model"`
+	GoVersion  string        `json:"go_version"`
 }
 
 func main() {
@@ -70,6 +76,7 @@ func main() {
 	var rep report
 	rep.Smoke = *smoke
 	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
+	rep.NProc, rep.CPUModel, rep.GoVersion = runtime.NumCPU(), cpuModel(), runtime.Version()
 	cases := isobench.Cases()
 	if !*quick {
 		cases = append(cases, isobench.LargeCases()...)
@@ -129,6 +136,20 @@ func measure(c isobench.Case, smoke bool) benchResult {
 		AllocsPerOp: res.AllocsPerOp(),
 		BytesPerOp:  res.AllocedBytesPerOp(),
 	}
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 func fail(err error) {

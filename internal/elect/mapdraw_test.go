@@ -1,6 +1,7 @@
 package elect
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -83,14 +84,14 @@ func TestMapDrawReconstructsGraph(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			maps := runMapDraw(t, c.g, c.homes, 7)
-			want := iso.FromGraph(c.g, BlackColors(c.g.N(), c.homes))
+			want := iso.CanonicalSparse(iso.SparseFromGraph(c.g, BlackColors(c.g.N(), c.homes))).Word
 			for i, m := range maps {
 				if m.G.N() != c.g.N() || m.G.M() != c.g.M() {
 					t.Fatalf("agent %d: map has n=%d m=%d, want %d %d",
 						i, m.G.N(), m.G.M(), c.g.N(), c.g.M())
 				}
-				got := iso.FromGraph(m.G, m.Colors())
-				if !iso.Isomorphic(got, want) {
+				got := iso.CanonicalSparse(iso.SparseFromGraph(m.G, m.Colors())).Word
+				if !bytes.Equal(got, want) {
 					t.Fatalf("agent %d: drawn map not isomorphic to network", i)
 				}
 				if m.Home != 0 || !m.Black[0] {

@@ -267,7 +267,7 @@ func Fig2C() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	classes, err := labeling.LabClasses(g, l, nil, 0)
+	classes, err := labeling.LabClasses(g, l, nil)
 	if err != nil {
 		return "", err
 	}

@@ -218,22 +218,6 @@ func (g *Graph) Diameter() int {
 	return max
 }
 
-// AdjacencyMatrix returns the n×n matrix of edge multiplicities.
-// A loop at v counts 2 in entry (v, v), the usual convention.
-func (g *Graph) AdjacencyMatrix() [][]int {
-	n := g.N()
-	m := make([][]int, n)
-	for v := range m {
-		m[v] = make([]int, n)
-	}
-	for v, hs := range g.halves {
-		for _, h := range hs {
-			m[v][h.To]++
-		}
-	}
-	return m
-}
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	h := &Graph{halves: make([][]Half, g.N()), m: g.m}

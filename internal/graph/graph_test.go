@@ -78,9 +78,6 @@ func TestLoop(t *testing.T) {
 	if g.IsSimple() {
 		t.Fatal("graph with loop reported simple")
 	}
-	if m := g.AdjacencyMatrix(); m[0][0] != 2 {
-		t.Fatalf("loop adjacency entry = %d, want 2", m[0][0])
-	}
 }
 
 func TestGeneratorShapes(t *testing.T) {

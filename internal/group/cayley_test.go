@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/iso"
+	"repro/internal/perm"
 )
 
 func TestCycleCayleyMatchesGraph(t *testing.T) {
 	for _, n := range []int{3, 5, 8} {
 		c := CycleCayley(n)
-		if !iso.Isomorphic(iso.FromGraph(c.G, nil), iso.FromGraph(graph.Cycle(n), nil)) {
+		if !isoGraphs(c.G, graph.Cycle(n)) {
 			t.Errorf("CycleCayley(%d) not isomorphic to Cycle(%d)", n, n)
 		}
 	}
@@ -21,7 +22,7 @@ func TestCycleCayleyMatchesGraph(t *testing.T) {
 func TestHypercubeCayleyMatchesGraph(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		c := HypercubeCayley(d)
-		if !iso.Isomorphic(iso.FromGraph(c.G, nil), iso.FromGraph(graph.Hypercube(d), nil)) {
+		if !isoGraphs(c.G, graph.Hypercube(d)) {
 			t.Errorf("HypercubeCayley(%d) mismatch", d)
 		}
 		if c.Degree() != d {
@@ -35,14 +36,14 @@ func TestTorusCayleyMatchesGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !iso.Isomorphic(iso.FromGraph(c.G, nil), iso.FromGraph(graph.Torus(3, 4), nil)) {
+	if !isoGraphs(c.G, graph.Torus(3, 4)) {
 		t.Error("TorusCayley(3,4) mismatch")
 	}
 }
 
 func TestCompleteCayleyMatchesGraph(t *testing.T) {
 	c := CompleteCayley(5)
-	if !iso.Isomorphic(iso.FromGraph(c.G, nil), iso.FromGraph(graph.Complete(5), nil)) {
+	if !isoGraphs(c.G, graph.Complete(5)) {
 		t.Error("CompleteCayley(5) mismatch")
 	}
 }
@@ -180,7 +181,7 @@ func TestTranslationClassesVsEquivalenceClasses(t *testing.T) {
 	}
 	// But they ARE equivalent under reflection (a plain automorphism).
 	cols := []int{1, 0, 0, 0, 1, 0, 0, 0}
-	orbits := iso.Orbits(iso.FromGraph(c.G, cols))
+	orbits := perm.OrbitsOf(c.G.N(), iso.CanonicalSparse(iso.SparseFromGraph(c.G, cols)).AutoGens)
 	same := false
 	for _, o := range orbits {
 		has1, has3 := false, false

@@ -1,14 +1,18 @@
 package group
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/iso"
 )
 
+// isoGraphs reports whether a and b are isomorphic, by their canonical
+// words.
 func isoGraphs(a, b *graph.Graph) bool {
-	return iso.Isomorphic(iso.FromGraph(a, nil), iso.FromGraph(b, nil))
+	word := func(g *graph.Graph) []byte { return iso.CanonicalSparse(iso.SparseFromGraph(g, nil)).Word }
+	return a.N() == b.N() && bytes.Equal(word(a), word(b))
 }
 
 func TestSemidirectGroupAxioms(t *testing.T) {

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -31,22 +32,23 @@ type Sabidussi struct {
 	Quotient *graph.Graph
 }
 
+// sabidussiCap bounds the automorphism group SabidussiQuotient lists.
+const sabidussiCap = 1 << 17
+
 // SabidussiQuotient computes the coset construction for a connected
 // vertex-transitive graph and returns it together with the quotient graph,
 // which is guaranteed (and verified by the tests) to be isomorphic to the
-// input. autCap bounds the automorphism enumeration (0 = 2^17).
-func SabidussiQuotient(g *graph.Graph, autCap int) (*Sabidussi, error) {
+// input. It lists the automorphism group, and fails on one of more than
+// 2¹⁷ elements.
+func SabidussiQuotient(g *graph.Graph) (*Sabidussi, error) {
 	if g.N() == 0 {
 		return nil, errors.New("group: empty graph")
 	}
 	if !g.IsConnected() {
 		return nil, errors.New("group: graph must be connected")
 	}
-	if autCap <= 0 {
-		autCap = 1 << 17
-	}
-	gens := iso.AutomorphismGens(iso.FromGraph(g, nil))
-	aut, err := perm.Closure(g.N(), gens, autCap)
+	gens := iso.CanonicalSparse(iso.SparseFromGraph(g, nil)).AutoGens
+	aut, err := perm.Closure(g.N(), gens, sabidussiCap)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +109,8 @@ func cosetAdjacent(cv, cw []perm.Perm, inS map[string]bool) bool {
 // input graph (Sabidussi's theorem says it always does; exposed so tests
 // and demos can verify it on each instance).
 func (s *Sabidussi) QuotientIsomorphicToInput(g *graph.Graph) bool {
-	return iso.Isomorphic(iso.FromGraph(s.Quotient, nil), iso.FromGraph(g, nil))
+	word := func(h *graph.Graph) []byte { return iso.CanonicalSparse(iso.SparseFromGraph(h, nil)).Word }
+	return s.Quotient.N() == g.N() && bytes.Equal(word(s.Quotient), word(g))
 }
 
 // CayleyOrder returns |Γ|, the order of the covering Cayley graph

@@ -23,7 +23,7 @@ func TestSabidussiQuotientReproducesGraph(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, err := SabidussiQuotient(c.g, 0)
+			s, err := SabidussiQuotient(c.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestSabidussiPetersenDestroysTranslations(t *testing.T) {
 	// invalidates a Theorem 4.1-style argument — Petersen itself has no
 	// regular subgroup (it is not Cayley) although its cover trivially does.
 	g := graph.Petersen()
-	s, err := SabidussiQuotient(g, 0)
+	s, err := SabidussiQuotient(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +64,10 @@ func TestSabidussiPetersenDestroysTranslations(t *testing.T) {
 }
 
 func TestSabidussiRejectsNonTransitive(t *testing.T) {
-	if _, err := SabidussiQuotient(graph.Path(4), 0); err == nil {
+	if _, err := SabidussiQuotient(graph.Path(4)); err == nil {
 		t.Error("path accepted (not vertex-transitive)")
 	}
-	if _, err := SabidussiQuotient(graph.Star(3), 0); err == nil {
+	if _, err := SabidussiQuotient(graph.Star(3)); err == nil {
 		t.Error("star accepted")
 	}
 }

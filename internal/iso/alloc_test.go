@@ -17,35 +17,29 @@ import (
 // TestWarmSearchAllocatesOnlyResult: with the search state recycled through
 // statePool, a warm canonical search allocates only what its Result owns —
 // the Result, its Perm and Word, and each automorphism generator with the
-// growth of the AutoGens slice — on both engines. GC is off while counting,
-// so a collection cannot empty the pool mid-count.
+// growth of the AutoGens slice. GC is off while counting, so a collection
+// cannot empty the pool mid-count.
 func TestWarmSearchAllocatesOnlyResult(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ctx := context.Background()
-	cases := append(hotPathGraphs(), namedColored{"rr24-rigid", FromGraph(graph.RandomRegular(24, 3, 5), nil)})
+	cases := append(hotPathGraphs(),
+		namedSparse{"rr24-rigid", sparse(graph.RandomRegular(24, 3, 5))},
+		namedSparse{"c12-surrounding", SparseFromArcs(12, surroundingArcsOfCycle(12), blackAt(12, 0, 4))})
 	for _, tc := range cases {
-		sp := SparseFromColored(tc.c)
-		for _, e := range []struct {
-			engine string
-			search func() (*Result, error)
-		}{
-			{"dense", func() (*Result, error) { return CanonicalCtx(ctx, tc.c) }},
-			{"sparse", func() (*Result, error) { return CanonicalSparseCtx(ctx, sp) }},
-		} {
-			r, err := e.search()
-			if err != nil {
+		search := func() (*Result, error) { return CanonicalSparseCtx(ctx, tc.sp) }
+		r, err := search()
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := float64(4 + 2*len(r.AutoGens))
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := search(); err != nil {
 				t.Fatal(err)
 			}
-			limit := float64(4 + 2*len(r.AutoGens))
-			allocs := testing.AllocsPerRun(20, func() {
-				if _, err := e.search(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > limit {
-				t.Errorf("%s %s: warm search allocated %.1f times, want at most %.0f (4 + 2·%d generators)",
-					tc.name, e.engine, allocs, limit, len(r.AutoGens))
-			}
+		})
+		if allocs > limit {
+			t.Errorf("%s: warm search allocated %.1f times, want at most %.0f (4 + 2·%d generators)",
+				tc.name, allocs, limit, len(r.AutoGens))
 		}
 	}
 }

@@ -7,23 +7,17 @@ import (
 	"repro/internal/perm"
 )
 
-// canonState drives one canonical labeling search. All scratch (partition
-// levels, refinement worklists, the path's word prefix, orbit union-finds,
-// the dense engine's CSR arrays) is owned here and reused across the whole
-// backtracking tree, and states are recycled through statePool, resized on
-// reuse, so a warm search allocates only its Result: the canonical Perm, the
-// Word and AutoGens are handed to it and never stay in the pool.
-//
-// One state serves both engines: the dense engine (c != nil) serializes the
-// n+n² growing-principal-submatrix word of DESIGN.md §8, the sparse engine
-// (sparse == true) the O(n+m) varint word of DESIGN.md §13.
+// canonState drives one canonical labeling search of a Sparse, serializing
+// the O(n+m) varint word of DESIGN.md §13. All scratch (partition levels,
+// refinement worklists, the path's word prefix, orbit union-finds) is owned
+// here and reused across the whole backtracking tree, and states are
+// recycled through statePool, resized on reuse, so a warm search allocates
+// only its Result: the canonical Perm, the Word and AutoGens are handed to
+// it and never stay in the pool.
 type canonState struct {
-	c      *Colored // dense input (nil in sparse mode)
-	colors []int    // vertex colors (c.Color or the Sparse's colors)
-	g      *csr     // &dense in dense mode, the Sparse's own CSR in sparse mode
-	dense  csr      // the dense input's CSR view, rebuilt per search
+	colors []int // the Sparse's vertex colors
+	g      *csr  // the Sparse's arcs
 	n      int
-	sparse bool
 
 	// Search outcome.
 	best     []byte      // minimum leaf word so far (full serialization)
@@ -32,11 +26,10 @@ type canonState struct {
 	bestGen  int         // bumped every time best is replaced
 
 	// prefix is the serialized word of the current path, valid up to the
-	// bytes determined by the path's leading singleton cells. prefix[0:n]
-	// (dense mode: the color bytes; sparse mode: the color varints) is
-	// constant across the entire tree: initial cells are monochromatic and
-	// occupy fixed position ranges that refinement and individualization
-	// only subdivide.
+	// bytes determined by the path's leading singleton cells. Its color
+	// section (the first n varints) is constant across the entire tree:
+	// initial cells are monochromatic and occupy fixed position ranges that
+	// refinement and individualization only subdivide.
 	prefix []byte
 
 	// base is the stack of individualized vertices on the current path;
@@ -91,28 +84,18 @@ type canonState struct {
 	blkIdx []int32
 }
 
-// statePool recycles search states between canonical searches: each
-// analysis runs one search per class plus its whole-graph searches, and
-// allocating every search's scratch afresh cost about an eighth of the CPU
-// of a stream of small cold analyses, plus the GC work it caused
-// (DESIGN.md §8).
+// statePool recycles search states between canonical searches: an
+// analysis runs its whole-graph search, then the Cayley test's and, under
+// the hair order, one search per class, and allocating every search's
+// scratch afresh cost about an eighth of the CPU of a stream of small cold
+// analyses, plus the GC work it caused (DESIGN.md §8).
 var statePool = sync.Pool{New: func() any { return new(canonState) }}
 
-// denseState returns a pooled state prepared for a dense search of c.
-func denseState(c *Colored) *canonState {
-	st := statePool.Get().(*canonState)
-	st.c, st.colors, st.sparse = c, c.Color, false
-	st.dense.fill(c)
-	st.g = &st.dense
-	st.reset(c.N, c.N+c.N*c.N)
-	return st
-}
-
-// sparseState returns a pooled state prepared for a sparse search of sp.
+// sparseState returns a pooled state prepared for a search of sp.
 func sparseState(sp *Sparse) *canonState {
 	st := statePool.Get().(*canonState)
-	st.c, st.colors, st.g, st.sparse = nil, sp.Color, sp.g, true
-	st.reset(sp.N, 0)
+	st.colors, st.g = sp.Color, sp.g
+	st.reset(sp.N)
 	st.posOf = zeroed(st.posOf, sp.N)
 	for i := range st.posOf {
 		st.posOf[i] = -1
@@ -123,14 +106,11 @@ func sparseState(sp *Sparse) *canonState {
 	return st
 }
 
-// reset sizes the mode-independent scratch for an n-vertex search, reusing
-// every buffer that is large enough, and clears the previous search's
-// outcome and counters. Levels are resized lazily, by level.
-func (st *canonState) reset(n, prefixCap int) {
+// reset sizes the scratch for an n-vertex search, reusing every buffer that
+// is large enough, and clears the previous search's outcome and counters.
+// Levels are resized lazily, by level.
+func (st *canonState) reset(n int) {
 	st.n = n
-	if cap(st.prefix) < prefixCap {
-		st.prefix = make([]byte, 0, prefixCap)
-	}
 	st.prefix = st.prefix[:0]
 	st.best = st.best[:0]
 	st.bpermInv = zeroed(st.bpermInv, n)
@@ -162,7 +142,7 @@ func (st *canonState) reset(n, prefixCap int) {
 // caller's graph and to the automorphisms a Result may own, so the pool
 // retains neither.
 func (st *canonState) release() {
-	st.c, st.colors, st.g, st.done, st.autos = nil, nil, nil, nil, nil
+	st.colors, st.g, st.done, st.autos = nil, nil, nil, nil
 	statePool.Put(st)
 }
 
@@ -222,7 +202,7 @@ func (st *canonState) run(ctx context.Context) (*Result, error) {
 	st.initialPartition(lv)
 	st.prepareRootPrefix(lv)
 	st.search(0, 0, -1, -1)
-	st.flushStats()
+	st.flushStats(!st.stopped)
 	if st.stopped {
 		st.release()
 		return nil, ctx.Err()
@@ -239,14 +219,8 @@ func (st *canonState) run(ctx context.Context) (*Result, error) {
 // prepareRootPrefix emits the constant color section of the word.
 func (st *canonState) prepareRootPrefix(lv *level) {
 	st.prefix = st.prefix[:0]
-	if st.sparse {
-		for _, v := range lv.lab {
-			st.prefix = appendUvarint(st.prefix, uint64(st.colors[v]))
-		}
-	} else {
-		for _, v := range lv.lab {
-			st.prefix = appendValue(st.prefix, st.colors[v])
-		}
+	for _, v := range lv.lab {
+		st.prefix = appendUvarint(st.prefix, uint64(st.colors[v]))
 	}
 }
 
@@ -277,17 +251,11 @@ func (st *canonState) search(depth, fixed, cmp, hint int) {
 	for k < lv.ncells && lv.cellStart[k+1]-lv.cellStart[k] == 1 {
 		k++
 	}
-	if st.sparse {
-		for i := fixed; i < k; i++ {
-			st.posOf[lv.lab[i]] = int32(i)
-		}
-		for i := fixed; i < k; i++ {
-			st.appendSparseBlock(i, lv.lab[i])
-		}
-	} else {
-		for i := fixed; i < k; i++ {
-			st.prefix = appendBlock(st.prefix, st.c, lv.lab, i, lv.lab[i])
-		}
+	for i := fixed; i < k; i++ {
+		st.posOf[lv.lab[i]] = int32(i)
+	}
+	for i := fixed; i < k; i++ {
+		st.appendSparseBlock(i, lv.lab[i])
 	}
 	if cmp == 0 {
 		cmp = st.compareNewBytes(pl0)
@@ -343,21 +311,19 @@ func (st *canonState) search(depth, fixed, cmp, hint int) {
 	st.retreat(lv, fixed, k, pl0)
 }
 
-// retreat undoes a node's prefix extension (and, sparse mode, its position
-// placements) on the way back up.
+// retreat undoes a node's prefix extension and its position placements on
+// the way back up.
 func (st *canonState) retreat(lv *level, fixed, k, pl0 int) {
 	st.prefix = st.prefix[:pl0]
-	if st.sparse {
-		for i := fixed; i < k; i++ {
-			st.posOf[lv.lab[i]] = -1
-		}
+	for i := fixed; i < k; i++ {
+		st.posOf[lv.lab[i]] = -1
 	}
 }
 
 // compareNewBytes compares the prefix bytes appended by the current node
-// (prefix[pl0:]) against best. In sparse mode words vary in length; a
-// candidate that runs past best's end with all bytes equal is strictly
-// greater (best is a proper prefix of it), matching bytes.Compare.
+// (prefix[pl0:]) against best. Words vary in length; a candidate that runs
+// past best's end with all bytes equal is strictly greater (best is a
+// proper prefix of it), matching bytes.Compare.
 func (st *canonState) compareNewBytes(pl0 int) int {
 	p, b := st.prefix, st.best
 	for i := pl0; i < len(p); i++ {
@@ -413,20 +379,11 @@ func (st *canonState) appendSparseBlock(i, vi int) {
 	st.blkIdx = idx[:0]
 }
 
-// isAutomorphism dispatches the automorphism check to the input
-// representation.
-func (st *canonState) isAutomorphism(a perm.Perm) bool {
-	if st.c != nil {
-		return st.c.IsAutomorphism(a)
-	}
-	return csrIsAutomorphism(st.g, st.colors, a)
-}
-
 // leaf handles a discrete partition: prefix now holds the full leaf word.
 func (st *canonState) leaf(lv *level, cmp int) {
 	st.leaves++
 	if cmp == 0 && len(st.prefix) != len(st.best) {
-		// Sparse words vary in length: all determined bytes equal but the
+		// Words vary in length: all determined bytes equal but the
 		// candidate ended first means it is strictly smaller (the longer
 		// case was pruned during compareNewBytes).
 		cmp = -1
@@ -441,12 +398,12 @@ func (st *canonState) leaf(lv *level, cmp int) {
 	case 0:
 		// Equal to best: lab and best's ordering induce the same
 		// canonical graph, so mapping each vertex to the vertex best
-		// placed at its position is an automorphism of c.
+		// placed at its position is an automorphism of the input.
 		a := make(perm.Perm, st.n)
 		for pos, v := range lv.lab {
 			a[v] = st.bpermInv[pos]
 		}
-		if !a.IsIdentity() && st.isAutomorphism(a) {
+		if !a.IsIdentity() && csrIsAutomorphism(st.g, st.colors, a) {
 			st.autos = append(st.autos, a)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // no map allocation on the hot path.
 func TestRefineHotPathAllocationFree(t *testing.T) {
 	for _, tc := range hotPathGraphs() {
-		st := denseState(tc.c)
+		st := sparseState(tc.sp)
 		lv := st.level(0)
 		// Warm the scratch buffers once.
 		st.initialPartition(lv)
@@ -33,20 +33,20 @@ func TestRefineHotPathAllocationFree(t *testing.T) {
 	}
 }
 
-type namedColored struct {
+type namedSparse struct {
 	name string
-	c    *Colored
+	sp   *Sparse
 }
 
 // hotPathGraphs are the inputs of the allocation tests: symmetric graphs
 // whose searches record automorphisms and prune by orbits, and a bicolored
 // cycle.
-func hotPathGraphs() []namedColored {
-	return []namedColored{
-		{"petersen", FromGraph(graph.Petersen(), nil)},
-		{"q4", FromGraph(graph.Hypercube(4), nil)},
-		{"c32-bicolored", FromGraph(graph.Cycle(32), blackAt(32, 0, 8, 16, 24))},
-		{"torus4x4", FromGraph(graph.Torus(4, 4), nil)},
+func hotPathGraphs() []namedSparse {
+	return []namedSparse{
+		{"petersen", sparse(graph.Petersen())},
+		{"q4", sparse(graph.Hypercube(4))},
+		{"c32-bicolored", SparseFromGraph(graph.Cycle(32), blackAt(32, 0, 8, 16, 24))},
+		{"torus4x4", sparse(graph.Torus(4, 4))},
 	}
 }
 
@@ -63,7 +63,7 @@ func blackAt(n int, idx ...int) []int {
 // the partition is invariant under relabeling.
 func TestEquitablePartition(t *testing.T) {
 	c := FromGraph(graph.Star(4), nil)
-	cells := EquitablePartition(c)
+	cells := SparseEquitablePartition(SparseFromColored(c))
 	if len(cells) != 2 {
 		t.Fatalf("star partition: %v", cells)
 	}
@@ -90,21 +90,21 @@ func TestEquitablePartition(t *testing.T) {
 // surface context.Canceled, both when canceled before the search starts and
 // when canceled by another goroutine mid-search.
 func TestCanonicalCtxCancel(t *testing.T) {
-	c := FromGraph(graph.BlowupCycle(6, 3), nil)
+	c := sparse(graph.BlowupCycle(6, 3))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CanonicalCtx(ctx, c); !errors.Is(err, context.Canceled) {
+	if _, err := CanonicalSparseCtx(ctx, c); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled ctx: got err=%v, want context.Canceled", err)
 	}
 
 	// Mid-search cancellation: the search either finishes first (fine:
 	// err == nil with the right word) or observes the cancellation (err ==
 	// context.Canceled); it must not hang or return a wrong word.
-	big := FromGraph(graph.BlowupCycle(8, 4), nil)
-	want := Canonical(big).Word
+	big := sparse(graph.BlowupCycle(8, 4))
+	want := word(big)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	go cancel2()
-	res, err := CanonicalCtx(ctx2, big)
+	res, err := CanonicalSparseCtx(ctx2, big)
 	switch {
 	case err == nil:
 		if !bytes.Equal(res.Word, want) {

@@ -9,11 +9,22 @@ import (
 	"repro/internal/perm"
 )
 
-func colored(g *graph.Graph) *Colored { return FromGraph(g, nil) }
+func sparse(g *graph.Graph) *Sparse { return SparseFromGraph(g, nil) }
+
+// word returns the canonical sparse word of sp.
+func word(sp *Sparse) []byte { return CanonicalSparse(sp).Word }
+
+// isomorphic reports whether a and b are color-isomorphic, by their
+// canonical sparse words.
+func isomorphic(a, b *Sparse) bool { return a.N == b.N && bytes.Equal(word(a), word(b)) }
+
+// orbits returns the orbits of the automorphism generators the canonical
+// search of sp records, each sorted ascending, ordered by smallest element.
+func orbits(sp *Sparse) [][]int { return perm.OrbitsOf(sp.N, CanonicalSparse(sp).AutoGens) }
 
 // TestCanonicalAgreesWithBruteForceOnIsomorphism checks the defining
 // property of a canonical form against the paper's exact min-word oracle:
-// two graphs have equal Canonical words iff they have equal brute-force
+// two graphs have equal canonical words iff they have equal brute-force
 // min words (i.e. iff they are color-isomorphic).
 func TestCanonicalAgreesWithBruteForceOnIsomorphism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -21,7 +32,7 @@ func TestCanonicalAgreesWithBruteForceOnIsomorphism(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Path(4), graph.Cycle(5), graph.Complete(4), graph.Star(4), graph.Fig2c(),
 	} {
-		cases = append(cases, colored(g))
+		cases = append(cases, FromGraph(g, nil))
 	}
 	// Random colored graphs on <= 6 vertices, some with multi-edges and
 	// loops, plus a random relabeling of each (guaranteeing isomorphic
@@ -52,7 +63,7 @@ func TestCanonicalAgreesWithBruteForceOnIsomorphism(t *testing.T) {
 	words := make([][]byte, len(cases))
 	brute := make([][]byte, len(cases))
 	for i, c := range cases {
-		words[i] = CanonicalWord(c)
+		words[i] = word(SparseFromColored(c))
 		brute[i] = BruteCanonicalWord(c)
 	}
 	for i := range cases {
@@ -63,7 +74,7 @@ func TestCanonicalAgreesWithBruteForceOnIsomorphism(t *testing.T) {
 			canonEq := bytes.Equal(words[i], words[j])
 			bruteEq := bytes.Equal(brute[i], brute[j])
 			if canonEq != bruteEq {
-				t.Errorf("cases %d,%d: Canonical says iso=%v, brute force says %v",
+				t.Errorf("cases %d,%d: CanonicalSparse says iso=%v, brute force says %v",
 					i, j, canonEq, bruteEq)
 			}
 		}
@@ -85,7 +96,7 @@ func TestCanonicalInvariantUnderRelabeling(t *testing.T) {
 		cols := make([]int, g.N())
 		cols[0] = 1
 		cols[g.N()/2] = 1
-		base := CanonicalWord(FromGraph(g, cols))
+		base := word(SparseFromGraph(g, cols))
 		for trial := 0; trial < 4; trial++ {
 			p := rng.Perm(g.N())
 			h, err := g.Relabel(p)
@@ -96,7 +107,7 @@ func TestCanonicalInvariantUnderRelabeling(t *testing.T) {
 			for v, c := range cols {
 				ncols[p[v]] = c
 			}
-			if !bytes.Equal(base, CanonicalWord(FromGraph(h, ncols))) {
+			if !bytes.Equal(base, word(SparseFromGraph(h, ncols))) {
 				t.Errorf("graph %d: canonical word not invariant under relabeling", gi)
 			}
 		}
@@ -110,23 +121,23 @@ func TestIsomorphicDistinguishes(t *testing.T) {
 		b.AddEdge(e[0], e[1])
 	}
 	twoTriangles := b.Graph()
-	if Isomorphic(colored(graph.Cycle(6)), colored(twoTriangles)) {
+	if isomorphic(sparse(graph.Cycle(6)), sparse(twoTriangles)) {
 		t.Error("C6 and 2K3 reported isomorphic")
 	}
 	// K3,3 vs prism: both cubic on 6 vertices, not isomorphic.
-	if Isomorphic(colored(graph.CompleteBipartite(3, 3)), colored(graph.Prism(3))) {
+	if isomorphic(sparse(graph.CompleteBipartite(3, 3)), sparse(graph.Prism(3))) {
 		t.Error("K33 and prism reported isomorphic")
 	}
 	// Same graph, different colorings.
 	g := graph.Cycle(5)
-	c1 := FromGraph(g, []int{1, 0, 0, 0, 0})
-	c2 := FromGraph(g, []int{1, 1, 0, 0, 0})
-	if Isomorphic(c1, c2) {
+	c1 := SparseFromGraph(g, []int{1, 0, 0, 0, 0})
+	c2 := SparseFromGraph(g, []int{1, 1, 0, 0, 0})
+	if isomorphic(c1, c2) {
 		t.Error("different black counts reported isomorphic")
 	}
 	// Colorings that differ by rotation are isomorphic.
-	c3 := FromGraph(g, []int{0, 0, 1, 0, 0})
-	if !Isomorphic(c1, c3) {
+	c3 := SparseFromGraph(g, []int{0, 0, 1, 0, 0})
+	if !isomorphic(c1, c3) {
 		t.Error("rotated coloring should be isomorphic")
 	}
 }
@@ -136,8 +147,8 @@ func TestIsomorphismBetweenIsWitness(t *testing.T) {
 	g := graph.Petersen()
 	p := rng.Perm(g.N())
 	h, _ := g.Relabel(p)
-	a, b := colored(g), colored(h)
-	phi := IsomorphismBetween(a, b)
+	a, b := FromGraph(g, nil), FromGraph(h, nil)
+	phi := IsomorphismBetween(sparse(g), sparse(h))
 	if phi == nil {
 		t.Fatal("no isomorphism found between relabelings")
 	}
@@ -148,16 +159,16 @@ func TestIsomorphismBetweenIsWitness(t *testing.T) {
 			}
 		}
 	}
-	if IsomorphismBetween(colored(graph.Cycle(6)), colored(graph.Prism(3))) != nil {
+	if IsomorphismBetween(sparse(graph.Cycle(6)), sparse(graph.Prism(3))) != nil {
 		t.Error("isomorphism invented between C6 and prism")
 	}
 }
 
-// TestAutomorphismCounts pins |⟨AutoGens⟩| against the known group order
-// on both engines. It guards the claim that the canonical search's own
-// generators span the whole automorphism group (see AutomorphismGens). The
-// twin-heavy, disconnected and strongly regular families below have large
-// point stabilizers, whose generators the search finds deep in its tree.
+// TestAutomorphismCounts pins |⟨AutoGens⟩| against the known group order.
+// It guards the claim that the canonical search's own generators span the
+// whole automorphism group (see CanonicalSparse). The twin-heavy,
+// disconnected and strongly regular families below have large point
+// stabilizers, whose generators the search finds deep in its tree.
 func TestAutomorphismCounts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -182,21 +193,14 @@ func TestAutomorphismCounts(t *testing.T) {
 		{"blowup4x3", graph.BlowupCycle(4, 3), 1036800},
 	}
 	for _, tc := range cases {
-		c := colored(tc.g)
-		for _, eng := range []struct {
-			name string
-			gens []perm.Perm
-		}{
-			{"dense", AutomorphismGens(c)},
-			{"sparse", CanonicalSparse(SparseFromColored(c)).AutoGens},
-		} {
-			if got := groupOrder(c.N, eng.gens); got != tc.want {
-				t.Errorf("%s %s: |Aut| = %d, want %d", tc.name, eng.name, got, tc.want)
-			}
-			for _, a := range eng.gens {
-				if !c.IsAutomorphism(a) {
-					t.Errorf("%s %s: generator %v is not an automorphism", tc.name, eng.name, a)
-				}
+		c, sp := FromGraph(tc.g, nil), sparse(tc.g)
+		gens := CanonicalSparse(sp).AutoGens
+		if got := groupOrder(c.N, gens); got != tc.want {
+			t.Errorf("%s: |Aut| = %d, want %d", tc.name, got, tc.want)
+		}
+		for _, a := range gens {
+			if !c.IsAutomorphism(a) || !csrIsAutomorphism(sp.g, sp.Color, a) {
+				t.Errorf("%s: generator %v is not an automorphism", tc.name, a)
 			}
 		}
 	}
@@ -307,23 +311,23 @@ func TestOrbitsVertexTransitive(t *testing.T) {
 		graph.Cycle(7), graph.Petersen(), graph.Hypercube(3), graph.Complete(5),
 		graph.Torus(3, 3), graph.Prism(4), graph.MoebiusKantor(),
 	} {
-		orbits := Orbits(colored(g))
-		if len(orbits) != 1 || len(orbits[0]) != g.N() {
-			t.Errorf("%v: expected vertex-transitive (1 orbit), got %d orbits", g, len(orbits))
+		orbs := orbits(sparse(g))
+		if len(orbs) != 1 || len(orbs[0]) != g.N() {
+			t.Errorf("%v: expected vertex-transitive (1 orbit), got %d orbits", g, len(orbs))
 		}
 	}
 }
 
 func TestOrbitsAsymmetric(t *testing.T) {
 	// A path of 4: orbits {0,3}, {1,2}.
-	orbits := Orbits(colored(graph.Path(4)))
-	if len(orbits) != 2 {
-		t.Fatalf("P4 orbits = %v", orbits)
+	orbs := orbits(sparse(graph.Path(4)))
+	if len(orbs) != 2 {
+		t.Fatalf("P4 orbits = %v", orbs)
 	}
 	// Star: center alone, leaves together.
-	orbits = Orbits(colored(graph.Star(5)))
-	if len(orbits) != 2 || len(orbits[0]) != 1 || len(orbits[1]) != 5 {
-		t.Fatalf("star orbits = %v", orbits)
+	orbs = orbits(sparse(graph.Star(5)))
+	if len(orbs) != 2 || len(orbs[0]) != 1 || len(orbs[1]) != 5 {
+		t.Fatalf("star orbits = %v", orbs)
 	}
 }
 
@@ -331,31 +335,31 @@ func TestOrbitsWithColors(t *testing.T) {
 	// C6 with two antipodal black nodes: blacks {0,3}, their neighbors
 	// {1,2,4,5} all equivalent.
 	cols := []int{1, 0, 0, 1, 0, 0}
-	orbits := Orbits(FromGraph(graph.Cycle(6), cols))
-	if len(orbits) != 2 {
-		t.Fatalf("orbits = %v", orbits)
+	orbs := orbits(SparseFromGraph(graph.Cycle(6), cols))
+	if len(orbs) != 2 {
+		t.Fatalf("orbits = %v", orbs)
 	}
-	if len(orbits[0]) != 2 || len(orbits[1]) != 4 {
-		t.Fatalf("orbit sizes = %v", orbits)
+	if len(orbs[0]) != 2 || len(orbs[1]) != 4 {
+		t.Fatalf("orbit sizes = %v", orbs)
 	}
 	// C6 with two adjacent black nodes: classes {0,1}, {2,5}, {3,4}.
 	cols = []int{1, 1, 0, 0, 0, 0}
-	orbits = Orbits(FromGraph(graph.Cycle(6), cols))
-	if len(orbits) != 3 {
-		t.Fatalf("adjacent-black orbits = %v", orbits)
+	orbs = orbits(SparseFromGraph(graph.Cycle(6), cols))
+	if len(orbs) != 3 {
+		t.Fatalf("adjacent-black orbits = %v", orbs)
 	}
 }
 
 func TestDigraphCanonicalDirectionSensitive(t *testing.T) {
 	// Directed triangle vs directed path: different.
-	tri := NewDigraph(3, [][2]int{{0, 1}, {1, 2}, {2, 0}}, nil)
-	pth := NewDigraph(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}, nil)
-	if Isomorphic(tri, pth) {
+	tri := SparseFromArcs(3, [][2]int{{0, 1}, {1, 2}, {2, 0}}, nil)
+	pth := SparseFromArcs(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}, nil)
+	if isomorphic(tri, pth) {
 		t.Error("directed triangle and transitive tournament confused")
 	}
 	// Reversed triangle is isomorphic to the triangle (swap two vertices).
-	rev := NewDigraph(3, [][2]int{{1, 0}, {2, 1}, {0, 2}}, nil)
-	if !Isomorphic(tri, rev) {
+	rev := SparseFromArcs(3, [][2]int{{1, 0}, {2, 1}, {0, 2}}, nil)
+	if !isomorphic(tri, rev) {
 		t.Error("reversed directed triangle should be isomorphic")
 	}
 }
@@ -365,7 +369,7 @@ func TestPermutedConsistency(t *testing.T) {
 	c := FromGraph(graph.RandomConnected(9, 5, 3), []int{1, 0, 0, 1, 0, 0, 0, 0, 0})
 	p := perm.Perm(rng.Perm(9))
 	d := c.Permuted(p)
-	if !Isomorphic(c, d) {
+	if !isomorphic(SparseFromColored(c), SparseFromColored(d)) {
 		t.Fatal("Permuted produced non-isomorphic graph")
 	}
 	for v := 0; v < 9; v++ {
@@ -383,7 +387,7 @@ func TestLoopAndMultiEdgeSensitivity(t *testing.T) {
 	b.AddEdge(2, 0)
 	b.AddEdge(0, 1)
 	doubled := b.Graph()
-	if Isomorphic(colored(graph.Cycle(3)), colored(doubled)) {
+	if isomorphic(sparse(graph.Cycle(3)), sparse(doubled)) {
 		t.Error("multi-edge ignored by canonical form")
 	}
 	// Loop changes the graph.
@@ -393,15 +397,14 @@ func TestLoopAndMultiEdgeSensitivity(t *testing.T) {
 	b2.AddEdge(2, 0)
 	b2.AddEdge(0, 0)
 	looped := b2.Graph()
-	if Isomorphic(colored(graph.Cycle(3)), colored(looped)) {
+	if isomorphic(sparse(graph.Cycle(3)), sparse(looped)) {
 		t.Error("loop ignored by canonical form")
 	}
 }
 
 func TestAutomorphismGensRespectColors(t *testing.T) {
 	cols := []int{1, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	c := FromGraph(graph.Petersen(), cols)
-	gens := AutomorphismGens(c)
+	gens := CanonicalSparse(SparseFromGraph(graph.Petersen(), cols)).AutoGens
 	g, err := perm.Closure(10, gens, 1<<16)
 	if err != nil {
 		t.Fatal(err)
@@ -418,31 +421,46 @@ func TestAutomorphismGensRespectColors(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	empty := &Colored{N: 0, Color: nil, Adj: nil}
-	if len(CanonicalWord(empty)) != 0 {
+	if len(word(SparseFromArcs(0, nil, nil))) != 0 {
 		t.Error("empty graph should have empty word")
 	}
-	single := FromGraph(graph.Path(1), nil)
-	r := Canonical(single)
+	r := CanonicalSparse(sparse(graph.Path(1)))
 	if len(r.Perm) != 1 || r.Perm[0] != 0 {
 		t.Error("singleton canonical perm wrong")
 	}
 }
 
 func BenchmarkCanonicalPetersen(b *testing.B) {
-	c := colored(graph.Petersen())
+	sp := sparse(graph.Petersen())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CanonicalWord(c)
+		CanonicalSparse(sp)
 	}
 }
 
 func BenchmarkCanonicalQ4(b *testing.B) {
-	c := colored(graph.Hypercube(4))
+	sp := sparse(graph.Hypercube(4))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CanonicalWord(c)
+		CanonicalSparse(sp)
 	}
+}
+
+// FromGraph builds the symmetric Colored form of an undirected multigraph,
+// the reference engine's input: a loop contributes 2 to its diagonal entry,
+// one per port. colors may be nil (all vertices colored 0) or have length
+// g.N().
+func FromGraph(g *graph.Graph, colors []int) *Colored {
+	c := NewColored(g.N())
+	for v := range c.N {
+		for _, h := range g.Ports(v) {
+			c.Adj[v][h.To]++
+		}
+	}
+	if colors != nil {
+		copy(c.Color, colors)
+	}
+	return c
 }
 
 // NewDigraph builds a Colored digraph on n vertices from arc list (u, v)
@@ -477,11 +495,11 @@ func (c *Colored) Permuted(p perm.Perm) *Colored {
 // IsomorphismBetween returns a color-preserving isomorphism a→b (as the
 // permutation sending vertex v of a to IsomorphismBetween(a,b)[v] of b),
 // or nil if none exists.
-func IsomorphismBetween(a, b *Colored) perm.Perm {
+func IsomorphismBetween(a, b *Sparse) perm.Perm {
 	if a.N != b.N {
 		return nil
 	}
-	ra, rb := Canonical(a), Canonical(b)
+	ra, rb := CanonicalSparse(a), CanonicalSparse(b)
 	if !bytes.Equal(ra.Word, rb.Word) {
 		return nil
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // TestConcurrentStateReuse: eight goroutines draw search states from the
-// shared pool for dense and sparse searches over inputs of 1 to 64 nodes,
-// rigid and symmetric, plus a multigraph, interleaved with searches whose
-// deadline fires mid-way. Every completed search must return exactly the
+// shared pool for searches over inputs of 1 to 64 nodes, rigid and
+// symmetric, plus a multigraph and a digraph, interleaved with searches
+// whose deadline fires mid-way. Every completed search must return exactly the
 // Word, Perm and AutoGens computed before the goroutines start: a state
 // that kept stale scratch, or a Result that aliased pooled memory, would
 // differ. In make determinism (-race -count=50).
@@ -26,34 +26,24 @@ func TestConcurrentStateReuse(t *testing.T) {
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 0)
 	b.AddEdge(2, 2)
-	inputs := []*Colored{
-		FromGraph(graph.Path(1), nil),
-		FromGraph(graph.Cycle(6), blackAt(6, 0, 2)),
-		FromGraph(graph.Petersen(), nil),
-		FromGraph(graph.Hypercube(4), blackAt(16, 0)),
-		FromGraph(graph.RandomRegular(24, 3, 5), nil),
-		FromGraph(graph.BlowupCycle(6, 3), nil),
-		FromGraph(graph.Cycle(64), blackAt(64, 0, 16, 32, 48)),
-		FromGraph(b.Graph(), nil),
+	inputs := []*Sparse{
+		sparse(graph.Path(1)),
+		SparseFromGraph(graph.Cycle(6), blackAt(6, 0, 2)),
+		sparse(graph.Petersen()),
+		SparseFromGraph(graph.Hypercube(4), blackAt(16, 0)),
+		sparse(graph.RandomRegular(24, 3, 5)),
+		sparse(graph.BlowupCycle(6, 3)),
+		SparseFromGraph(graph.Cycle(64), blackAt(64, 0, 16, 32, 48)),
+		sparse(b.Graph()),
+		SparseFromArcs(12, surroundingArcsOfCycle(12), blackAt(12, 0, 4)),
 	}
 	type job struct {
-		engine string
-		c      *Colored // dense engine
-		sp     *Sparse  // sparse engine
-		want   *Result
+		sp   *Sparse
+		want *Result
 	}
 	var jobs []job
-	for _, c := range inputs {
-		sp := SparseFromColored(c)
-		jobs = append(jobs,
-			job{engine: "dense", c: c, want: Canonical(c)},
-			job{engine: "sparse", sp: sp, want: CanonicalSparse(sp)})
-	}
-	run := func(ctx context.Context, j job) (*Result, error) {
-		if j.c != nil {
-			return CanonicalCtx(ctx, j.c)
-		}
-		return CanonicalSparseCtx(ctx, j.sp)
+	for _, sp := range inputs {
+		jobs = append(jobs, job{sp: sp, want: CanonicalSparse(sp)})
 	}
 
 	const workers, rounds = 8, 3
@@ -69,7 +59,7 @@ func TestConcurrentStateReuse(t *testing.T) {
 					// Fires at a different point of each search.
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(i%7)*20*time.Microsecond)
 				}
-				got, err := run(ctx, j)
+				got, err := CanonicalSparseCtx(ctx, j.sp)
 				cancel()
 				if errors.Is(err, context.DeadlineExceeded) {
 					continue
@@ -79,8 +69,8 @@ func TestConcurrentStateReuse(t *testing.T) {
 					return
 				}
 				if !sameResult(got, j.want) {
-					t.Errorf("worker %d: %d-node %s search differs from its serial result",
-						w, len(j.want.Perm), j.engine)
+					t.Errorf("worker %d: %d-node search differs from its serial result",
+						w, len(j.want.Perm))
 					return
 				}
 			}

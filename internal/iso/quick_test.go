@@ -10,14 +10,14 @@ import (
 	"repro/internal/perm"
 )
 
-func randomColored(rng *rand.Rand) (*Colored, *graph.Graph, []int) {
+func randomColored(rng *rand.Rand) (*Sparse, *graph.Graph, []int) {
 	n := 2 + rng.Intn(8)
 	g := graph.RandomConnected(n, rng.Intn(n), rng.Int63())
 	cols := make([]int, n)
 	for i := range cols {
 		cols[i] = rng.Intn(3)
 	}
-	return FromGraph(g, cols), g, cols
+	return SparseFromGraph(g, cols), g, cols
 }
 
 // Canonical invariance: the canonical word of a colored graph is unchanged
@@ -27,7 +27,7 @@ func TestQuickCanonicalInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c, g, cols := randomColored(rng)
-		w := CanonicalWord(c)
+		w := word(c)
 		p := rng.Perm(g.N())
 		h, err := g.Relabel(p)
 		if err != nil {
@@ -37,7 +37,7 @@ func TestQuickCanonicalInvariance(t *testing.T) {
 		for v, col := range cols {
 			ncols[p[v]] = col
 		}
-		return bytes.Equal(w, CanonicalWord(FromGraph(h, ncols)))
+		return bytes.Equal(w, word(SparseFromGraph(h, ncols)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -49,10 +49,10 @@ func TestQuickCanonicalInvariance(t *testing.T) {
 func TestQuickAutomorphismsValid(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c, _, _ := randomColored(rng)
-		gens := AutomorphismGens(c)
+		c, g, cols := randomColored(rng)
+		gens := CanonicalSparse(c).AutoGens
 		for _, a := range gens {
-			if !c.IsAutomorphism(a) {
+			if !csrIsAutomorphism(c.g, c.Color, a) || !FromGraph(g, cols).IsAutomorphism(a) {
 				return false
 			}
 		}
@@ -75,7 +75,7 @@ func TestQuickAutomorphismsValid(t *testing.T) {
 func TestQuickIsomorphismWitness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c, g, cols := randomColored(rng)
+		sp, g, cols := randomColored(rng)
 		p := rng.Perm(g.N())
 		h, err := g.Relabel(p)
 		if err != nil {
@@ -85,11 +85,12 @@ func TestQuickIsomorphismWitness(t *testing.T) {
 		for v, col := range cols {
 			ncols[p[v]] = col
 		}
-		d := FromGraph(h, ncols)
-		phi := IsomorphismBetween(c, d)
+		phi := IsomorphismBetween(sp, SparseFromGraph(h, ncols))
 		if phi == nil {
 			return false
 		}
+		// Check the witness on the n×n forms.
+		c, d := FromGraph(g, cols), FromGraph(h, ncols)
 		for u := 0; u < c.N; u++ {
 			if d.Color[phi[u]] != c.Color[u] {
 				return false

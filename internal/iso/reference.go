@@ -1,21 +1,25 @@
 package iso
 
 // This file freezes the repo's original (pre-optimization) canonical
-// labeling engine: map/string/fmt-based equitable refinement and a
-// backtracking search without best-word prefix pruning, with the original
-// quadratic stabilizer-orbit pruning. It exists for two reasons:
+// labeling engine: map/string/fmt-based equitable refinement over the
+// dense Colored form and a backtracking search without best-word prefix
+// pruning, with the original quadratic stabilizer-orbit pruning. It is the
+// only dense search left, and it exists for two reasons:
 //
-//   - differential testing: the optimized engine's canonical words are
-//     cross-checked against this one (see reference_test.go), and
+//   - differential testing: the optimized engine's isomorphism verdicts,
+//     automorphism orbits and equitable partitions are cross-checked
+//     against this one (see reference_test.go and sparse_test.go), and
 //   - the perf trajectory: cmd/benchiso measures the optimized engine's
-//     speedup against it and records both in BENCH_iso.json.
+//     speedup against it (SetReferenceEngine) and records both in
+//     BENCH_iso.json; CI gates that speedup.
 //
-// The only change from the original is that leaf words use the shared
-// word serialization (the growing-principal-submatrix layout of
-// Colored.word), so the two engines' words are directly comparable. The
-// serialization is a negligible fraction of the original engine's runtime —
-// its cost is dominated by the fmt/map/string refinement — so reference
-// timings remain honest pre-optimization timings.
+// Leaf words use the dense n+n² serialization of Colored.word; the
+// optimized engine writes the O(n+m) sparse word instead, so the two
+// engines' words live in different code spaces and only their equality
+// relations are comparable. The serialization is a negligible fraction of
+// the original engine's runtime — its cost is dominated by the
+// fmt/map/string refinement — so reference timings remain honest
+// pre-optimization timings.
 //
 // Both engines order the subcells of a refinement split by vertex
 // signature; the original compares signatures as formatted decimal strings
@@ -23,7 +27,7 @@ package iso
 // coincide whenever every signature count has a single decimal digit
 // (counts are bounded by vertex degrees), which covers every graph in this
 // repository's workloads; on such graphs the engines produce identical
-// canonical words.
+// equitable partitions.
 
 import (
 	"bytes"
@@ -170,8 +174,8 @@ type refCanonState struct {
 	base []int
 }
 
-// referenceCanonical is the frozen original engine behind Canonical; see
-// the file comment. ReferenceCanonical is its exported face.
+// referenceCanonical is the frozen original engine that SetReferenceEngine
+// puts behind CanonicalSparse; see the file comment.
 func referenceCanonical(c *Colored) *Result {
 	if c.N == 0 {
 		return &Result{Perm: perm.Perm{}, Word: []byte{}}
@@ -180,11 +184,6 @@ func referenceCanonical(c *Colored) *Result {
 	st.search(refRefine(c, refInitialPartition(c)))
 	return &Result{Perm: st.bperm, Word: st.best, AutoGens: st.autos}
 }
-
-// ReferenceCanonical computes a canonical form of c with the frozen
-// pre-optimization engine. Differential tests and the perf-trajectory
-// benchmarks (cmd/benchiso, BENCH_iso.json) compare it against Canonical.
-func ReferenceCanonical(c *Colored) *Result { return referenceCanonical(c) }
 
 func (st *refCanonState) search(p *refPartition) {
 	if p.discrete() {

@@ -6,10 +6,10 @@ package iso
 // written into flat scratch buffers that are reused across every refinement
 // pass and every node of the backtracking search (DESIGN.md §8).
 
-// csr is a compressed-sparse-row view of a Colored's arcs, built once per
-// canonical search so refinement passes count multiplicities by scanning
-// neighbor lists (O(arcs)) instead of dense adjacency rows (O(n) per vertex
-// per cell).
+// csr holds a Sparse's arcs in compressed-sparse-row form, so refinement
+// passes count multiplicities by scanning neighbor lists (O(arcs)) instead
+// of dense adjacency rows (O(n) per vertex per cell). Every row is sorted
+// by neighbor, with no neighbor twice: csrOutMult binary-searches it.
 type csr struct {
 	// Out-arcs grouped by source: for outStart[v] <= a < outStart[v+1],
 	// there are outMult[a] arcs v -> outDst[a].
@@ -21,33 +21,6 @@ type csr struct {
 	inStart []int32
 	inDst   []int32
 	inMult  []int32
-}
-
-// fill rebuilds s as the CSR view of c, reusing s's arrays where they are
-// large enough.
-func (s *csr) fill(c *Colored) {
-	n := c.N
-	s.outStart, s.inStart = zeroed(s.outStart, n+1), zeroed(s.inStart, n+1)
-	s.outDst, s.outMult = s.outDst[:0], s.outMult[:0]
-	s.inDst, s.inMult = s.inDst[:0], s.inMult[:0]
-	for u := 0; u < n; u++ {
-		for v, m := range c.Adj[u] {
-			if m != 0 {
-				s.outDst = append(s.outDst, int32(v))
-				s.outMult = append(s.outMult, int32(m))
-			}
-		}
-		s.outStart[u+1] = int32(len(s.outDst))
-	}
-	for v := 0; v < n; v++ {
-		for u := 0; u < n; u++ {
-			if m := c.Adj[u][v]; m != 0 {
-				s.inDst = append(s.inDst, int32(u))
-				s.inMult = append(s.inMult, int32(m))
-			}
-		}
-		s.inStart[v+1] = int32(len(s.inDst))
-	}
 }
 
 // level is one node's partition state in the backtracking search. Levels are

@@ -1,14 +1,14 @@
 package iso
 
-// Tests of the O(n+m) sparse canonical engine: agreement with the dense
-// engine on isomorphism classification, invariance under relabeling, and
-// automorphism orbits.
+// Tests of the O(n+m) sparse canonical engine: agreement with the frozen
+// reference engine on isomorphism classification, automorphism orbits and
+// equitable partitions, invariance under relabeling, and the arc-list
+// constructor.
 
 import (
 	"bytes"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -59,10 +59,11 @@ func TestSparseRelabelingInvariance(t *testing.T) {
 	}
 }
 
-// TestSparseVsDenseClassification: the two engines use different word
-// serializations, so words are not comparable across engines — but their
-// equality relations must coincide. Pairs of graphs are classified as
-// isomorphic or not by both engines and the verdicts compared.
+// TestSparseVsDenseClassification: the sparse engine and the dense
+// reference engine use different word serializations, so words are not
+// comparable across engines — but their equality relations must coincide.
+// Pairs of graphs are classified as isomorphic or not by both engines and
+// the verdicts compared.
 func TestSparseVsDenseClassification(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	mk := func() *Colored { return randomConnectedMulti(rng, 9) }
@@ -74,7 +75,7 @@ func TestSparseVsDenseClassification(t *testing.T) {
 		} else {
 			b = mk()
 		}
-		dense := bytes.Equal(Canonical(a).Word, Canonical(b).Word)
+		dense := bytes.Equal(ReferenceCanonical(a).Word, ReferenceCanonical(b).Word)
 		sparse := bytes.Equal(
 			CanonicalSparse(SparseFromColored(a)).Word,
 			CanonicalSparse(SparseFromColored(b)).Word)
@@ -94,7 +95,7 @@ func TestSparseAutomorphismsValid(t *testing.T) {
 			t.Fatalf("%s: sparse Perm does not serialize to Word", name)
 		}
 		for _, a := range res.AutoGens {
-			if !sp.IsAutomorphism(a) {
+			if !csrIsAutomorphism(sp.g, sp.Color, a) {
 				t.Fatalf("%s: sparse engine emitted a non-automorphism", name)
 			}
 		}
@@ -121,7 +122,7 @@ func sparseWordOf(sp *Sparse, p perm.Perm) []byte {
 }
 
 // TestSparseOrbitsVsDense: the orbits of the sparse search's generators
-// must be exactly the dense engine's automorphism orbits, on plain and
+// must be exactly the reference engine's automorphism orbits, on plain and
 // colored graphs.
 func TestSparseOrbitsVsDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -134,22 +135,22 @@ func TestSparseOrbitsVsDense(t *testing.T) {
 					cols[i] = rng.Intn(2)
 				}
 			}
-			want := Orbits(FromGraph(g, cols))
+			want := perm.OrbitsOf(g.N(), ReferenceCanonical(FromGraph(g, cols)).AutoGens)
 			got := perm.OrbitsOf(g.N(), CanonicalSparse(SparseFromGraph(g, cols)).AutoGens)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s colored=%v: sparse orbits %v != dense %v", name, colored, got, want)
+				t.Fatalf("%s colored=%v: sparse orbits %v != reference %v", name, colored, got, want)
 			}
 		}
 	}
 }
 
 // TestSparseEquitableVsDense: the sparse equitable partition must match the
-// dense engine's cell-for-cell.
+// reference engine's refinement cell-for-cell.
 func TestSparseEquitableVsDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 60; trial++ {
 		c := randomConnectedMulti(rng, 10)
-		want := EquitablePartition(c)
+		want := refRefine(c, refInitialPartition(c)).cells
 		got := SparseEquitablePartition(SparseFromColored(c))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: sparse equitable partition differs", trial)
@@ -157,9 +158,10 @@ func TestSparseEquitableVsDense(t *testing.T) {
 	}
 }
 
-// TestSparseFromArcsDigraph: arc-list construction must agree with
-// NewDigraph-based dense classification on random digraphs with
-// multiplicities and loops.
+// TestSparseFromArcsDigraph: arc-list construction must agree with the
+// reference engine's classification of the NewDigraph form on random
+// digraphs with multiplicities and loops, and build every CSR row sorted,
+// duplicate-free and with the arc list's multiplicities.
 func TestSparseFromArcsDigraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 80; trial++ {
@@ -172,6 +174,7 @@ func TestSparseFromArcsDigraph(t *testing.T) {
 		for i := range cols {
 			cols[i] = rng.Intn(2)
 		}
+		checkCSR(t, n, arcs, SparseFromArcs(n, arcs, cols))
 		// Relabel and compare: the sparse words of the digraph and a random
 		// relabeling must be equal.
 		p := rng.Perm(n)
@@ -188,7 +191,7 @@ func TestSparseFromArcsDigraph(t *testing.T) {
 		if !bytes.Equal(w1, w2) {
 			t.Fatalf("trial %d: sparse digraph word not relabeling-invariant", trial)
 		}
-		// And agreement with the dense digraph engine's verdict against an
+		// And agreement with the reference engine's verdict against an
 		// independent digraph.
 		m := 2 + rng.Intn(7)
 		var arcs3 [][2]int
@@ -199,9 +202,9 @@ func TestSparseFromArcsDigraph(t *testing.T) {
 		for i := range cols3 {
 			cols3[i] = rng.Intn(2)
 		}
-		dense := bytes.Equal(
-			Canonical(NewDigraph(n, arcs, cols)).Word,
-			Canonical(NewDigraph(m, arcs3, cols3)).Word)
+		dense := n == m && bytes.Equal(
+			ReferenceCanonical(NewDigraph(n, arcs, cols)).Word,
+			ReferenceCanonical(NewDigraph(m, arcs3, cols3)).Word)
 		sparse := bytes.Equal(w1, CanonicalSparse(SparseFromArcs(m, arcs3, cols3)).Word)
 		if dense != sparse {
 			t.Fatalf("trial %d: digraph classification disagrees (dense=%v sparse=%v)", trial, dense, sparse)
@@ -211,7 +214,7 @@ func TestSparseFromArcsDigraph(t *testing.T) {
 
 // TestSparseFromGraphLoopsAndMultis: the Graph→Sparse bridge must preserve
 // loop and parallel-edge multiplicities (a loop contributes 2 to the
-// adjacency diagonal, matching AdjacencyMatrix).
+// adjacency diagonal, as in FromGraph).
 func TestSparseFromGraphLoopsAndMultis(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1)
@@ -220,7 +223,7 @@ func TestSparseFromGraphLoopsAndMultis(t *testing.T) {
 	b.AddEdge(2, 2) // loop
 	g := b.Graph()
 	sp := SparseFromGraph(g, nil)
-	adj := g.AdjacencyMatrix()
+	adj := FromGraph(g, nil).Adj
 	for u := 0; u < 3; u++ {
 		for v := 0; v < 3; v++ {
 			if got := int(csrOutMult(sp.g, u, int32(v))); got != adj[u][v] {
@@ -228,7 +231,7 @@ func TestSparseFromGraphLoopsAndMultis(t *testing.T) {
 			}
 		}
 	}
-	// Classification must agree with the dense engine on this multigraph.
+	// The word must survive a relabeling of this multigraph.
 	c := FromGraph(g, nil)
 	pm := perm.Perm{2, 0, 1}
 	if !bytes.Equal(
@@ -238,74 +241,66 @@ func TestSparseFromGraphLoopsAndMultis(t *testing.T) {
 	}
 }
 
-// SparseFromColored converts a dense Colored (for differential tests
-// between the two engines).
+// SparseFromColored converts a dense Colored to a Sparse through
+// SparseFromArcs, each arc repeated by its multiplicity (for differential
+// tests against the reference engine).
 func SparseFromColored(c *Colored) *Sparse {
-	sp := &Sparse{N: c.N, Color: append([]int(nil), c.Color...), g: new(csr)}
-	sp.g.fill(c)
-	return sp
+	var arcs [][2]int
+	for u, row := range c.Adj {
+		for v, m := range row {
+			for ; m > 0; m-- {
+				arcs = append(arcs, [2]int{u, v})
+			}
+		}
+	}
+	return SparseFromArcs(c.N, arcs, c.Color)
 }
 
-// SparseFromArcs builds a Sparse digraph on n vertices from (u, v) arc
-// pairs; repeated pairs accumulate multiplicity. colors may be nil.
-func SparseFromArcs(n int, arcs [][2]int, colors []int) *Sparse {
-	sp := &Sparse{N: n, Color: make([]int, n)}
-	if colors != nil {
-		if len(colors) != n {
-			panic("iso: color slice length mismatch")
-		}
-		copy(sp.Color, colors)
+// checkCSR fails unless sp's out- and in-rows are sorted, duplicate-free
+// and carry exactly the multiplicities of arcs.
+func checkCSR(t *testing.T, n int, arcs [][2]int, sp *Sparse) {
+	t.Helper()
+	want := make(map[[2]int]int32)
+	for _, a := range arcs {
+		want[a]++
 	}
-	as := append([][2]int(nil), arcs...)
-	c := &csr{outStart: make([]int32, n+1), inStart: make([]int32, n+1)}
-	sort.Slice(as, func(i, j int) bool {
-		if as[i][0] != as[j][0] {
-			return as[i][0] < as[j][0]
+	for _, side := range []struct {
+		start, nbr, mult []int32
+		arc              func(v, w int32) [2]int
+	}{
+		{sp.g.outStart, sp.g.outDst, sp.g.outMult, func(v, w int32) [2]int { return [2]int{int(v), int(w)} }},
+		{sp.g.inStart, sp.g.inDst, sp.g.inMult, func(v, w int32) [2]int { return [2]int{int(w), int(v)} }},
+	} {
+		got := make(map[[2]int]int32)
+		for v := int32(0); v < int32(n); v++ {
+			for a := side.start[v]; a < side.start[v+1]; a++ {
+				if a > side.start[v] && side.nbr[a] <= side.nbr[a-1] {
+					t.Fatalf("row %d not strictly sorted: %v", v, side.nbr[side.start[v]:side.start[v+1]])
+				}
+				got[side.arc(v, side.nbr[a])] = side.mult[a]
+			}
 		}
-		return as[i][1] < as[j][1]
-	})
-	src := 0
-	for i := 0; i < len(as); {
-		j := i
-		for j < len(as) && as[j] == as[i] {
-			j++
+		if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+			t.Fatalf("CSR multiplicities %v, arcs give %v", got, want)
 		}
-		for src < as[i][0] {
-			src++
-			c.outStart[src] = int32(len(c.outDst))
-		}
-		c.outDst = append(c.outDst, int32(as[i][1]))
-		c.outMult = append(c.outMult, int32(j-i))
-		i = j
 	}
-	for src < n {
-		src++
-		c.outStart[src] = int32(len(c.outDst))
-	}
-	sort.Slice(as, func(i, j int) bool {
-		if as[i][1] != as[j][1] {
-			return as[i][1] < as[j][1]
+}
+
+// surroundingArcsOfCycle returns the arcs of the surrounding of node 0 in
+// the n-cycle: an arc x→y for every edge {x, y} with d(0, x) <= d(0, y), so
+// the two edges at the far end are one-way and an odd cycle's middle edge
+// two-way.
+func surroundingArcsOfCycle(n int) [][2]int {
+	d := func(x int) int { return min(x, n-x) }
+	var arcs [][2]int
+	for x := 0; x < n; x++ {
+		y := (x + 1) % n
+		if d(x) <= d(y) {
+			arcs = append(arcs, [2]int{x, y})
 		}
-		return as[i][0] < as[j][0]
-	})
-	dst := 0
-	for i := 0; i < len(as); {
-		j := i
-		for j < len(as) && as[j] == as[i] {
-			j++
+		if d(y) <= d(x) {
+			arcs = append(arcs, [2]int{y, x})
 		}
-		for dst < as[i][1] {
-			dst++
-			c.inStart[dst] = int32(len(c.inDst))
-		}
-		c.inDst = append(c.inDst, int32(as[i][0]))
-		c.inMult = append(c.inMult, int32(j-i))
-		i = j
 	}
-	for dst < n {
-		dst++
-		c.inStart[dst] = int32(len(c.inDst))
-	}
-	sp.g = c
-	return sp
+	return arcs
 }

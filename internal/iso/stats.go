@@ -41,7 +41,7 @@ func (s SearchStats) Sub(t SearchStats) SearchStats {
 
 // searchStats are the process-global accumulators. The search itself
 // counts into plain ints on its canonState (the hot path stays
-// non-atomic); each search flushes them here once, on completion.
+// non-atomic); each search flushes them here once, when it ends.
 var searchStats struct {
 	searches, nodes, leaves   atomic.Int64
 	orbitPrunes, prefixPrunes atomic.Int64
@@ -58,9 +58,13 @@ func Stats() SearchStats {
 	}
 }
 
-// flushStats adds one finished search's local counters to the globals.
-func (st *canonState) flushStats() {
-	searchStats.searches.Add(1)
+// flushStats adds one search's local counters to the globals. A search
+// that ctx stopped still flushes the nodes, leaves and prunes it visited,
+// but only a completed one counts toward Searches.
+func (st *canonState) flushStats(completed bool) {
+	if completed {
+		searchStats.searches.Add(1)
+	}
 	searchStats.nodes.Add(int64(st.nodes))
 	searchStats.leaves.Add(int64(st.leaves))
 	searchStats.orbitPrunes.Add(int64(st.orbitPrunes))

@@ -1,6 +1,7 @@
 package iso
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,8 +11,8 @@ func TestSearchStats(t *testing.T) {
 	before := Stats()
 	// Petersen is vertex-transitive: its search discovers automorphisms,
 	// so orbit pruning must fire, and the tree has many nodes.
-	c := FromGraph(graph.Petersen(), nil)
-	Canonical(c)
+	c := sparse(graph.Petersen())
+	CanonicalSparse(c)
 	d := Stats().Sub(before)
 	if d.Searches != 1 {
 		t.Errorf("searches delta = %d, want 1", d.Searches)
@@ -26,10 +27,21 @@ func TestSearchStats(t *testing.T) {
 		t.Errorf("Petersen search should orbit-prune, got %+v", d)
 	}
 
+	// A search that its context stopped is not a completed search.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before = Stats()
+	if _, err := CanonicalSparseCtx(ctx, c); err == nil {
+		t.Fatal("search under a canceled context completed")
+	}
+	if d := Stats().Sub(before); d.Searches != 0 {
+		t.Errorf("canceled search counted as completed: searches delta = %d, want 0", d.Searches)
+	}
+
 	// The frozen reference engine must not count.
 	before = Stats()
 	SetReferenceEngine(true)
-	Canonical(c)
+	CanonicalSparse(c)
 	SetReferenceEngine(false)
 	if d := Stats().Sub(before); d != (SearchStats{}) {
 		t.Errorf("reference engine moved the counters: %+v", d)

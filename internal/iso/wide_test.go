@@ -10,22 +10,27 @@ import (
 )
 
 // TestWordWideValues: colors and multiplicities above 254, and negative
-// ones, get words of their own. With one byte per value, P3 colored
-// {1, 0, 0} and {257, 0, 0} tested isomorphic, and P2 weighted {1, 1} and
-// {1, 257} shared a canonical word.
+// ones, get words of their own, in the sparse word and in the reference
+// engine's dense word. With one byte per value, P3 colored {1, 0, 0} and
+// {257, 0, 0} tested isomorphic, and P2 weighted {1, 1} and {1, 257} shared
+// a canonical word.
 func TestWordWideValues(t *testing.T) {
-	if Isomorphic(FromGraph(graph.Path(3), []int{1, 0, 0}), FromGraph(graph.Path(3), []int{257, 0, 0})) {
-		t.Fatal("P3 colored {1,0,0} and {257,0,0} tested isomorphic")
-	}
-	if bytes.Equal(CanonicalWord(FromGraph(graph.Path(2), []int{1, 1})), CanonicalWord(FromGraph(graph.Path(2), []int{1, 257}))) {
-		t.Fatal("P2 weighted {1,1} and {1,257} share a canonical word")
-	}
-	if Isomorphic(FromGraph(graph.Path(2), []int{-1, 0}), FromGraph(graph.Path(2), []int{255, 0})) {
-		t.Fatal("colors -1 and 255 tested equal")
-	}
 	multi := func(m int) *Colored { return NewDigraph(2, [][2]int{{0, 1}}, nil).withArc(0, 1, m) }
-	if Isomorphic(multi(3), multi(259)) {
-		t.Fatal("multiplicities 3 and 259 tested equal")
+	for _, tc := range []struct {
+		what string
+		a, b *Colored
+	}{
+		{"P3 colored {1,0,0} and {257,0,0}", FromGraph(graph.Path(3), []int{1, 0, 0}), FromGraph(graph.Path(3), []int{257, 0, 0})},
+		{"P2 weighted {1,1} and {1,257}", FromGraph(graph.Path(2), []int{1, 1}), FromGraph(graph.Path(2), []int{1, 257})},
+		{"colors -1 and 255", FromGraph(graph.Path(2), []int{-1, 0}), FromGraph(graph.Path(2), []int{255, 0})},
+		{"multiplicities 3 and 259", multi(3), multi(259)},
+	} {
+		if bytes.Equal(word(SparseFromColored(tc.a)), word(SparseFromColored(tc.b))) {
+			t.Errorf("%s share a sparse word", tc.what)
+		}
+		if bytes.Equal(ReferenceCanonical(tc.a).Word, ReferenceCanonical(tc.b).Word) {
+			t.Errorf("%s share a dense word", tc.what)
+		}
 	}
 }
 
@@ -36,8 +41,9 @@ func (c *Colored) withArc(u, v, m int) *Colored {
 }
 
 // TestWordInjectiveProperty: on random colored digraphs with at most 6
-// nodes and values up to 1,000, two canonical words are equal iff a
-// brute-force search over all relabelings finds an isomorphism.
+// nodes and values up to 1,000, two canonical words — sparse, and the
+// reference engine's dense ones — are equal iff a brute-force search over
+// all relabelings finds an isomorphism.
 func TestWordInjectiveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	values := []int{0, 1, 2, 253, 254, 255, 256, 257, 511, 1000}
@@ -73,9 +79,13 @@ func TestWordInjectiveProperty(t *testing.T) {
 		} else {
 			b = draw(n)
 		}
-		same := bytes.Equal(CanonicalWord(a), CanonicalWord(b))
-		if iso := bruteIsomorphic(a, b); same != iso {
-			t.Fatalf("trial %d: words equal %v, brute-force isomorphic %v\na=%+v\nb=%+v", i, same, iso, a, b)
+		same := bytes.Equal(word(SparseFromColored(a)), word(SparseFromColored(b)))
+		iso := bruteIsomorphic(a, b)
+		if same != iso {
+			t.Fatalf("trial %d: sparse words equal %v, brute-force isomorphic %v\na=%+v\nb=%+v", i, same, iso, a, b)
+		}
+		if ref := bytes.Equal(ReferenceCanonical(a).Word, ReferenceCanonical(b).Word); ref != iso {
+			t.Fatalf("trial %d: dense words equal %v, brute-force isomorphic %v\na=%+v\nb=%+v", i, ref, iso, a, b)
 		}
 		if same {
 			equal++

@@ -38,28 +38,32 @@ func analyzeC32(b *testing.B) {
 // AnalyzeC32 runs the headline kernel under the optimized engine.
 func AnalyzeC32(b *testing.B) { analyzeC32(b) }
 
-// AnalyzeC32Reference runs the headline kernel with Canonical and
-// CanonicalSparse routed through the frozen pre-optimization engine, giving
-// the perf-trajectory baseline.
+// AnalyzeC32Reference runs the headline kernel with CanonicalSparse routed
+// through the frozen pre-optimization engine, giving the perf-trajectory
+// baseline.
 func AnalyzeC32Reference(b *testing.B) {
 	iso.SetReferenceEngine(true)
 	defer iso.SetReferenceEngine(false)
 	analyzeC32(b)
 }
 
-func canonical(c *iso.Colored) func(b *testing.B) {
+// canonical returns a kernel canonicalizing sp.
+func canonical(sp *iso.Sparse) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			iso.CanonicalWord(c)
+			iso.CanonicalSparse(sp)
 		}
 	}
 }
 
+// plain returns the all-white sparse form of g.
+func plain(g *graph.Graph) *iso.Sparse { return iso.SparseFromGraph(g, nil) }
+
 // surrounding returns the C32 surrounding digraph kernel input: the
 // bicolored digraph of one class that the hair order keys, through its hat
 // transformation, once per class.
-func surrounding() *iso.Colored {
+func surrounding() *iso.Sparse {
 	g := graph.Cycle(32)
 	return order.Surrounding(g, elect.BlackColors(32, []int{0, 8, 16, 24}), 0)
 }
@@ -91,15 +95,15 @@ func Cases() []Case {
 		{"AnalyzeC32", AnalyzeC32},
 		{"AnalyzeRR3_200", analyzeRR3200},
 		{"CanonicalC32Surrounding", canonical(surrounding())},
-		{"CanonicalC64", canonical(iso.FromGraph(graph.Cycle(64), nil))},
-		{"CanonicalQ4", canonical(iso.FromGraph(graph.Hypercube(4), nil))},
-		{"CanonicalPetersen", canonical(iso.FromGraph(graph.Petersen(), nil))},
-		{"CanonicalTorus4x4", canonical(iso.FromGraph(graph.Torus(4, 4), nil))},
+		{"CanonicalC64", canonical(plain(graph.Cycle(64)))},
+		{"CanonicalQ4", canonical(plain(graph.Hypercube(4)))},
+		{"CanonicalPetersen", canonical(plain(graph.Petersen()))},
+		{"CanonicalTorus4x4", canonical(plain(graph.Torus(4, 4)))},
 		{"EquitablePartitionQ5", func(b *testing.B) {
-			c := iso.FromGraph(graph.Hypercube(5), nil)
+			sp := plain(graph.Hypercube(5))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				iso.EquitablePartition(c)
+				iso.SparseEquitablePartition(sp)
 			}
 		}},
 		{"OrderClassesTorus4x6", func(b *testing.B) {
@@ -110,19 +114,6 @@ func Cases() []Case {
 				order.ComputeAndOrder(g, colors, order.Direct)
 			}
 		}},
-	}
-}
-
-// sparseCanonical returns a kernel canonicalizing the graph mk builds; the
-// graph is built once, outside the timed loop.
-func sparseCanonical(mk func() *graph.Graph) func(b *testing.B) {
-	return func(b *testing.B) {
-		sp := iso.SparseFromGraph(mk(), nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			iso.CanonicalSparse(sp)
-		}
 	}
 }
 
@@ -142,15 +133,15 @@ func twinBlowup() *graph.Graph {
 }
 
 // LargeCases lists the large-family kernels (10³–10⁵ nodes) exercising the
-// word-packed sparse engine: full canonical searches at n ≈ 4·10³ and the
+// word-packed engine: full canonical searches at n ≈ 4·10³ and the
 // 10⁵-node refinement and Analyze workloads. Kept out of Cases so
 // `benchiso -quick` and the default `go test -bench` stay fast; `benchiso`
 // without -quick and `make bench-iso-large` include them.
 func LargeCases() []Case {
 	return []Case{
-		{"CanonicalSparseC4096", sparseCanonical(func() *graph.Graph { return graph.Cycle(4096) })},
-		{"CanonicalSparseTorus64x64", sparseCanonical(func() *graph.Graph { return graph.Torus(64, 64) })},
-		{"CanonicalSparseTwinBlowup", sparseCanonical(twinBlowup)},
+		{"CanonicalSparseC4096", canonical(plain(graph.Cycle(4096)))},
+		{"CanonicalSparseTorus64x64", canonical(plain(graph.Torus(64, 64)))},
+		{"CanonicalSparseTwinBlowup", canonical(plain(twinBlowup()))},
 		{"RefinePassRandReg100k", func(b *testing.B) {
 			sp := iso.SparseFromGraph(graph.RandomRegular(100_000, 3, 1), nil)
 			b.ReportAllocs()

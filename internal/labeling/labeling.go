@@ -93,17 +93,18 @@ func sameLabelMultisets(g *graph.Graph, l graph.EdgeLabeling, v, pv int, phi per
 	return true
 }
 
+// autCap bounds the automorphism group LabelPreservingGroup lists.
+const autCap = 1 << 17
+
 // LabelPreservingGroup returns the group of label- and color-preserving
 // automorphisms of (g, l, colors), by filtering the full color-preserving
-// automorphism group. autCap bounds the automorphism enumeration (0 = 2^17).
-func LabelPreservingGroup(g *graph.Graph, l graph.EdgeLabeling, colors []int, autCap int) ([]perm.Perm, error) {
+// automorphism group, which it lists; it fails on a group of more than
+// 2¹⁷ elements.
+func LabelPreservingGroup(g *graph.Graph, l graph.EdgeLabeling, colors []int) ([]perm.Perm, error) {
 	if err := l.Validate(g); err != nil {
 		return nil, err
 	}
-	if autCap <= 0 {
-		autCap = 1 << 17
-	}
-	gens := iso.AutomorphismGens(iso.FromGraph(g, colors))
+	gens := iso.CanonicalSparse(iso.SparseFromGraph(g, colors)).AutoGens
 	aut, err := perm.Closure(g.N(), gens, autCap)
 	if err != nil {
 		return nil, err
@@ -120,8 +121,8 @@ func LabelPreservingGroup(g *graph.Graph, l graph.EdgeLabeling, colors []int, au
 // LabClasses returns the label-equivalence classes (Definition 2.2) of
 // (g, l, colors): the orbits of the label-preserving automorphism group.
 // By Lemma 2.1 all classes have the same size.
-func LabClasses(g *graph.Graph, l graph.EdgeLabeling, colors []int, autCap int) ([][]int, error) {
-	grp, err := LabelPreservingGroup(g, l, colors, autCap)
+func LabClasses(g *graph.Graph, l graph.EdgeLabeling, colors []int) ([][]int, error) {
+	grp, err := LabelPreservingGroup(g, l, colors)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +160,7 @@ func ExistsSymmetricLabeling(g *graph.Graph, colors []int, autCap int) (*Symmetr
 	if !g.IsSimple() {
 		return nil, ErrMultigraph
 	}
-	gens := iso.AutomorphismGens(iso.FromGraph(g, colors))
+	gens := iso.CanonicalSparse(iso.SparseFromGraph(g, colors)).AutoGens
 	return ExistsSymmetricLabelingGens(context.Background(), g, gens)
 }
 

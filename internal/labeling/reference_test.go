@@ -20,7 +20,7 @@ import (
 
 func refExistsSymmetricLabeling(t *testing.T, g *graph.Graph, colors []int) *SymmetricWitness {
 	t.Helper()
-	gens := iso.AutomorphismGens(iso.FromGraph(g, colors))
+	gens := iso.CanonicalSparse(iso.SparseFromGraph(g, colors)).AutoGens
 	aut, err := perm.Closure(g.N(), gens, 1<<17)
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func TestThm41RefinementInvariants(t *testing.T) {
 					cols[v] = 1
 				}
 			}
-			lab, err := LabClasses(c.c.G, CayleyNaturalLabeling(c.c), cols, 0)
+			lab, err := LabClasses(c.c.G, CayleyNaturalLabeling(c.c), cols)
 			if err != nil {
 				t.Fatal(err)
 			}

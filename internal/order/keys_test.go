@@ -5,13 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/iso"
 )
 
-// TestClassKeysMatchFreshSurroundings: hairKeys draws every class's
-// surrounding into one reused matrix and erases it after the key. Each key
-// must equal the key of the same surrounding built fresh, so an arc left
-// behind by an earlier class fails this test.
+// TestClassKeysMatchFreshSurroundings: after the hair order sorts the
+// classes, each class's key must still be the key of its own surrounding,
+// built on its own.
 func TestClassKeysMatchFreshSurroundings(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -27,7 +25,11 @@ func TestClassKeysMatchFreshSurroundings(t *testing.T) {
 	for _, tc := range cases {
 		o := ComputeAndOrder(tc.g, tc.colors, Hairs)
 		for i, cl := range o.Classes {
-			want := mustHairKey(t, Surrounding(tc.g, tc.colors, cl[0]))
+			arcs := surroundingArcs(nil, tc.g.EdgeEndpoints(), tc.g.BFSDist(cl[0]))
+			want, err := hairKey(context.Background(), tc.g.N(), arcs, tc.colors, maxHairLength(tc.g))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if o.Keys[i].Compare(want) != 0 {
 				t.Errorf("%s: class %d (rep %d) key differs from its fresh surrounding's", tc.name, i, cl[0])
 			}
@@ -35,10 +37,19 @@ func TestClassKeysMatchFreshSurroundings(t *testing.T) {
 	}
 }
 
-// mustHairKey is hairKey without a deadline.
-func mustHairKey(t *testing.T, c *iso.Colored) Key {
+// mustHairKey is the hair key, without a deadline, of the symmetric
+// digraph of (g, colors): an arc each way along every edge, one arc per
+// loop.
+func mustHairKey(t *testing.T, g *graph.Graph, colors []int) Key {
 	t.Helper()
-	k, err := hairKey(context.Background(), c)
+	var arcs [][2]int
+	for _, e := range g.EdgeEndpoints() {
+		arcs = append(arcs, e)
+		if e[0] != e[1] {
+			arcs = append(arcs, [2]int{e[1], e[0]})
+		}
+	}
+	k, err := hairKey(context.Background(), g.N(), arcs, colors, maxHairLength(g))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,10 @@ import (
 )
 
 // LargeThreshold is the node count at or above which the hair order stops
-// keying every class's surrounding, one dense n×n canonical search each, and
-// ranks the classes by position as Direct does. elect.AnalyzeCtx skips its
-// n×n oracles at the same size. Tests lower it to force the fallback onto
-// small instances.
+// keying every class's surrounding, one canonical search of an
+// O(n+m)-arc hat transformation each, and ranks the classes by position as
+// Direct does. elect.AnalyzeCtx skips its n×n oracles at the same size.
+// Tests lower it to force the fallback onto small instances.
 var LargeThreshold = 2048
 
 // keysComputed counts the classes ranked process-wide: one per class per
@@ -48,36 +48,27 @@ var keysComputed atomic.Int64
 func KeysComputed() int64 { return keysComputed.Load() }
 
 // Surrounding returns the surrounding S(u) of node u in the bicolored graph
-// (g, colors): the directed graph on V(g) with an arc (x, y) for every edge
-// {x, y} with d(u, x) <= d(u, y). Parallel edges contribute multiplicity; a
-// loop at x contributes an arc (x, x). colors may be nil (all white).
-func Surrounding(g *graph.Graph, colors []int, u int) *iso.Colored {
-	c := iso.NewColored(g.N())
-	if colors != nil {
-		copy(c.Color, colors)
-	}
-	addSurroundingArcs(c, g.EdgeEndpoints(), g.BFSDist(u), 1)
-	return c
+// (g, colors), in O(n+m): the directed graph on V(g) with an arc (x, y) for
+// every edge {x, y} with d(u, x) <= d(u, y). Parallel edges contribute
+// multiplicity; a loop at x contributes one arc (x, x). colors may be nil
+// (all white).
+func Surrounding(g *graph.Graph, colors []int, u int) *iso.Sparse {
+	return iso.SparseFromArcs(g.N(), surroundingArcs(nil, g.EdgeEndpoints(), g.BFSDist(u)), colors)
 }
 
-// addSurroundingArcs adds delta to the multiplicity in c of every arc of the
-// surrounding whose centre has BFS distances dist: delta 1 draws the
-// surrounding on an arcless matrix, and -1 erases it again in O(m), leaving
-// the matrix arcless for the next class.
-func addSurroundingArcs(c *iso.Colored, edges [][2]int, dist []int, delta int) {
+// surroundingArcs appends to dst the arcs of the surrounding whose centre
+// has BFS distances dist.
+func surroundingArcs(dst [][2]int, edges [][2]int, dist []int) [][2]int {
 	for _, e := range edges {
 		x, y := e[0], e[1]
-		if x == y {
-			c.Adj[x][x] += delta
-			continue
-		}
 		if dist[x] <= dist[y] {
-			c.Adj[x][y] += delta
+			dst = append(dst, [2]int{x, y})
 		}
-		if dist[y] <= dist[x] {
-			c.Adj[y][x] += delta
+		if dist[y] <= dist[x] && x != y {
+			dst = append(dst, [2]int{y, x})
 		}
 	}
+	return dst
 }
 
 // Key is the hair-order key of a bicolored digraph: two digraphs get equal
@@ -124,52 +115,41 @@ const (
 	Hairs
 )
 
-// hairKey computes the hair-order key of the bicolored digraph c, with the
-// canonical search running under ctx, so a canceled analysis stops mid-word
-// rather than finishing the search it is in.
-func hairKey(ctx context.Context, c *iso.Colored) (Key, error) {
-	k := maxHairLength(c)
-	r, err := iso.CanonicalCtx(ctx, hatTransform(c, k))
+// hairKey computes the hair-order key of the bicolored digraph on n nodes
+// with the given arcs and colors (nil: all white), whose underlying
+// undirected multigraph has maximum hair length k. It appends the hat
+// transformation's tails to arcs and canonicalizes the result under ctx, so
+// a canceled analysis stops mid-word rather than finishing the search it is
+// in.
+func hairKey(ctx context.Context, n int, arcs [][2]int, colors []int, k int) (Key, error) {
+	arcs, hatN := hatTransform(arcs, n, colors, k)
+	r, err := iso.CanonicalSparseCtx(ctx, iso.SparseFromArcs(hatN, arcs, nil))
 	if err != nil {
 		return Key{}, err
 	}
-	return Key{N: c.N, Hair: k, Word: r.Word}, nil
+	return Key{N: n, Hair: k, Word: r.Word}, nil
 }
 
-// maxHairLength returns the maximum length of a hair of the underlying
-// undirected graph of c: a maximal path x_0, …, x_k with deg(x_i) = 2 for
-// 0 < i < k and deg(x_k) = 1. Zero if there is no hair (no degree-1 node).
-func maxHairLength(c *iso.Colored) int {
-	n := c.N
-	deg := make([]int, n)
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			if x == y {
-				if c.Adj[x][x] > 0 {
-					deg[x] += 2 * c.Adj[x][x]
-				}
-				continue
-			}
-			m := c.Adj[x][y]
-			if c.Adj[y][x] > m {
-				m = c.Adj[y][x]
-			}
-			deg[x] += m
-		}
-	}
+// maxHairLength returns the maximum length of a hair of g: a maximal path
+// x_0, …, x_k with deg(x_i) = 2 for 0 < i < k and deg(x_k) = 1, a loop
+// counting 2 toward its node's degree. Zero if there is no hair (no
+// degree-1 node). Every surrounding of g has g as its underlying
+// multigraph, so this is the hair bound of each of them; O(n + m).
+func maxHairLength(g *graph.Graph) int {
 	best := 0
-	for x := 0; x < n; x++ {
-		if deg[x] != 1 {
+	for x := range g.N() {
+		if g.Deg(x) != 1 {
 			continue
 		}
 		// Walk inward from the degree-1 endpoint x_k while degree stays 2.
+		// Such a walk has at most one way on, so it never revisits a node.
 		length := 0
 		prev, cur := -1, x
 		for {
 			next := -1
-			for y := 0; y < n; y++ {
-				if y != cur && y != prev && (c.Adj[cur][y] > 0 || c.Adj[y][cur] > 0) {
-					next = y
+			for _, h := range g.Ports(cur) {
+				if h.To != cur && h.To != prev {
+					next = h.To
 					break
 				}
 			}
@@ -177,22 +157,21 @@ func maxHairLength(c *iso.Colored) int {
 				break
 			}
 			length++
-			if deg[next] != 2 {
+			if g.Deg(next) != 2 {
 				break
 			}
 			prev, cur = cur, next
 		}
-		if length > best {
-			best = length
-		}
+		best = max(best, length)
 	}
 	return best
 }
 
-// hatTransform returns the uni-colored digraph obtained by recoloring every
-// node white and attaching to each node v Color[v] tails of k+1 fresh white
-// nodes (edges of the tail are symmetric arcs), so a node's weight is its
-// tail count. Non-isomorphic weighted digraphs with equal node count and
+// hatTransform appends to arcs, a digraph on n nodes, the tails that turn
+// it into the uni-colored digraph obtained by recoloring every node white
+// and attaching to each node v colors[v] tails of k+1 fresh white nodes
+// (edges of the tail are symmetric arcs), so a node's weight is its tail
+// count. It returns the arcs and the transform's node count. Non-isomorphic weighted digraphs with equal node count and
 // hair bound map to non-isomorphic uni-colored digraphs, which is how
 // Lemma 3.1 reduces bicolored ordering to uni-colored ordering.
 //
@@ -206,29 +185,19 @@ func maxHairLength(c *iso.Colored) int {
 // of tails stripped from it. In the exception the transform is itself a
 // path, and the node count and hair bound fix G as the path P_(k+1) with
 // one end weighted 1 — unique up to isomorphism.
-func hatTransform(c *iso.Colored, k int) *iso.Colored {
-	tails := 0
-	for v := 0; v < c.N; v++ {
-		tails += c.Color[v]
-	}
-	tail := k + 1
-	out := iso.NewColored(c.N + tails*tail)
-	for x := 0; x < c.N; x++ {
-		copy(out.Adj[x][:c.N], c.Adj[x])
-	}
-	next := c.N
-	for v := 0; v < c.N; v++ {
-		for range c.Color[v] {
+func hatTransform(arcs [][2]int, n int, colors []int, k int) ([][2]int, int) {
+	next := n
+	for v, w := range colors {
+		for range w {
 			prev := v
-			for t := 0; t < tail; t++ {
-				out.Adj[prev][next] = 1
-				out.Adj[next][prev] = 1
+			for range k + 1 {
+				arcs = append(arcs, [2]int{prev, next}, [2]int{next, prev})
 				prev = next
 				next++
 			}
 		}
 	}
-	return out
+	return arcs, next
 }
 
 // Ordered is the result of COMPUTE & ORDER on a bicolored graph: the
@@ -260,10 +229,10 @@ type Ordered struct {
 // Classes computes the equivalence classes of the bicolored graph
 // (g, colors): the orbits of its color-preserving automorphism group,
 // equivalently the surrounding-isomorphism classes (Lemma 3.1 proves the
-// two definitions coincide). Each class is sorted ascending, classes
-// ordered by smallest member.
+// two definitions coincide), from one canonical search. Each class is
+// sorted ascending, classes ordered by smallest member.
 func Classes(g *graph.Graph, colors []int) [][]int {
-	return iso.Orbits(iso.FromGraph(g, colors))
+	return perm.OrbitsOf(g.N(), iso.CanonicalSparse(iso.SparseFromGraph(g, colors)).AutoGens)
 }
 
 // ComputeAndOrder computes the equivalence classes of the bicolored graph
@@ -345,28 +314,22 @@ func byPosition(colors []int, classes [][]int, p perm.Perm) *Ordered {
 
 // hairKeys computes the hair-order keys of the classes' surroundings, one
 // class after another: only each class's representative (smallest member)
-// is keyed, never every node. The surroundings are drawn into one n×n
-// matrix, erased after each key, so the whole ordering allocates one matrix
-// instead of one per class; the canonical searches recycle their own state
-// (iso's statePool). Keying serially beat a GOMAXPROCS worker pool even for
-// one caller once both recycled their state, and callers such as electd
-// already run analyses side by side (DESIGN.md §8).
+// is keyed, never every node. Each class's surrounding and hat
+// transformation are one arc list, and g's hair bound is computed once;
+// the canonical searches recycle their own state (iso's statePool).
+// Keying serially beat a GOMAXPROCS worker pool even for one caller once
+// both recycled their state, and callers such as electd already run
+// analyses side by side (DESIGN.md §8).
 func hairKeys(ctx context.Context, g *graph.Graph, colors []int, classes [][]int) ([]Key, error) {
 	keys := make([]Key, len(classes))
-	s := iso.NewColored(g.N())
-	if colors != nil {
-		copy(s.Color, colors)
-	}
 	edges := g.EdgeEndpoints()
+	k := maxHairLength(g)
 	for i, cl := range classes {
-		dist := g.BFSDist(cl[0])
-		addSurroundingArcs(s, edges, dist, 1)
-		k, err := hairKey(ctx, s)
+		key, err := hairKey(ctx, g.N(), surroundingArcs(nil, edges, g.BFSDist(cl[0])), colors, k)
 		if err != nil {
 			return nil, err
 		}
-		addSurroundingArcs(s, edges, dist, -1)
-		keys[i] = k
+		keys[i] = key
 	}
 	return keys, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
-	"repro/internal/iso"
 )
 
 // The ordered class structure is a partition: every node in exactly one
@@ -83,7 +82,7 @@ func TestQuickSurroundingKeysCharacterizeClasses(t *testing.T) {
 		o := ComputeAndOrder(g, colors, Direct)
 		words := make([]string, n)
 		for v := 0; v < n; v++ {
-			words[v] = string(iso.CanonicalWord(Surrounding(g, colors, v)))
+			words[v] = string(surroundingWord(g, colors, v))
 		}
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
