@@ -82,6 +82,7 @@ campaign:
 fuzz:
 	$(GO) test -fuzz FuzzElectSchedule -fuzztime 30s -run '^$$' ./internal/adversary
 	$(GO) test -fuzz FuzzCanonical -fuzztime 30s -run '^$$' ./internal/iso
+	$(GO) test -fuzz FuzzSparseEquitable -fuzztime 30s -run '^$$' ./internal/iso
 	$(GO) test -fuzz FuzzFromTwins -fuzztime 30s -run '^$$' ./internal/graph
 	$(GO) test -fuzz FuzzZooSchedule -fuzztime 30s -run '^$$' ./internal/zoo
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s -run '^$$' ./internal/lazyrand

@@ -2,6 +2,7 @@ package iso
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/perm"
@@ -51,27 +52,33 @@ type canonState struct {
 	orbitPrunes  int
 	prefixPrunes int
 
-	// Worklist-refinement scratch (refine.go). Cells are identified by
-	// start position during a refine: cellEnd[s] ends the cell starting at
-	// s, cellOf[v] is the start of v's cell, cnt* accumulate one splitter
-	// fragment's arc counts, and the remaining slices/bitsets carry the
-	// per-pass key and split-parent bookkeeping.
+	// Worklist-refinement scratch (refine.go). During a refine a cell is an
+	// id: its vertices are lab[cStart[c]:endAt[cStart[c]]], cellOf[v] is
+	// v's cell (-1 in a singleton) and pos[v] v's index in lab. cnt*
+	// accumulate one key's arc counts, hits[c] the number of c's vertices
+	// the key touched (negated when c is partly touched) and cursor[c]
+	// where the next one of those is gathered. A pass records the cells it
+	// split or created in inPass and passCells, with their pass-start
+	// ancestor's position in fragParent; splitParents and passEnd hold
+	// those ancestors and their pass-start extents, and keysA, keysB the
+	// current and next pass's keys, four positions each.
 	cellOf       []int32
-	cellEnd      []int32
+	pos          []int32
+	cStart       []int32
+	endAt        []int32
 	cntOut       []int32
 	cntIn        []int32
+	hits         []int32
+	cursor       []int32
 	touched      []int32
 	affCells     []int32
-	fragBounds   []int32
-	fragList     []int32
 	fragParent   []int32
+	passCells    []int32
 	splitParents []int32
 	passEnd      []int32
 	keysA        []int32
 	keysB        []int32
-	cellMark     bitset
-	isFrag       bitset
-	parentMark   bitset
+	inPass       bitset
 	sortTmp      []int
 	colorCounts  []int32
 
@@ -96,46 +103,47 @@ func sparseState(sp *Sparse) *canonState {
 	st := statePool.Get().(*canonState)
 	st.colors, st.g = sp.Color, sp.g
 	st.reset(sp.N)
-	st.posOf = zeroed(st.posOf, sp.N)
+	st.posOf = grown(st.posOf, sp.N)
 	for i := range st.posOf {
 		st.posOf[i] = -1
 	}
 	st.blkOut = zeroed(st.blkOut, sp.N)
 	st.blkIn = zeroed(st.blkIn, sp.N)
-	st.blkIdx = zeroed(st.blkIdx, sp.N)[:0]
+	st.blkIdx = grown(st.blkIdx, sp.N)[:0]
 	return st
 }
 
 // reset sizes the scratch for an n-vertex search, reusing every buffer that
 // is large enough, and clears the previous search's outcome and counters.
-// Levels are resized lazily, by level.
+// Only scratch a search reads before it writes is cleared (zeroed); the
+// rest is resized (grown). Levels are resized lazily, by level.
 func (st *canonState) reset(n int) {
 	st.n = n
 	st.prefix = st.prefix[:0]
 	st.best = st.best[:0]
-	st.bpermInv = zeroed(st.bpermInv, n)
+	st.bpermInv = grown(st.bpermInv, n)
 	st.bestGen = 0
-	st.base = zeroed(st.base, n)[:0]
+	st.base = grown(st.base, n)[:0]
 	st.stopped = false
 	st.nodes, st.leaves, st.orbitPrunes, st.prefixPrunes = 0, 0, 0, 0
-	st.cellOf = zeroed(st.cellOf, n)
-	st.cellEnd = zeroed(st.cellEnd, n+1)
+	st.cellOf = grown(st.cellOf, n)
+	st.pos = grown(st.pos, n)
+	st.cStart = grown(st.cStart, n)
+	st.endAt = grown(st.endAt, n)
 	st.cntOut = zeroed(st.cntOut, n)
 	st.cntIn = zeroed(st.cntIn, n)
-	st.touched = zeroed(st.touched, n)[:0]
-	st.affCells = zeroed(st.affCells, n)[:0]
-	st.fragBounds = zeroed(st.fragBounds, n)[:0]
-	st.fragList = zeroed(st.fragList, n)[:0]
-	st.fragParent = zeroed(st.fragParent, n)
-	st.splitParents = zeroed(st.splitParents, n)[:0]
-	st.passEnd = zeroed(st.passEnd, n+1)
-	st.keysA = zeroed(st.keysA, 2*n)[:0]
-	st.keysB = zeroed(st.keysB, 2*n)[:0]
-	words := (n + 64) / 64 // n+1 bits
-	st.cellMark = zeroed(st.cellMark, words)
-	st.isFrag = zeroed(st.isFrag, words)
-	st.parentMark = zeroed(st.parentMark, words)
-	st.sortTmp = zeroed(st.sortTmp, n)
+	st.hits = zeroed(st.hits, n)
+	st.cursor = grown(st.cursor, n)
+	st.touched = grown(st.touched, n)[:0]
+	st.affCells = grown(st.affCells, n)[:0]
+	st.fragParent = grown(st.fragParent, n)
+	st.passCells = grown(st.passCells, n)[:0]
+	st.splitParents = grown(st.splitParents, n)[:0]
+	st.passEnd = grown(st.passEnd, n)
+	st.keysA = grown(st.keysA, 4*n)[:0]
+	st.keysB = grown(st.keysB, 4*n)[:0]
+	st.inPass = zeroed(st.inPass, (n+63)/64)
+	st.sortTmp = grown(st.sortTmp, n)
 }
 
 // release returns st to statePool. It first drops every reference to the
@@ -155,6 +163,15 @@ func zeroed[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// grown is zeroed without the clearing, for scratch that a search writes
+// before it reads.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // level returns the pooled partition state for the given search depth,
@@ -280,6 +297,13 @@ func (st *canonState) search(depth, fixed, cmp, hint int) {
 		}
 	}
 	s, e := int(lv.cellStart[target]), int(lv.cellStart[target+1])
+	// Try the cell's vertices in ascending order. Refinement leaves a
+	// cell's vertices in no particular order, and the exploration order
+	// decides which leaf comes first, hence the recorded generators and
+	// the search counters.
+	if cell := lv.lab[s:e]; !slices.IsSorted(cell) {
+		slices.Sort(cell)
+	}
 	lv.tried = lv.tried[:0]
 	for ci := s; ci < e; ci++ {
 		v := lv.lab[ci]
@@ -293,7 +317,7 @@ func (st *canonState) search(depth, fixed, cmp, hint int) {
 		lv.tried = append(lv.tried, v)
 		child := st.level(depth + 1)
 		child.copyFrom(lv)
-		child.individualize(target, v)
+		child.individualize(target, ci)
 		st.base = append(st.base, v)
 		gen := st.bestGen
 		st.search(depth+1, k, cmp, target)

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -114,5 +115,44 @@ func TestCanonicalCtxCancel(t *testing.T) {
 		// expected alternative
 	default:
 		t.Fatalf("race with cancel: unexpected error %v", err)
+	}
+}
+
+// TestRefinementNearLinear: a refinement split costs the vertices its key
+// touches, not the whole cell, and a parent's largest fragment is keyed by
+// its complement, so refining a long cycle or path from one or two black
+// vertices is near-linear. A split that re-sorted whole cells, or an
+// untouched bulk rescanned as a key every other pass, makes the root
+// refinement of these 16,384-node graphs quadratic: seconds, not
+// milliseconds. The search polls ctx between nodes, so such a root refine
+// overruns the deadline and the search returns its error.
+func TestRefinementNearLinear(t *testing.T) {
+	const n = 16384
+	for _, tc := range []namedSparse{
+		{"c16384-{0,7}", SparseFromGraph(graph.Cycle(n), blackAt(n, 0, 7))},
+		{"p16384-{0}", SparseFromGraph(graph.Path(n), blackAt(n, 0))},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		r, err := CanonicalSparseCtx(ctx, tc.sp)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: canonical search did not finish within 2 s: %v", tc.name, err)
+		}
+		if len(r.Perm) != n {
+			t.Fatalf("%s: labeling has %d entries, want %d", tc.name, len(r.Perm), n)
+		}
+	}
+}
+
+// TestBranchCellAscending: the search tries a branch cell's vertices in
+// ascending order, although refinement leaves cells in no particular
+// order. On C6 every leaf has the minimum word, so the first leaf is the
+// canonical labeling. It individualizes vertex 0 at the root; refinement
+// then yields the cells {0}, {2, 4}, {3}, {1, 5}, and the search branches
+// on {2, 4}, trying 2 first, which it places before 4.
+func TestBranchCellAscending(t *testing.T) {
+	p := CanonicalSparse(sparse(graph.Cycle(6))).Perm
+	if p[0] != 0 || p[2] > p[4] {
+		t.Fatalf("canonical labeling %v: want vertex 0 at position 0 and vertex 2 before vertex 4", p)
 	}
 }

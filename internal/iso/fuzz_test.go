@@ -3,6 +3,7 @@ package iso
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/perm"
@@ -101,4 +102,83 @@ func bruteAutCount(c *Colored) int {
 		return count
 	}
 	return extend(0)
+}
+
+// FuzzSparseEquitable differentially tests the worklist refinement against
+// the reference engine's full-signature refinement, on the shapes that make
+// its fragments lopsided: a long path or cycle with pendant trees hung off
+// it, plus loops and parallel arcs, undirected or directed, in one to
+// three colors. The equitable partitions must agree cell for cell and the
+// canonical word must not move under a relabeling. Every vertex carries at
+// most 9 arcs each way, so every count is one decimal digit and the
+// reference's string order of signatures is their numeric order.
+func FuzzSparseEquitable(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(33), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(25), uint8(2), uint8(2))
+	f.Add(int64(4), uint8(38), uint8(7), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, n8, shape, colors8 uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		c := lopsidedGraph(rng, int(n8%39)+2, shape&1 != 0, shape&2 != 0, int(colors8%3)+1)
+		want := refRefine(c, refInitialPartition(c)).cells
+		if got := SparseEquitablePartition(SparseFromColored(c)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("equitable partition %v, reference refinement %v", got, want)
+		}
+		word := CanonicalSparse(SparseFromColored(c)).Word
+		p := perm.Perm(rng.Perm(c.N))
+		if !bytes.Equal(CanonicalSparse(SparseFromColored(c.Permuted(p))).Word, word) {
+			t.Fatalf("canonical word changed under relabeling %v", p)
+		}
+	})
+}
+
+// lopsidedGraph builds an n-vertex multigraph: a path or cycle through a
+// random share of the vertices, every other vertex hung as a pendant-tree
+// leaf off an earlier one, then a few loops and parallel arcs. Undirected
+// edges are arcs both ways; directed ones point either way, or both. No
+// vertex gets more than 9 arcs out or in. Colors are mostly 0, with a few
+// vertices in the palette's other colors.
+func lopsidedGraph(rng *rand.Rand, n int, cycle, directed bool, palette int) *Colored {
+	c := NewColored(n)
+	out, in := make([]int, n), make([]int, n)
+	arc := func(u, v int) {
+		if out[u] < 9 && in[v] < 9 {
+			c.Adj[u][v]++
+			out[u]++
+			in[v]++
+		}
+	}
+	edge := func(u, v int) {
+		switch {
+		case !directed || rng.Intn(3) == 0:
+			arc(u, v)
+			arc(v, u)
+		case rng.Intn(2) == 0:
+			arc(u, v)
+		default:
+			arc(v, u)
+		}
+	}
+	spine := n/2 + rng.Intn(n/2+1)
+	for v := 1; v < spine; v++ {
+		edge(v-1, v)
+	}
+	if cycle && spine > 2 {
+		edge(spine-1, 0)
+	}
+	for v := spine; v < n; v++ {
+		edge(rng.Intn(v), v)
+	}
+	for extra := rng.Intn(n/4 + 1); extra > 0; extra-- {
+		u := rng.Intn(n)
+		if rng.Intn(2) == 0 {
+			arc(u, u)
+		} else {
+			edge(u, rng.Intn(n))
+		}
+	}
+	for k := rng.Intn(3); k > 0 && palette > 1; k-- {
+		c.Color[rng.Intn(n)] = 1 + rng.Intn(palette-1)
+	}
+	return c
 }

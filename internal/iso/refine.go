@@ -1,10 +1,15 @@
 package iso
 
+import "slices"
+
 // This file implements the allocation-free equitable refinement at the heart
 // of the canonical search. The hot path performs no fmt formatting, builds
 // no strings and allocates no maps: vertex signatures are integer vectors
 // written into flat scratch buffers that are reused across every refinement
-// pass and every node of the backtracking search (DESIGN.md §8).
+// pass and every node of the backtracking search (DESIGN.md §8). A split
+// costs the vertices its key touched, not its whole cell, and a parent's
+// largest fragment is keyed by its complement, so a refine scans
+// O(n + m log n) arcs (DESIGN.md §13).
 
 // csr holds a Sparse's arcs in compressed-sparse-row form, so refinement
 // passes count multiplicities by scanning neighbor lists (O(arcs)) instead
@@ -21,6 +26,9 @@ type csr struct {
 	inStart []int32
 	inDst   []int32
 	inMult  []int32
+	// sym marks an undirected graph, whose in-arcs are its out-arcs: every
+	// in-count equals the out-count, so refinement counts one side.
+	sym bool
 }
 
 // level is one node's partition state in the backtracking search. Levels are
@@ -124,9 +132,9 @@ func insertionSortBy(a []int, cmp func(x, y int) int) {
 // the original pass-synchronous full-signature algorithm produced: cells
 // split by the vector, over all cells, of (out-multiplicity into the cell,
 // in-multiplicity from the cell), subcells ordered by ascending vector. The
-// implementation is a worklist over splitter fragments — O(Σ key-cell arcs
-// + splits) instead of O(n · ncells) per pass — whose bit-exact equivalence
-// to the full-vector pass is argued in DESIGN.md §13.
+// implementation is a worklist over splitter keys, whose bit-exact
+// equivalence to the full-vector pass is argued in DESIGN.md §13. The order
+// of the vertices inside a cell carries no meaning.
 func (st *canonState) refine(lv *level) { st.refineWork(lv, -1) }
 
 // refineSingle refines lv after individualization created the singleton cell
@@ -140,68 +148,72 @@ func (st *canonState) refineSingle(lv *level, k int) { st.refineWork(lv, k) }
 // refineWork is the shared worklist implementation. onlyCell < 0 seeds every
 // current cell as a splitter (full refine); otherwise only cell onlyCell.
 //
-// During refinement a cell is identified by its start position (stable under
-// splitting): cellEnd[s] is the end of the cell starting at s, cellOf[v] the
-// start of v's cell. lv.cellStart is rebuilt from the boundary chain at the
-// end. A "pass" consumes the current key list and enqueues, for every cell
-// that existed at the start of the pass and split during it, all fragments
-// but the last — matching one full-signature pass of the original algorithm.
+// During refinement a cell of two or more vertices is an id: its vertices
+// are lab[cStart[c]:endAt[cStart[c]]], cellOf[v] is v's cell and pos[v] v's
+// index in lab. A singleton cell has no id (cellOf[v] is -1): nothing
+// splits it. endAt is indexed by position and set for every cell, so the
+// boundary chain walks in one load per cell, and lv.cellStart is rebuilt
+// from it at the end. A split keeps the old id on the vertices its key did
+// not touch, so it never visits them. A "pass" consumes the current key
+// list and enqueues the keys of every cell that existed at the start of the
+// pass and split during it (enqueueFragments) — matching one full-signature
+// pass of the original algorithm.
 func (st *canonState) refineWork(lv *level, onlyCell int) {
 	n := st.n
 	if lv.ncells == n {
 		return
 	}
+	lab := lv.lab
 	for k := 0; k < lv.ncells; k++ {
 		s, e := lv.cellStart[k], lv.cellStart[k+1]
-		st.cellEnd[s] = e
+		st.endAt[s] = e
+		if e-s == 1 {
+			st.cellOf[lab[s]] = -1
+			continue
+		}
+		st.cStart[k] = s
 		for i := s; i < e; i++ {
-			st.cellOf[lv.lab[i]] = s
+			v := lab[i]
+			st.cellOf[v], st.pos[v] = int32(k), i
 		}
 	}
 	ncells := lv.ncells
 	cur, nxt := st.keysA[:0], st.keysB[:0]
 	if onlyCell >= 0 {
-		cur = append(cur, lv.cellStart[onlyCell], lv.cellStart[onlyCell+1])
+		e := lv.cellStart[onlyCell+1]
+		cur = append(cur, lv.cellStart[onlyCell], e, e, e)
 	} else {
 		for k := 0; k < lv.ncells; k++ {
-			cur = append(cur, lv.cellStart[k], lv.cellStart[k+1])
+			e := lv.cellStart[k+1]
+			cur = append(cur, lv.cellStart[k], e, e, e)
 		}
 	}
 	for len(cur) > 0 && ncells < n {
-		for ki := 0; ki+1 < len(cur) && ncells < n; ki += 2 {
-			ncells = st.refineStep(lv, cur[ki], cur[ki+1], ncells)
+		for ki := 0; ki < len(cur) && ncells < n; ki += 4 {
+			ncells = st.refineStep(lab, cur[ki:ki+4], ncells)
 		}
-		// End of pass: enqueue all-but-last fragments of each split parent,
-		// parents ascending, fragments ascending — the key order the
-		// full-vector pass implies.
+		// End of pass: enqueue the keys of each split parent, parents
+		// ascending — the key order the full-vector pass implies.
 		nxt = nxt[:0]
 		if ncells < n {
-			sortInt32s(st.splitParents)
+			if len(st.splitParents) > 1 {
+				slices.Sort(st.splitParents)
+			}
 			for _, p := range st.splitParents {
-				pe := st.passEnd[p]
-				for s := p; s < pe; {
-					fe := st.cellEnd[s]
-					if fe < pe {
-						nxt = append(nxt, s, fe)
-					}
-					s = fe
-				}
+				nxt = st.enqueueFragments(nxt, p)
 			}
 		}
-		for _, f := range st.fragList {
-			st.isFrag.clear(f)
+		for _, c := range st.passCells {
+			st.inPass.clear(c)
 		}
-		st.fragList = st.fragList[:0]
-		for _, p := range st.splitParents {
-			st.parentMark.clear(p)
-		}
+		st.passCells = st.passCells[:0]
 		st.splitParents = st.splitParents[:0]
 		cur, nxt = nxt, cur[:0]
 	}
 	st.keysA, st.keysB = cur[:0], nxt[:0]
 	// Rebuild the compact cell table from the boundary chain.
 	cs := lv.cellStart[:0]
-	for s := int32(0); s < int32(n); s = st.cellEnd[s] {
+	for s := int32(0); s < int32(n); s = st.endAt[s] {
 		cs = append(cs, s)
 	}
 	cs = append(cs, int32(n))
@@ -209,28 +221,127 @@ func (st *canonState) refineWork(lv *level, onlyCell int) {
 	lv.ncells = len(cs) - 1
 }
 
-// refineStep processes one splitter fragment [ks, ke): accumulates each
-// vertex's arc multiplicities into and out of the fragment, splits every
-// touched multi-vertex cell by the (out, in) count pair with a stable sort,
-// and resets the count scratch. Returns the updated cell count.
+// enqueueFragments appends the next pass's keys from the split parent P
+// whose pass-start range is [p, passEnd[p]): every fragment but the last,
+// in position order, since the sum rule implies the last (DESIGN.md §13).
+// A key is four positions (s, e, hs, he): the vertices of lab[s:e] outside
+// the hole lab[hs:he], empty for a fragment's own key. When a fragment F
+// holds more than half of P and is not its last, its key is its complement
+// in P instead — Hopcroft's "skip the largest" — which splits every cell
+// exactly as F does: count(x→F) = count(x→P) − count(x→P∖F), and
+// count(x→P) is constant on every cell, so F's ascending count order is the
+// complement's descending one.
+func (st *canonState) enqueueFragments(keys []int32, p int32) []int32 {
+	pe := st.passEnd[p]
+	big, at := int32(0), 0
+	for s := p; ; {
+		e := st.endAt[s]
+		if e == pe {
+			break
+		}
+		if e-s > big {
+			big, at = e-s, len(keys)
+		}
+		keys = append(keys, s, e, e, e)
+		s = e
+	}
+	if 2*big > pe-p {
+		keys[at+2], keys[at+3] = keys[at], keys[at+1]
+		keys[at], keys[at+1] = p, pe
+	}
+	return keys
+}
+
+// refineStep processes one key: accumulates each vertex's arc multiplicities
+// into and out of the key's vertex set, gathers the touched vertices of
+// every partly touched cell at one end of it, splits the touched
+// multi-vertex cells and resets the count scratch. Returns the updated cell
+// count.
 //
-// The fragment is identified by its position range as captured at enqueue
-// time; later splits only permute vertices within subranges, so the range
-// still denotes the same vertex set when the key is consumed.
-func (st *canonState) refineStep(lv *level, ks, ke int32, ncells int) int {
+// The key's ranges are positions captured at enqueue time. A key is a union
+// of cells, and later splits only permute vertices within cells, so the
+// ranges still denote the same vertex set when the key is consumed.
+func (st *canonState) refineStep(lab []int, key []int32, ncells int) int {
+	s, e, hs, he := key[0], key[1], key[2], key[3]
+	touched := st.count(lab[s:hs], st.touched[:0])
+	if he < e {
+		touched = st.count(lab[he:e], touched)
+	}
+	// A complement key splits in descending count order: its untouched
+	// vertices have the largest count into the fragment it stands for, so
+	// they stay at the back and the touched ones gather at the front.
+	desc := hs < he
+	aff := st.affCells[:0]
+	for _, x := range touched {
+		c := st.cellOf[x]
+		if c < 0 {
+			continue
+		}
+		if st.hits[c] == 0 {
+			aff = append(aff, c)
+		}
+		st.hits[c]++
+	}
+	// Aim a cursor at the touched end of every partly touched cell, whose
+	// count turns negative to mark it, and swap its touched vertices there;
+	// a wholly touched cell needs no gathering.
+	partial := false
+	for _, c := range aff {
+		cs := st.cStart[c]
+		if ce := st.endAt[cs]; st.hits[c] < ce-cs {
+			partial = true
+			st.hits[c] = -st.hits[c]
+			if desc {
+				st.cursor[c] = cs
+			} else {
+				st.cursor[c] = ce - 1
+			}
+		}
+	}
+	for i := 0; partial && i < len(touched); i++ {
+		x := touched[i]
+		c := st.cellOf[x]
+		if c < 0 || st.hits[c] >= 0 {
+			continue
+		}
+		d := st.cursor[c]
+		if desc {
+			st.cursor[c] = d + 1
+		} else {
+			st.cursor[c] = d - 1
+		}
+		px, y := st.pos[x], lab[d]
+		lab[px], lab[d] = y, int(x)
+		st.pos[y], st.pos[x] = px, d
+	}
+	for _, c := range aff {
+		ncells = st.splitCell(lab, c, desc, ncells)
+	}
+	for _, x := range touched {
+		st.cntOut[x], st.cntIn[x] = 0, 0
+	}
+	st.touched, st.affCells = touched[:0], aff[:0]
+	return ncells
+}
+
+// count adds, for every vertex x, the arcs x -> u to cntOut[x] and the arcs
+// u -> x to cntIn[x] over the vertices u of seg, appending each x whose
+// counts leave (0, 0) to touched. On an undirected graph cntIn would equal
+// cntOut everywhere, so it stays 0: count pairs (c, 0) order and compare
+// exactly as (c, c) would.
+func (st *canonState) count(seg []int, touched []int32) []int32 {
 	g := st.g
 	cntOut, cntIn := st.cntOut, st.cntIn
-	touched := st.touched[:0]
-	for i := ks; i < ke; i++ {
-		u := lv.lab[i]
-		// Arcs x -> u give x an out-count into the fragment; arcs u -> y
-		// give y an in-count from it.
+	for _, u := range seg {
 		for a := g.inStart[u]; a < g.inStart[u+1]; a++ {
 			x := g.inDst[a]
 			if cntOut[x] == 0 && cntIn[x] == 0 {
 				touched = append(touched, x)
 			}
 			cntOut[x] += g.inMult[a]
+		}
+		if g.sym {
+			continue
 		}
 		for a := g.outStart[u]; a < g.outStart[u+1]; a++ {
 			y := g.outDst[a]
@@ -240,94 +351,131 @@ func (st *canonState) refineStep(lv *level, ks, ke int32, ncells int) int {
 			cntIn[y] += g.outMult[a]
 		}
 	}
-	aff := st.affCells[:0]
-	for _, x := range touched {
-		s := st.cellOf[x]
-		if st.cellEnd[s]-s > 1 && !st.cellMark.test(s) {
-			st.cellMark.set(s)
-			aff = append(aff, s)
+	return touched
+}
+
+// splitCell splits cell c, whose touched vertices refineStep gathered at
+// one end of it, by the current count pairs. Untouched vertices count
+// (0, 0), the least pair, so unless every vertex was touched they form the
+// first fragment of an ascending split and the last of a descending one:
+// they keep the id c and are not visited. Only the touched vertices are
+// sorted and cut into fragments with fresh ids (none for a singleton).
+// splitCell also records the pass-parent bookkeeping the end-of-pass key
+// building needs.
+func (st *canonState) splitCell(lab []int, c int32, desc bool, ncells int) int {
+	cs := st.cStart[c]
+	ce := st.endAt[cs]
+	h := st.hits[c]
+	st.hits[c] = 0
+	all := h > 0
+	if !all {
+		h = -h
+	}
+	ts, te := ce-h, ce
+	if desc {
+		ts, te = cs, cs+h
+	}
+	// Touched vertices with one count pair form one fragment and need no
+	// sort: the common case of a sparse graph, whose counts are mostly 1.
+	sorted := !st.uniform(lab[ts:te])
+	if all && !sorted {
+		return ncells
+	}
+	if sorted {
+		st.sortByCnt(lab[ts:te], desc)
+		for i := ts; i < te; i++ {
+			st.pos[lab[i]] = i
 		}
 	}
-	for _, s := range aff {
-		st.cellMark.clear(s)
-		ncells = st.splitCell(lv, s, ncells)
+	// p is the cell's ancestor at the start of this pass. The first split
+	// of a pass-start cell records it with its pass-start extent; cells
+	// created in this pass inherit their recorded parent.
+	p := cs
+	if st.inPass.test(c) {
+		p = st.fragParent[c]
+	} else {
+		st.markInPass(c, p)
+		st.splitParents = append(st.splitParents, p)
+		st.passEnd[p] = ce
 	}
-	for _, x := range touched {
-		cntOut[x], cntIn[x] = 0, 0
+	// The untouched vertices keep c; with none, the first fragment does.
+	switch {
+	case all:
+	case desc:
+		st.cStart[c], st.endAt[te] = te, ce
+		st.noteSingleton(lab, te, ce)
+	default:
+		st.endAt[cs] = ts
+		st.noteSingleton(lab, cs, ts)
 	}
-	st.touched, st.affCells = touched[:0], aff[:0]
+	for fs := ts; fs < te; {
+		fe := te
+		if sorted {
+			fe = fs + 1
+			for fe < te && st.sameCnt(lab[fe-1], lab[fe]) {
+				fe++
+			}
+		}
+		st.endAt[fs] = fe
+		switch {
+		case all:
+			st.cStart[c] = fs
+			st.noteSingleton(lab, fs, fe)
+			all = false
+		case fe-fs == 1:
+			// A singleton cell needs no id: nothing splits it.
+			st.cellOf[lab[fs]] = -1
+			ncells++
+		default:
+			id := int32(ncells)
+			ncells++
+			st.cStart[id] = fs
+			for _, v := range lab[fs:fe] {
+				st.cellOf[v] = id
+			}
+			st.markInPass(id, p)
+		}
+		fs = fe
+	}
 	return ncells
 }
 
-// splitCell splits the cell starting at s by the current count pairs,
-// inserting boundaries at every count change after a stable sort, and
-// records the pass-parent bookkeeping the end-of-pass key building needs.
-func (st *canonState) splitCell(lv *level, s int32, ncells int) int {
-	e := st.cellEnd[s]
-	seg := lv.lab[s:e]
-	o0, i0 := st.cntOut[seg[0]], st.cntIn[seg[0]]
-	uniform := true
-	for _, v := range seg[1:] {
-		if st.cntOut[v] != o0 || st.cntIn[v] != i0 {
-			uniform = false
-			break
-		}
+// noteSingleton drops the id of the cell lab[s:e] if it holds one vertex.
+func (st *canonState) noteSingleton(lab []int, s, e int32) {
+	if e-s == 1 {
+		st.cellOf[lab[s]] = -1
 	}
-	if uniform {
-		return ncells
-	}
-	st.sortCellByCnt(seg)
-	// p is the cell's ancestor at the start of this pass. A first split of a
-	// pass-start cell records it and captures its pass-start extent; cells
-	// that are themselves fragments of this pass inherit their recorded
-	// parent (which was marked when they were created).
-	p := s
-	if st.isFrag.test(s) {
-		p = st.fragParent[s]
-	} else if !st.parentMark.test(s) {
-		st.parentMark.set(s)
-		st.splitParents = append(st.splitParents, s)
-		st.passEnd[s] = e
-	}
-	fb := st.fragBounds[:0]
-	fb = append(fb, s)
-	for i := s + 1; i < e; i++ {
-		a, b := lv.lab[i-1], lv.lab[i]
-		if st.cntOut[a] != st.cntOut[b] || st.cntIn[a] != st.cntIn[b] {
-			fb = append(fb, i)
-		}
-	}
-	for fi, fs := range fb {
-		fe := e
-		if fi+1 < len(fb) {
-			fe = fb[fi+1]
-		}
-		st.cellEnd[fs] = fe
-		if fi > 0 {
-			for i := fs; i < fe; i++ {
-				st.cellOf[lv.lab[i]] = fs
-			}
-			st.isFrag.set(fs)
-			st.fragList = append(st.fragList, fs)
-			st.fragParent[fs] = p
-		}
-	}
-	st.fragBounds = fb[:0]
-	return ncells + len(fb) - 1
 }
 
-// individualize splits vertex v (currently in cell k) out of its cell as a
-// preceding singleton, in place.
-func (lv *level) individualize(k int, v int) {
-	s, e := int(lv.cellStart[k]), int(lv.cellStart[k+1])
-	// Move v to the front of its cell.
-	for i := s; i < e; i++ {
-		if lv.lab[i] == v {
-			copy(lv.lab[s+1:i+1], lv.lab[s:i])
-			lv.lab[s] = v
-			break
+// markInPass records that cell c descends from the pass-start cell at
+// position p.
+func (st *canonState) markInPass(c, p int32) {
+	st.inPass.set(c)
+	st.fragParent[c] = p
+	st.passCells = append(st.passCells, c)
+}
+
+func (st *canonState) sameCnt(a, b int) bool {
+	return st.cntOut[a] == st.cntOut[b] && st.cntIn[a] == st.cntIn[b]
+}
+
+// uniform reports whether every vertex of seg has the same count pair.
+func (st *canonState) uniform(seg []int) bool {
+	for _, v := range seg[1:] {
+		if !st.sameCnt(v, seg[0]) {
+			return false
 		}
 	}
+	return true
+}
+
+// individualize splits the vertex at position i of cell k out of its cell
+// as a preceding singleton, in place, keeping the order of the rest.
+func (lv *level) individualize(k, i int) {
+	s := int(lv.cellStart[k])
+	v := lv.lab[i]
+	copy(lv.lab[s+1:i+1], lv.lab[s:i])
+	lv.lab[s] = v
 	// Insert a boundary after position s.
 	lv.cellStart = append(lv.cellStart, 0)
 	copy(lv.cellStart[k+2:], lv.cellStart[k+1:])

@@ -2,6 +2,7 @@ package iso
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/perm"
@@ -66,6 +67,7 @@ func SparseFromGraph(gr *graph.Graph, colors []int) *Sparse {
 	// Undirected symmetry: the multiplicity matrix is symmetric, so the
 	// in-CSR equals the out-CSR and can share its arrays.
 	c.inStart, c.inDst, c.inMult = c.outStart, c.outDst, c.outMult
+	c.sym = true
 	sp.g = c
 	return sp
 }
@@ -185,9 +187,9 @@ func csrIsAutomorphism(g *csr, colors []int, p perm.Perm) bool {
 // SparseEquitablePartition returns the coarsest equitable refinement of
 // sp's color partition: the cells, in canonical (isomorphism-invariant)
 // order, of the partition in which any two vertices of a cell have equal
-// arc multiplicity into and out of every cell. This is the refinement step
-// of the canonical search, O(n + m log n) per call, exposed for benchmarks
-// and diagnostics.
+// arc multiplicity into and out of every cell, each cell's vertices
+// ascending. This is the refinement step of the canonical search,
+// O(n + m log n) per call, exposed for benchmarks and diagnostics.
 func SparseEquitablePartition(sp *Sparse) [][]int {
 	if sp.N == 0 {
 		return nil
@@ -198,7 +200,9 @@ func SparseEquitablePartition(sp *Sparse) [][]int {
 	st.refine(lv)
 	out := make([][]int, 0, lv.ncells)
 	for k := 0; k < lv.ncells; k++ {
-		out = append(out, append([]int(nil), lv.lab[lv.cellStart[k]:lv.cellStart[k+1]]...))
+		cell := append([]int(nil), lv.lab[lv.cellStart[k]:lv.cellStart[k+1]]...)
+		slices.Sort(cell)
+		out = append(out, cell)
 	}
 	st.release()
 	return out

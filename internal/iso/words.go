@@ -1,12 +1,12 @@
 package iso
 
 // This file holds the word-packed primitives under the large-graph engine:
-// a []uint64 bitset used by the worklist refinement to mark touched cells
-// and split parents without clearing O(n) state per pass, a stable bottom-up
-// merge sort over flat count arrays (the cell-splitting comparator never
-// escapes to an interface or allocates), and varint append/compare helpers
-// for the sparse O(n+m) canonical word. Everything here is allocation-free
-// after warmup; see DESIGN.md §13.
+// a []uint64 bitset the worklist refinement marks a pass's split cells in
+// without clearing O(n) state per pass, a merge sort of a split's touched
+// vertices by their flat counts (the comparator never escapes to an
+// interface or allocates), and the varint append helper of the sparse
+// O(n+m) canonical word. Everything here is allocation-free after warmup;
+// see DESIGN.md §13.
 
 // bitset is a packed bit vector. All methods take int32 indices because the
 // refinement scratch is int32-indexed throughout.
@@ -16,10 +16,9 @@ func (b bitset) test(i int32) bool { return b[uint32(i)>>6]&(1<<(uint32(i)&63)) 
 func (b bitset) set(i int32)       { b[uint32(i)>>6] |= 1 << (uint32(i) & 63) }
 func (b bitset) clear(i int32)     { b[uint32(i)>>6] &^= 1 << (uint32(i) & 63) }
 
-// sortInt32s sorts a ascending in place (insertion sort: the inputs — split
-// parents per pass, block positions per word block — are short and nearly
-// sorted, and this keeps the hot path free of sort.Slice's closure
-// allocation).
+// sortInt32s sorts a ascending in place (insertion sort: the inputs — the
+// positions of one word block, one vertex's neighbors — are short, and
+// this keeps the hot path free of sort.Slice's closure allocation).
 func sortInt32s(a []int32) {
 	for i := 1; i < len(a); i++ {
 		x := a[i]
@@ -44,24 +43,25 @@ func appendUvarint(dst []byte, v uint64) []byte {
 	return append(dst, byte(v))
 }
 
-// sortCellByCnt stably sorts one cell's vertices ascending by the flat count
-// pair (cntOut[v], cntIn[v]). Small cells use binary-free insertion sort;
-// larger cells a bottom-up merge sort over st.sortTmp, so splitting a cell
-// of c vertices costs O(c log c) with no allocation and no per-comparison
-// indirection.
-func (st *canonState) sortCellByCnt(a []int) {
+// sortByCnt sorts a split cell's touched vertices by the flat count pair
+// (cntOut[v], cntIn[v]), ascending, or descending for a complement key.
+// Its stability is not needed: only the order of the fragments it cuts
+// carries meaning. Small segments use insertion sort, larger ones a
+// bottom-up merge sort over st.sortTmp, so sorting c vertices costs
+// O(c log c) with no allocation and no per-comparison indirection.
+func (st *canonState) sortByCnt(a []int, desc bool) {
 	cntOut, cntIn := st.cntOut, st.cntIn
-	less := func(x, y int) bool {
-		if cntOut[x] != cntOut[y] {
-			return cntOut[x] < cntOut[y]
-		}
-		return cntIn[x] < cntIn[y]
+	var flip uint64
+	if desc {
+		flip = ^uint64(0)
 	}
+	key := func(v int) uint64 { return (uint64(cntOut[v])<<32 | uint64(cntIn[v])) ^ flip }
 	if len(a) <= 24 {
 		for i := 1; i < len(a); i++ {
 			x := a[i]
+			kx := key(x)
 			j := i - 1
-			for j >= 0 && less(x, a[j]) {
+			for j >= 0 && kx < key(a[j]) {
 				a[j+1] = a[j]
 				j--
 			}
@@ -70,23 +70,15 @@ func (st *canonState) sortCellByCnt(a []int) {
 		return
 	}
 	tmp := st.sortTmp[:len(a)]
-	// Bottom-up merge: runs double each round; ties take the left element,
-	// preserving the pre-sort (previous-partition) order that the refinement
-	// equivalence proof depends on.
+	// Bottom-up merge: runs double each round.
 	src, dst := a, tmp
 	for width := 1; width < len(a); width <<= 1 {
 		for lo := 0; lo < len(a); lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > len(a) {
-				mid = len(a)
-			}
-			if hi > len(a) {
-				hi = len(a)
-			}
+			mid := min(lo+width, len(a))
+			hi := min(lo+2*width, len(a))
 			i, j := lo, mid
 			for k := lo; k < hi; k++ {
-				if i < mid && (j >= hi || !less(src[j], src[i])) {
+				if i < mid && (j >= hi || key(src[j]) >= key(src[i])) {
 					dst[k] = src[i]
 					i++
 				} else {
