@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s -run '^$$' ./internal/lazyrand
 	$(GO) test -fuzz FuzzFrameCodec -fuzztime 30s -run '^$$' ./internal/runtime
 	$(GO) test -fuzz FuzzRegularSubgroup -fuzztime 30s -run '^$$' ./internal/group
+	$(GO) test -fuzz FuzzLabelPreserving -fuzztime 30s -run '^$$' ./internal/labeling
 
 # Adversarial schedule sweep of a representative instance: every strategy
 # across seeds, protocol invariants checked per run (see DESIGN.md §10).

@@ -13,8 +13,8 @@ import (
 )
 
 // ErrUndecided is returned when an oracle's automorphism search runs out of
-// its budget of dead ends (2²¹ of them) before deciding: the Cayley test
-// here, and the Theorem 2.1 check in package labeling.
+// its budget of dead ends (2²¹ of them) before deciding: the Cayley test and
+// SabidussiQuotient here, and the Theorem 2.1 check in package labeling.
 var ErrUndecided = errors.New("group: automorphism search undecided (search budget exhausted)")
 
 // Recognition is the result of deciding whether a graph is a Cayley graph.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -16,7 +17,10 @@ import (
 // the differential reference: close the automorphism group with
 // perm.Closure (capped at 2¹⁷ elements), then scan its sorted element list
 // for a regular subgroup. The lazy search must find the same subgroup,
-// element by element, wherever the reference decides.
+// element by element, wherever the reference decides. It keeps the
+// Sabidussi construction as it stood before it stopped listing Γ, too:
+// the closure partitioned into cosets by the image of u₀, and the quotient
+// found by an all-pairs scan of the cosets.
 
 // refRegular is the reference Cayley test on g: the regular subgroup (nil
 // when g is not a Cayley graph), or decided == false when the closure
@@ -292,6 +296,100 @@ func familyList() map[string]*graph.Graph {
 		fams[fmt.Sprintf("RR3-%d", i)] = graph.RandomRegular(8+2*(i%9), 3, int64(i+1))
 	}
 	return fams
+}
+
+// refSabidussi returns the left cosets {φ : φ(u₀) = v} of H = stab(u₀),
+// u₀ = 0, each sorted, and the quotient that joins cosets v and w iff some
+// a in coset v and b in coset w have a⁻¹b ∈ S, the automorphisms carrying
+// u₀ to a neighbor.
+func refSabidussi(t *testing.T, g *graph.Graph) (cosets [][]perm.Perm, quotient *graph.Graph) {
+	t.Helper()
+	n := g.N()
+	gens := iso.CanonicalSparse(iso.SparseFromGraph(g, nil)).AutoGens
+	aut, err := perm.Closure(n, gens, 1<<17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cosets = make([][]perm.Perm, n)
+	for _, p := range aut.Elements() {
+		cosets[p[0]] = append(cosets[p[0]], p)
+	}
+	inS := make(map[string]bool)
+	for _, nb := range g.NeighborSet(0) {
+		for _, p := range cosets[nb] {
+			inS[p.Key()] = true
+		}
+	}
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		for w := v + 1; w < n; w++ {
+			if refCosetAdjacent(cosets[v], cosets[w], inS) {
+				b.AddEdge(v, w)
+			}
+		}
+	}
+	return cosets, b.Graph()
+}
+
+func refCosetAdjacent(cv, cw []perm.Perm, inS map[string]bool) bool {
+	for _, a := range cv {
+		ai := a.Inverse()
+		for _, b := range cw {
+			// a⁻¹∘b (apply b, then a⁻¹): carries u₀ to a⁻¹(w); the edge
+			// exists iff that lands on a neighbor of u₀, i.e. a⁻¹∘b ∈ S.
+			if inS[b.Compose(ai).Key()] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSabidussiMatchesReference requires H and every coset a_v·H to equal
+// the closure's, as sets, and the quotient to equal the all-pairs scan's,
+// on vertex-transitive graphs, Cayley or not.
+func TestSabidussiMatchesReference(t *testing.T) {
+	fams := map[string]*graph.Graph{
+		"Q3": graph.Hypercube(3), "Q4": graph.Hypercube(4),
+		"K3,3": graph.CompleteBipartite(3, 3), "K4,4": graph.CompleteBipartite(4, 4),
+		"petersen": graph.Petersen(), "moebius-kantor": graph.MoebiusKantor(),
+		"T3x4": graph.Torus(3, 4), "CCC3": graph.CCC(3),
+		"C8{1,2}": graph.Circulant(8, []int{1, 2}), "paley13": graph.Circulant(13, []int{1, 3, 4}),
+		"star4": graph.StarGraph(4), "pancake4": graph.Pancake(4),
+	}
+	for n := 3; n <= 10; n++ {
+		fams[fmt.Sprintf("C%d", n)] = graph.Cycle(n)
+	}
+	for n := 1; n <= 6; n++ {
+		fams[fmt.Sprintf("K%d", n)] = graph.Complete(n)
+	}
+	for n := 3; n <= 6; n++ {
+		fams[fmt.Sprintf("prism%d", n)] = graph.Prism(n)
+	}
+	for _, name := range sortedNames(fams) {
+		g := fams[name]
+		s, err := SabidussiQuotient(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cosets, quotient := refSabidussi(t, g)
+		if !reflect.DeepEqual(s.Stabilizer, cosets[0]) {
+			t.Fatalf("%s: H = %v, reference %v", name, s.Stabilizer, cosets[0])
+		}
+		for v, a := range s.Reps {
+			coset := make([]perm.Perm, len(s.Stabilizer))
+			for i, h := range s.Stabilizer {
+				coset[i] = h.Compose(a)
+			}
+			sort.Slice(coset, func(i, j int) bool { return coset[i].Less(coset[j]) })
+			if !reflect.DeepEqual(coset, cosets[v]) {
+				t.Fatalf("%s: coset %d = %v, reference %v", name, v, coset, cosets[v])
+			}
+		}
+		if adjacencyKey(s.Quotient) != adjacencyKey(quotient) {
+			t.Fatalf("%s: quotient %v, reference %v", name, s.Quotient, quotient)
+		}
+	}
 }
 
 // sortedNames returns the keys of fams in a fixed order.

@@ -1,12 +1,10 @@
 package group
 
 import (
-	"bytes"
+	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/iso"
 	"repro/internal/perm"
 )
 
@@ -18,71 +16,72 @@ import (
 // enough to destroy some of the properties of translations in Cayley
 // graphs" — constructing the quotient makes that destruction inspectable.
 
-// Sabidussi is the coset construction for a vertex-transitive graph.
+// Sabidussi is the coset construction for a vertex-transitive graph. It
+// lists H and one representative per coset, never Γ itself.
 type Sabidussi struct {
-	// Aut is the full automorphism group of the input.
-	Aut *perm.Group
-	// Stabilizer is H = stab(u₀) (u₀ = vertex 0).
+	// Stabilizer is H = stab(u₀) (u₀ = vertex 0), in lexicographic order
+	// of image arrays; its first element is the identity.
 	Stabilizer []perm.Perm
-	// Cosets[v] lists the elements of the left coset {φ : φ(u₀) = v};
-	// coset v corresponds to vertex v of the input graph.
-	Cosets [][]perm.Perm
+	// Reps[v] is the lexicographically first automorphism a_v with
+	// a_v(u₀) = v: the left coset {φ : φ(u₀) = v} = a_v·H corresponds to
+	// vertex v of the input graph.
+	Reps []perm.Perm
 	// Quotient is the coset graph Cay(Γ, S)/H: vertices are the cosets,
 	// with an edge {C, C'} iff some a ∈ C, b ∈ C' satisfy a⁻¹b ∈ S.
 	Quotient *graph.Graph
 }
 
-// sabidussiCap bounds the automorphism group SabidussiQuotient lists.
-const sabidussiCap = 1 << 17
-
 // SabidussiQuotient computes the coset construction for a connected
-// vertex-transitive graph and returns it together with the quotient graph,
-// which is guaranteed (and verified by the tests) to be isomorphic to the
-// input. It lists the automorphism group, and fails on one of more than
-// 2¹⁷ elements.
+// vertex-transitive graph. One AutSearch takes a_v, the first automorphism
+// of From(v), for each v ≠ 0, and then enumerates H from From(0); a graph
+// with no a_v for some v is refused as not vertex-transitive before H is
+// listed. The search's budget of dead ends (searchBudget) bounds H: every
+// element after the first costs at least one, so a stabilizer of more than
+// 2²¹ elements returns ErrUndecided (K_n from n = 11 on, |H| = (n−1)!), and
+// at most about 2²¹ permutations of n ints are ever held.
+//
+// The quotient needs no search. Cosets a_v·H and a_w·H are adjacent iff
+// a_v⁻¹(w) ∈ N(u₀): for a = a_v·h, a⁻¹b(u₀) = h⁻¹(a_v⁻¹(w)), and h⁻¹ fixes
+// u₀ and so maps N(u₀) onto itself, so every element of the coset answers
+// alike. a_v is an automorphism carrying u₀ to v, so that holds iff
+// w ∈ N(v): numbered by v, the quotient is g's simple graph, which is
+// Sabidussi's theorem, and the tests check it against the closure's
+// all-pairs coset scan.
 func SabidussiQuotient(g *graph.Graph) (*Sabidussi, error) {
-	if g.N() == 0 {
+	n := g.N()
+	if n == 0 {
 		return nil, errors.New("group: empty graph")
 	}
 	if !g.IsConnected() {
 		return nil, errors.New("group: graph must be connected")
 	}
-	gens := iso.CanonicalSparse(iso.SparseFromGraph(g, nil)).AutoGens
-	aut, err := perm.Closure(g.N(), gens, sabidussiCap)
-	if err != nil {
-		return nil, err
-	}
-	if !aut.IsTransitive() {
-		return nil, errors.New("group: graph is not vertex-transitive")
-	}
-	n := g.N()
-	s := &Sabidussi{Aut: aut, Cosets: make([][]perm.Perm, n)}
-	// Partition Γ into left cosets of H by the image of u₀ = 0.
-	for _, p := range aut.Elements() {
-		s.Cosets[p[0]] = append(s.Cosets[p[0]], p)
-	}
-	s.Stabilizer = s.Cosets[0]
-	// Orbit-stabilizer: every coset has size |H|.
-	h := len(s.Stabilizer)
-	for v, c := range s.Cosets {
-		if len(c) != h {
-			return nil, fmt.Errorf("group: coset %d has size %d, want %d", v, len(c), h)
+	s := &Sabidussi{Reps: make([]perm.Perm, n)}
+	search := NewAutSearch(context.Background(), g, nil, false)
+	for v := 1; v < n; v++ {
+		a, err := search.From(v).Next()
+		if err != nil {
+			return nil, err
 		}
-	}
-	// S = {σ : d(σ(u₀), u₀) = 1} — the automorphisms carrying u₀ to a
-	// neighbor. Membership test via a set of keys.
-	inS := make(map[string]bool)
-	for _, nb := range g.NeighborSet(0) {
-		for _, p := range s.Cosets[nb] {
-			inS[p.Key()] = true
+		if a == nil {
+			return nil, errors.New("group: graph is not vertex-transitive")
 		}
+		s.Reps[v] = a
 	}
-	// Quotient edges: {v, w} iff some a in coset v, b in coset w have
-	// a⁻¹b ∈ S. (Equivalently b = a·σ for σ ∈ S.)
+	for it := search.From(0); ; {
+		h, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		if h == nil {
+			break
+		}
+		s.Stabilizer = append(s.Stabilizer, h)
+	}
+	s.Reps[0] = s.Stabilizer[0]
 	b := graph.NewBuilder(n)
 	for v := 0; v < n; v++ {
-		for w := v + 1; w < n; w++ {
-			if cosetAdjacent(s.Cosets[v], s.Cosets[w], inS) {
+		for _, w := range g.NeighborSet(v) {
+			if v < w {
 				b.AddEdge(v, w)
 			}
 		}
@@ -91,31 +90,9 @@ func SabidussiQuotient(g *graph.Graph) (*Sabidussi, error) {
 	return s, nil
 }
 
-func cosetAdjacent(cv, cw []perm.Perm, inS map[string]bool) bool {
-	for _, a := range cv {
-		ai := a.Inverse()
-		for _, b := range cw {
-			// a⁻¹∘b (apply b, then a⁻¹): carries u₀ to a⁻¹(w); the edge
-			// exists iff that lands on a neighbor of u₀, i.e. a⁻¹∘b ∈ S.
-			if inS[b.Compose(ai).Key()] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// QuotientIsomorphicToInput reports whether the quotient reproduces the
-// input graph (Sabidussi's theorem says it always does; exposed so tests
-// and demos can verify it on each instance).
-func (s *Sabidussi) QuotientIsomorphicToInput(g *graph.Graph) bool {
-	word := func(h *graph.Graph) []byte { return iso.CanonicalSparse(iso.SparseFromGraph(h, nil)).Word }
-	return s.Quotient.N() == g.N() && bytes.Equal(word(s.Quotient), word(g))
-}
-
 // CayleyOrder returns |Γ|, the order of the covering Cayley graph
 // Cay(Aut(G), S) whose quotient the graph is.
-func (s *Sabidussi) CayleyOrder() int { return s.Aut.Order() }
+func (s *Sabidussi) CayleyOrder() int { return len(s.Reps) * len(s.Stabilizer) }
 
 // StabilizerOrder returns |H|; the quotient identifies |H| vertices of the
 // covering Cayley graph into one, which is what destroys the translation

@@ -2,7 +2,10 @@ package group
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -34,8 +37,8 @@ func TestSabidussiQuotientReproducesGraph(t *testing.T) {
 				t.Errorf("orbit-stabilizer violated: %d != %d * %d",
 					s.CayleyOrder(), c.g.N(), s.StabilizerOrder())
 			}
-			if !s.QuotientIsomorphicToInput(c.g) {
-				t.Errorf("quotient not isomorphic to input (quotient: %v)", s.Quotient)
+			if adjacencyKey(s.Quotient) != adjacencyKey(c.g) {
+				t.Errorf("quotient %v is not the input", s.Quotient)
 			}
 		})
 	}
@@ -69,5 +72,67 @@ func TestSabidussiRejectsNonTransitive(t *testing.T) {
 	}
 	if _, err := SabidussiQuotient(graph.Star(3)); err == nil {
 		t.Error("star accepted")
+	}
+	// The centre of Star(12) has a stabilizer of 12! elements, far past
+	// the search budget: the missing a_1 must refuse the graph before H
+	// is listed.
+	start := time.Now()
+	_, err := SabidussiQuotient(graph.Star(12))
+	if err == nil || !strings.Contains(err.Error(), "not vertex-transitive") {
+		t.Errorf("Star(12): %v, want not vertex-transitive", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Star(12) refused after %v", d)
+	}
+}
+
+// TestSabidussiBudgetBoundsStabilizer lowers the budget of dead ends
+// below |H| = 7! of K8: every element of H after the first costs one, so
+// the construction must stop with ErrUndecided.
+func TestSabidussiBudgetBoundsStabilizer(t *testing.T) {
+	SetSearchBudget(t, 1000)
+	if _, err := SabidussiQuotient(graph.Complete(8)); !errors.Is(err, ErrUndecided) {
+		t.Fatalf("K8 under a budget of 1,000: %v, want ErrUndecided", err)
+	}
+}
+
+// TestSabidussiBeyondTheOldCap builds the construction for K9, whose
+// 362,880 automorphisms a closure capped at 2¹⁷ refused to list, and for
+// Q6, whose 46,080 it listed but whose all-pairs coset scan took minutes.
+// Each must finish inside 10 s.
+func TestSabidussiBeyondTheOldCap(t *testing.T) {
+	cases := []struct {
+		name      string
+		g         *graph.Graph
+		aut, stab int
+	}{
+		{"K9", graph.Complete(9), 362880, 40320},
+		{"Q6", graph.Hypercube(6), 46080, 720},
+	}
+	for _, c := range cases {
+		type result struct {
+			s   *Sabidussi
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			s, err := SabidussiQuotient(c.g)
+			done <- result{s, err}
+		}()
+		select {
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no quotient within 10 s", c.name)
+		case r := <-done:
+			if r.err != nil {
+				t.Fatalf("%s: %v", c.name, r.err)
+			}
+			if r.s.CayleyOrder() != c.aut || r.s.StabilizerOrder() != c.stab {
+				t.Errorf("%s: |Γ| = %d, |H| = %d, want %d and %d",
+					c.name, r.s.CayleyOrder(), r.s.StabilizerOrder(), c.aut, c.stab)
+			}
+			if adjacencyKey(r.s.Quotient) != adjacencyKey(c.g) {
+				t.Errorf("%s: quotient is not the input", c.name)
+			}
+		}
 	}
 }

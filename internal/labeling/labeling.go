@@ -7,10 +7,10 @@
 package labeling
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/group"
@@ -19,108 +19,132 @@ import (
 )
 
 // IsLabelPreserving reports whether the vertex permutation phi is a
-// label-preserving (and color-preserving) automorphism of (g, l, colors):
-// for every pair of nodes, the multiset of (label-here, label-there) pairs
-// on connecting edges is preserved; loops compare unordered label pairs.
-// colors may be nil.
+// label- and color-preserving automorphism of (g, l, colors), l a valid
+// labeling: the port of each node x labeled a maps to the port of φ(x)
+// labeled a, which leads to φ of the first port's far end and arrives
+// under the same label. Labels at a node being distinct, that is the same
+// as preserving, for every pair of nodes, the multiset of (label-here,
+// label-there) pairs on their edges. colors may be nil. It sorts each
+// node's labels once, then runs in O(|E|).
 func IsLabelPreserving(g *graph.Graph, l graph.EdgeLabeling, colors []int, phi perm.Perm) bool {
-	n := g.N()
-	if len(phi) != n {
+	if len(phi) != g.N() {
 		return false
 	}
-	if colors != nil {
-		for v := 0; v < n; v++ {
-			if colors[phi[v]] != colors[v] {
-				return false
-			}
-		}
-	}
-	// Adjacency (as multiplicity) must be preserved.
-	for v := 0; v < n; v++ {
-		if g.Deg(v) != g.Deg(phi[v]) {
-			return false
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !sameLabelMultisets(g, l, v, phi[v], phi) {
+	m := newMatcher(g, l, colors)
+	m.phi = phi
+	for x := range phi {
+		if !m.maps(x) {
 			return false
 		}
 	}
 	return true
 }
-
-// sameLabelMultisets compares, for each neighbor w of v, the multiset of
-// label pairs on v—w edges with that on phi(v)—phi(w) edges.
-func sameLabelMultisets(g *graph.Graph, l graph.EdgeLabeling, v, pv int, phi perm.Perm) bool {
-	collect := func(x int) map[int][]string {
-		out := make(map[int][]string)
-		for p, h := range g.Ports(x) {
-			if h.To == x {
-				// Loop: count once (skip the higher port of the pair) with
-				// an unordered label pair.
-				if h.Twin < p {
-					continue
-				}
-				a, b := l[x][p], l[x][h.Twin]
-				if a > b {
-					a, b = b, a
-				}
-				out[x] = append(out[x], fmt.Sprintf("L%d,%d", a, b))
-				continue
-			}
-			out[h.To] = append(out[h.To], fmt.Sprintf("%d,%d", l[x][p], l[h.To][h.Twin]))
-		}
-		for _, v := range out {
-			sort.Strings(v)
-		}
-		return out
-	}
-	mv, mp := collect(v), collect(pv)
-	if len(mv) != len(mp) {
-		return false
-	}
-	for w, labs := range mv {
-		plabs, ok := mp[phi[w]]
-		if !ok || len(plabs) != len(labs) {
-			return false
-		}
-		for i := range labs {
-			if labs[i] != plabs[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// autCap bounds the automorphism group LabelPreservingGroup lists.
-const autCap = 1 << 17
 
 // LabelPreservingGroup returns the group of label- and color-preserving
-// automorphisms of (g, l, colors), by filtering the full color-preserving
-// automorphism group, which it lists; it fails on a group of more than
-// 2¹⁷ elements.
+// automorphisms of the connected graph (g, l, colors), in lexicographic
+// order of image arrays. Labels at a node are distinct, so such an
+// automorphism is fixed by the image of vertex 0: for each v it propagates
+// φ(0) = v along equally labeled ports and keeps φ if every port matches.
+// That is at most n candidates of O(|E|) each, after one sort of each
+// node's labels, with no canonical search and no cap. A disconnected graph
+// is refused.
 func LabelPreservingGroup(g *graph.Graph, l graph.EdgeLabeling, colors []int) ([]perm.Perm, error) {
 	if err := l.Validate(g); err != nil {
 		return nil, err
 	}
-	gens := iso.CanonicalSparse(iso.SparseFromGraph(g, colors)).AutoGens
-	aut, err := perm.Closure(g.N(), gens, autCap)
-	if err != nil {
-		return nil, err
+	if !g.IsConnected() {
+		return nil, errors.New("labeling: graph must be connected")
 	}
+	n := g.N()
+	if n == 0 {
+		return []perm.Perm{{}}, nil
+	}
+	m := newMatcher(g, l, colors)
+	m.phi, m.inv = make([]int, n), make([]int, n)
 	var out []perm.Perm
-	for _, a := range aut.Elements() {
-		if IsLabelPreserving(g, l, colors, a) {
-			out = append(out, a)
+	for v := 0; v < n; v++ {
+		for x := range m.phi {
+			m.phi[x], m.inv[x] = -1, -1
+		}
+		m.phi[0], m.inv[v] = v, 0
+		m.queue = append(m.queue[:0], 0)
+		ok := true
+		for i := 0; ok && i < len(m.queue); i++ {
+			ok = m.maps(m.queue[i])
+		}
+		if ok {
+			out = append(out, append(perm.Perm(nil), m.phi...))
 		}
 	}
 	return out, nil
 }
 
+// matcher maps nodes onto their images port by port. ord[off[x]:off[x+1]]
+// lists x's ports in increasing order of label; labels at a node being
+// distinct, two nodes of equal degree carry the same labels iff their
+// lists agree label by label, and then the i-th entries pair the ports.
+type matcher struct {
+	g        *graph.Graph
+	l        graph.EdgeLabeling
+	colors   []int
+	off, ord []int
+	// phi is the vertex map under test, -1 where not yet propagated; inv
+	// is its inverse and queue lists the nodes mapped so far.
+	phi, inv, queue []int
+}
+
+func newMatcher(g *graph.Graph, l graph.EdgeLabeling, colors []int) *matcher {
+	n := g.N()
+	m := &matcher{g: g, l: l, colors: colors, off: make([]int, n+1)}
+	for x := 0; x < n; x++ {
+		m.off[x+1] = m.off[x] + g.Deg(x)
+	}
+	m.ord = make([]int, m.off[n])
+	for x := 0; x < n; x++ {
+		ps := m.ord[m.off[x]:m.off[x+1]]
+		for p := range ps {
+			ps[p] = p
+		}
+		slices.SortFunc(ps, func(p, q int) int { return cmp.Compare(l[x][p], l[x][q]) })
+	}
+	return m
+}
+
+// maps reports whether phi carries node x onto y = phi[x]: x's color and
+// degree kept, and each port of x labeled a onto the port of y labeled a,
+// with the same label at the far end and the far end w onto phi[w]. Where
+// phi[w] is -1 it maps w there instead, unless that image is taken, and
+// queues w.
+func (m *matcher) maps(x int) bool {
+	y := m.phi[x]
+	if m.colors != nil && m.colors[x] != m.colors[y] || m.g.Deg(x) != m.g.Deg(y) {
+		return false
+	}
+	qs := m.ord[m.off[y]:m.off[y+1]]
+	for i, p := range m.ord[m.off[x]:m.off[x+1]] {
+		q := qs[i]
+		if m.l[x][p] != m.l[y][q] {
+			return false
+		}
+		h, k := m.g.Port(x, p), m.g.Port(y, q)
+		if m.l[h.To][h.Twin] != m.l[k.To][k.Twin] {
+			return false
+		}
+		switch w := h.To; {
+		case m.phi[w] == k.To:
+		case m.phi[w] < 0 && m.inv[k.To] < 0:
+			m.phi[w], m.inv[k.To] = k.To, w
+			m.queue = append(m.queue, w)
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // LabClasses returns the label-equivalence classes (Definition 2.2) of
-// (g, l, colors): the orbits of the label-preserving automorphism group.
-// By Lemma 2.1 all classes have the same size.
+// the connected graph (g, l, colors): the orbits of the label-preserving
+// automorphism group. By Lemma 2.1 all classes have the same size.
 func LabClasses(g *graph.Graph, l graph.EdgeLabeling, colors []int) ([][]int, error) {
 	grp, err := LabelPreservingGroup(g, l, colors)
 	if err != nil {
@@ -234,61 +258,48 @@ func ExistsSymmetricLabelingGens(ctx context.Context, g *graph.Graph, gens []per
 	return nil, nil
 }
 
-// portID identifies a port as (node, port index).
-type portID struct{ v, p int }
-
 // labelingPreservedBy attempts to build an edge-labeling preserved by the
 // automorphism phi of a simple graph. The port permutation Π maps port
 // (v → w) to (φv → φw); a preserved labeling exists iff no Π-orbit visits
-// one node twice, and is then built by giving each orbit a fresh label.
+// one node twice, and is then built by giving each orbit a fresh label, in
+// order of the orbits' first ports. Port p of v is numbered off[v] + p, and
+// Π is built in O(|E|) over flat arrays.
 func labelingPreservedBy(g *graph.Graph, phi perm.Perm) (graph.EdgeLabeling, bool) {
 	n := g.N()
-	// portIndex[v][w] = port index at v leading to w (simple graph).
-	portIndex := make([]map[int]int, n)
+	off := make([]int, n+1)
 	for v := 0; v < n; v++ {
-		portIndex[v] = make(map[int]int, g.Deg(v))
+		off[v+1] = off[v] + g.Deg(v)
+	}
+	// at[w] is the port of φ(v) leading to w while v's ports are mapped.
+	at, pi := make([]int, n), make([]int, off[n])
+	for v := 0; v < n; v++ {
+		y := phi[v]
+		for q, h := range g.Ports(y) {
+			at[h.To] = q
+		}
 		for p, h := range g.Ports(v) {
-			portIndex[v][h.To] = p
+			pi[off[v]+p] = off[y] + at[phi[h.To]]
 		}
 	}
-	next := func(q portID) portID {
-		w := g.Port(q.v, q.p).To
-		return portID{phi[q.v], portIndex[phi[q.v]][phi[w]]}
+	// flat holds every label, -1 until its port's orbit is walked; last[u]
+	// is 1 + the label of the last orbit that visited u.
+	flat, last := make([]int, off[n]), make([]int, n)
+	for i := range flat {
+		flat[i] = -1
 	}
 	l := make(graph.EdgeLabeling, n)
-	for v := range l {
-		l[v] = make([]int, g.Deg(v))
-		for p := range l[v] {
-			l[v][p] = -1
-		}
-	}
 	label := 0
 	for v := 0; v < n; v++ {
-		for p := range g.Ports(v) {
-			if l[v][p] != -1 {
+		l[v] = flat[off[v]:off[v+1]:off[v+1]]
+		for p := range l[v] {
+			if l[v][p] >= 0 {
 				continue
 			}
-			// Walk the Π-orbit of (v, p).
-			orbit := []portID{{v, p}}
-			seen := map[portID]bool{{v, p}: true}
-			for q := next(portID{v, p}); !seen[q]; q = next(q) {
-				seen[q] = true
-				orbit = append(orbit, q)
-			}
-			// Injectivity per node: the orbit must not contain two ports of
-			// the same node.
-			nodeSeen := make(map[int]bool)
-			for _, q := range orbit {
-				if nodeSeen[q.v] {
+			for u, i := v, off[v]+p; flat[i] < 0; u, i = phi[u], pi[i] {
+				if last[u] == label+1 {
 					return nil, false
 				}
-				nodeSeen[q.v] = true
-			}
-			for _, q := range orbit {
-				if l[q.v][q.p] != -1 && l[q.v][q.p] != label {
-					return nil, false
-				}
-				l[q.v][q.p] = label
+				last[u], flat[i] = label+1, label
 			}
 			label++
 		}

@@ -1,6 +1,7 @@
 package labeling
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/group"
 	"repro/internal/iso"
 	"repro/internal/perm"
+	"repro/internal/view"
 )
 
 func blacks(n int, idx ...int) []int {
@@ -121,7 +123,10 @@ func TestLabClassesMatchTranslationClasses(t *testing.T) {
 
 func TestLemma21EqualClassSizes(t *testing.T) {
 	// For arbitrary labelings of arbitrary bicolored graphs, all ~lab
-	// classes have the same size.
+	// classes have the same size, and each lies inside one view class
+	// (Equation (1)): on six graphs under random labelings, then on every
+	// connected graph on at most 5 nodes under the port labeling and four
+	// random ones, with no black node and with one.
 	rng := rand.New(rand.NewSource(5))
 	gs := []*graph.Graph{
 		graph.Cycle(6), graph.Petersen(), graph.Hypercube(3),
@@ -132,18 +137,79 @@ func TestLemma21EqualClassSizes(t *testing.T) {
 			l := graph.RandomLabeling(g, rng.Int63())
 			cols := make([]int, g.N())
 			cols[rng.Intn(g.N())] = 1
-			classes, err := LabClasses(g, l, cols)
-			if err != nil {
-				t.Fatal(err)
+			checkLemma21(t, fmt.Sprintf("graph %d trial %d", gi, trial), g, l, cols)
+		}
+	}
+	instances := 0
+	for n := 1; n <= 5; n++ {
+		eachGraph(n, func(mask int, g *graph.Graph) {
+			if !g.IsConnected() {
+				return
 			}
-			s := len(classes[0])
-			for _, c := range classes {
-				if len(c) != s {
-					t.Errorf("graph %d trial %d: unequal class sizes %v", gi, trial, classes)
-					break
+			for _, l := range smallLabelings(g, int64(mask)) {
+				for _, colors := range smallColorings(n, mask) {
+					instances++
+					checkLemma21(t, fmt.Sprintf("n=%d mask=%#x", n, mask), g, l, colors)
 				}
 			}
+		})
+	}
+	if instances != 772*10 {
+		t.Fatalf("%d instances", instances)
+	}
+}
+
+// checkLemma21 fails unless the ~lab classes of (g, l, colors) share one
+// size (Lemma 2.1) and each lies inside one view class (Equation (1)).
+func checkLemma21(t *testing.T, name string, g *graph.Graph, l graph.EdgeLabeling, colors []int) {
+	t.Helper()
+	classes, err := LabClasses(g, l, colors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := view.ComputeClasses(g, l, colors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range classes {
+		if len(c) != len(classes[0]) {
+			t.Errorf("%s: unequal class sizes %v", name, classes)
+			return
 		}
+		for _, v := range c {
+			if views.Class[v] != views.Class[c[0]] {
+				t.Errorf("%s: ~lab class %v spans view classes %v", name, c, views.Members)
+				return
+			}
+		}
+	}
+}
+
+// TestLabClassesQ8 lists the label-preserving group of Q8 under the port
+// labeling; Q8's automorphism group has 10,321,920 elements, which no
+// closure lists.
+func TestLabClassesQ8(t *testing.T) {
+	g := graph.Hypercube(8)
+	classes, err := LabClasses(g, graph.PortLabeling(g), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(classes) != 128 {
+		t.Fatalf("%d classes, want 128", len(classes))
+	}
+	for _, c := range classes {
+		if len(c) != 2 {
+			t.Fatalf("class %v, want size 2", c)
+		}
+	}
+}
+
+// TestLabelPreservingGroupRefusesDisconnected: the propagation from vertex
+// 0 reaches only 0's component.
+func TestLabelPreservingGroupRefusesDisconnected(t *testing.T) {
+	g := graph.NewBuilder(2).Graph()
+	if _, err := LabClasses(g, graph.PortLabeling(g), nil); err == nil {
+		t.Fatal("disconnected graph accepted")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package perm implements permutations of {0,…,n−1}, the orbits of a set of
 // permutations, and finite permutation groups listed from generators. The
-// Cayley test and the Theorem 2.1 check use the permutations and orbits
-// but never list a group; the explicit closure serves the label-preserving
-// group of labeling.LabClasses and the Sabidussi quotient.
+// program uses the permutations and orbits but never lists a group; the
+// explicit closure serves only tests, as the reference the automorphism
+// searches of group and labeling are checked against.
 package perm
 
 import (
@@ -239,9 +239,6 @@ func Closure(n int, gens []Perm, cap int) (*Group, error) {
 	return g, nil
 }
 
-// Degree returns the number of points the group acts on.
-func (g *Group) Degree() int { return g.n }
-
 // Order returns |G|.
 func (g *Group) Order() int { return len(g.elements) }
 
@@ -255,12 +252,6 @@ func (g *Group) Contains(p Perm) bool {
 	}
 	_, ok := g.index[p.Key()]
 	return ok
-}
-
-// Orbits returns the orbits of g on {0,…,n−1}, each sorted, ordered by
-// smallest element.
-func (g *Group) Orbits() [][]int {
-	return OrbitsOf(g.n, g.elements)
 }
 
 // OrbitsOf returns the orbits of the set of permutations (not necessarily a
@@ -312,7 +303,7 @@ func OrbitsOf(n int, perms []Perm) [][]int {
 
 // IsTransitive reports whether g has a single orbit.
 func (g *Group) IsTransitive() bool {
-	return g.n == 0 || len(g.Orbits()) == 1
+	return g.n == 0 || len(OrbitsOf(g.n, g.elements)) == 1
 }
 
 // IsRegular reports whether g acts regularly: transitively with trivial
@@ -322,17 +313,6 @@ func (g *Group) IsRegular() bool {
 		return false
 	}
 	return g.IsTransitive()
-}
-
-// Stabilizer returns the elements of g fixing point x.
-func (g *Group) Stabilizer(x int) []Perm {
-	var out []Perm
-	for _, p := range g.elements {
-		if p[x] == x {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func gcd(a, b int) int {

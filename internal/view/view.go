@@ -14,6 +14,7 @@ package view
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,70 +30,83 @@ type Classes struct {
 	Members [][]int
 }
 
-// depthClasses computes the partition of nodes by view-isomorphism to the
-// given depth, via synchronized refinement:
-//
-//	class_0(v)   = (color(v), deg(v))
-//	class_k+1(v) = (class_k(v), multiset over ports p of
-//	                 (ℓ_v(p), ℓ_w(twin p), class_k(w)))
-//
-// which mirrors the recursive definition of V^(k)(v) in the paper's proof
-// of Theorem 2.1.
-func depthClasses(g *graph.Graph, l graph.EdgeLabeling, colors []int, depth int) []int {
-	n := g.N()
-	cls := make([]int, n)
-	key := make([]string, n)
-	for v := 0; v < n; v++ {
-		col := 0
-		if colors != nil {
-			col = colors[v]
-		}
-		key[v] = fmt.Sprintf("%d|%d", col, g.Deg(v))
-	}
-	cls = densify(key)
-	for k := 0; k < depth; k++ {
-		next := make([]string, n)
-		for v := 0; v < n; v++ {
-			parts := make([]string, 0, g.Deg(v))
-			for p, h := range g.Ports(v) {
-				parts = append(parts, fmt.Sprintf("%d:%d:%d", l[v][p], l[h.To][h.Twin], cls[h.To]))
-			}
-			sort.Strings(parts)
-			next[v] = fmt.Sprintf("%d#%s", cls[v], strings.Join(parts, ","))
-		}
-		newCls := densify(next)
-		if equalInts(newCls, cls) {
-			return cls // stabilized early; deeper views agree
-		}
-		cls = newCls
-	}
-	return cls
+// Arc is one directed port of a port-labeled graph: the label at its
+// tail, the label at its head, and its head.
+type Arc struct {
+	Lab, Far, To int
 }
 
-// densify maps distinct strings to dense ints, ordered by first occurrence
-// of the smallest node — we instead order classes canonically by sorted key
-// so results are reproducible.
-func densify(keys []string) []int {
-	uniq := append([]string(nil), keys...)
-	sort.Strings(uniq)
-	id := make(map[string]int)
-	next := 0
-	for _, k := range uniq {
-		if _, ok := id[k]; !ok {
-			id[k] = next
-			next++
+// Arcs returns the arcs of (g, l) by tail, in port order.
+func Arcs(g *graph.Graph, l graph.EdgeLabeling) [][]Arc {
+	arcs := make([][]Arc, g.N())
+	for v := range arcs {
+		for p, h := range g.Ports(v) {
+			arcs[v] = append(arcs[v], Arc{Lab: l[v][p], Far: l[h.To][h.Twin], To: h.To})
 		}
 	}
+	return arcs
+}
+
+// Refine computes the view classes of the graph whose node v has the arcs
+// arcs[v] and the color color[v], by synchronized refinement:
+//
+//	class_0(v)   = (deg(v), color(v))
+//	class_k+1(v) = (class_k(v), multiset over arcs a of v of
+//	                 (a.Lab, a.Far, class_k(a.To)))
+//
+// which mirrors the recursive definition of V^(k)(v) in the paper's proof
+// of Theorem 2.1: class_k is the partition by views truncated at depth k.
+// It stops once a round splits no class, or after rounds rounds. A class
+// id is the rank of its key among the sorted distinct keys of its round,
+// so ids are dense and depend only on the isomorphism type of the graph,
+// never on its node numbering.
+func Refine(arcs [][]Arc, color []int, rounds int) []int {
+	n := len(arcs)
+	keys := make([]string, n)
+	for v := range keys {
+		keys[v] = fmt.Sprintf("%d.%d", len(arcs[v]), color[v])
+	}
+	class := rankKeys(keys)
+	for round := 0; round < rounds; round++ {
+		for v, as := range arcs {
+			parts := make([]string, len(as))
+			for i, a := range as {
+				parts[i] = fmt.Sprintf("%d.%d.%d", a.Lab, a.Far, class[a.To])
+			}
+			sort.Strings(parts)
+			keys[v] = fmt.Sprintf("%d~%s", class[v], strings.Join(parts, "~"))
+		}
+		next := rankKeys(keys)
+		if samePartition(class, next) {
+			return next
+		}
+		class = next
+	}
+	return class
+}
+
+// rankKeys maps each key to the rank of its value among the sorted
+// distinct keys: equal keys get equal ids, and the ids depend only on the
+// multiset of keys.
+func rankKeys(keys []string) []int {
+	uniq := slices.Clone(keys)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
 	out := make([]int, len(keys))
 	for i, k := range keys {
-		out[i] = id[k]
+		out[i], _ = slices.BinarySearch(uniq, k)
 	}
 	return out
 }
 
-func equalInts(a, b []int) bool {
+// samePartition reports whether two dense class assignments induce the
+// same partition (ids may differ).
+func samePartition(a, b []int) bool {
+	fwd, bwd := make([]int, len(a)), make([]int, len(b))
 	for i := range a {
-		if a[i] != b[i] {
+		if fwd[a[i]] == 0 && bwd[b[i]] == 0 {
+			fwd[a[i]], bwd[b[i]] = b[i]+1, a[i]+1
+		} else if fwd[a[i]] != b[i]+1 || bwd[b[i]] != a[i]+1 {
 			return false
 		}
 	}
@@ -106,33 +120,24 @@ func ComputeClasses(g *graph.Graph, l graph.EdgeLabeling, colors []int) (*Classe
 	if err := l.Validate(g); err != nil {
 		return nil, err
 	}
-	cls := depthClasses(g, l, colors, max(g.N()-1, 0))
-	return fromAssignment(cls), nil
+	if colors == nil {
+		colors = make([]int, g.N())
+	}
+	return fromAssignment(Refine(Arcs(g, l), colors, max(g.N()-1, 0))), nil
 }
 
+// fromAssignment renumbers the dense class ids of cls by smallest member.
 func fromAssignment(cls []int) *Classes {
-	// Renumber classes by smallest member.
-	first := map[int]int{}
+	// renum[c] is 1 + class c's new id, 0 until its first member.
+	renum := make([]int, len(cls))
+	out := &Classes{Class: make([]int, len(cls))}
 	for v, c := range cls {
-		if _, ok := first[c]; !ok {
-			first[c] = v
+		if renum[c] == 0 {
+			out.Members = append(out.Members, nil)
+			renum[c] = len(out.Members)
 		}
-	}
-	type pair struct{ min, old int }
-	var ps []pair
-	for c, m := range first {
-		ps = append(ps, pair{m, c})
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].min < ps[j].min })
-	renum := make(map[int]int, len(ps))
-	for i, p := range ps {
-		renum[p.old] = i
-	}
-	out := &Classes{Class: make([]int, len(cls)), Members: make([][]int, len(ps))}
-	for v, c := range cls {
-		nc := renum[c]
-		out.Class[v] = nc
-		out.Members[nc] = append(out.Members[nc], v)
+		out.Class[v] = renum[c] - 1
+		out.Members[renum[c]-1] = append(out.Members[renum[c]-1], v)
 	}
 	return out
 }

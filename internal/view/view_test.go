@@ -112,7 +112,7 @@ func Fig2cLabeling() graph.EdgeLabeling {
 // classesAtDepth is the coarser partition by views truncated at depth, on
 // all-white nodes: the refinement ComputeClasses runs, stopped early.
 func classesAtDepth(g *graph.Graph, l graph.EdgeLabeling, depth int) *Classes {
-	return fromAssignment(depthClasses(g, l, nil, depth))
+	return fromAssignment(Refine(Arcs(g, l), make([]int, g.N()), depth))
 }
 
 func TestNorrisDepthSufficient(t *testing.T) {

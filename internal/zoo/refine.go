@@ -1,18 +1,11 @@
 package zoo
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/view"
 )
-
-// mapArc is one directed port of the reconstructed map: the edge label on
-// this side, the label on the far side, and the far endpoint.
-type mapArc struct {
-	lab, far, to int
-}
 
 // mapData is the decision-facing form of an instance: the port-labeled
 // (multi)graph plus the home-base occupancy of every node. Agents build it
@@ -23,7 +16,7 @@ type mapArc struct {
 // discovery numbering and the true node numbering decide identically.
 type mapData struct {
 	n     int
-	arcs  [][]mapArc
+	arcs  [][]view.Arc
 	homes []int
 }
 
@@ -32,108 +25,25 @@ type mapData struct {
 func (m *mapData) sortArcs() {
 	for v := range m.arcs {
 		arcs := m.arcs[v]
-		sort.Slice(arcs, func(i, j int) bool { return arcs[i].lab < arcs[j].lab })
+		sort.Slice(arcs, func(i, j int) bool { return arcs[i].Lab < arcs[j].Lab })
 	}
 }
 
 // mapFromGraph builds mapData from the true instance.
 func mapFromGraph(g *graph.Graph, labels graph.EdgeLabeling, homes []int) mapData {
-	n := g.N()
-	m := mapData{n: n, arcs: make([][]mapArc, n), homes: make([]int, n)}
+	m := mapData{n: g.N(), arcs: view.Arcs(g, labels), homes: make([]int, g.N())}
 	for _, h := range homes {
 		m.homes[h]++
-	}
-	for v := 0; v < n; v++ {
-		for p := 0; p < g.Deg(v); p++ {
-			h := g.Port(v, p)
-			m.arcs[v] = append(m.arcs[v], mapArc{
-				lab: labels[v][p],
-				far: labels[h.To][h.Twin],
-				to:  h.To,
-			})
-		}
 	}
 	m.sortArcs()
 	return m
 }
 
-// refineClasses computes the view-equivalence classes of the map's nodes:
-// the coarsest partition equitable with respect to (degree, home count) and
-// the labeled arc structure — two nodes land in one class iff their infinite
-// port-labeled views (with home-base coloring) are equal. The returned class
-// ids are canonical: they depend only on the isomorphism type of the map,
-// never on its node numbering, so every agent's reconstruction and the
-// central oracle rank classes identically.
-func refineClasses(m mapData) []int {
-	keys := make([]string, m.n)
-	for v := range keys {
-		keys[v] = fmt.Sprintf("%d.%d", len(m.arcs[v]), m.homes[v])
-	}
-	class := rankKeys(keys)
-	for round := 0; round < m.n; round++ {
-		next := make([]string, m.n)
-		for v := 0; v < m.n; v++ {
-			parts := make([]string, len(m.arcs[v]))
-			for i, a := range m.arcs[v] {
-				parts[i] = fmt.Sprintf("%d.%d.%d", a.lab, a.far, class[a.to])
-			}
-			sort.Strings(parts)
-			next[v] = fmt.Sprintf("%d~%s", class[v], strings.Join(parts, "~"))
-		}
-		nc := rankKeys(next)
-		if samePartition(class, nc) {
-			return nc
-		}
-		class = nc
-	}
-	return class
-}
-
-// rankKeys maps each key string to the rank of its value among the sorted
-// distinct keys — equal keys get equal ids, and the ids depend only on the
-// multiset of keys.
-func rankKeys(keys []string) []int {
-	uniq := append([]string(nil), keys...)
-	sort.Strings(uniq)
-	uniq = uniq[:uniqCompact(uniq)]
-	rank := make(map[string]int, len(uniq))
-	for i, k := range uniq {
-		rank[k] = i
-	}
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = rank[k]
-	}
-	return out
-}
-
-// uniqCompact deduplicates a sorted slice in place, returning the new length.
-func uniqCompact(xs []string) int {
-	w := 0
-	for i, x := range xs {
-		if i == 0 || x != xs[w-1] {
-			xs[w] = x
-			w++
-		}
-	}
-	return w
-}
-
-// samePartition reports whether two class assignments induce the same
-// partition (ids may differ).
-func samePartition(a, b []int) bool {
-	fwd, bwd := map[int]int{}, map[int]int{}
-	for i := range a {
-		if x, ok := fwd[a[i]]; ok && x != b[i] {
-			return false
-		}
-		if x, ok := bwd[b[i]]; ok && x != a[i] {
-			return false
-		}
-		fwd[a[i]], bwd[b[i]] = b[i], a[i]
-	}
-	return true
-}
+// classes returns the map's view classes, colored by home count, with
+// view.Refine's canonical ids: they depend only on the isomorphism type of
+// the map, never on its node numbering, so every agent's reconstruction and
+// the central oracle rank classes identically.
+func (m mapData) classes() []int { return view.Refine(m.arcs, m.homes, m.n) }
 
 // classSizes counts members per class id.
 func classSizes(class []int) map[int]int {
@@ -180,7 +90,7 @@ func canonicalSink(m mapData, class []int) (int, bool) {
 	for v := 0; v < m.n; v++ {
 		adj[v] = map[int]bool{v: true}
 		for _, a := range m.arcs[v] {
-			adj[v][a.to] = true
+			adj[v][a.To] = true
 		}
 	}
 	alive := make([]bool, m.n)
@@ -256,9 +166,9 @@ func bfsDist(m mapData, src int) []int {
 		v := queue[0]
 		queue = queue[1:]
 		for _, a := range m.arcs[v] {
-			if dist[a.to] < 0 {
-				dist[a.to] = dist[v] + 1
-				queue = append(queue, a.to)
+			if dist[a.To] < 0 {
+				dist[a.To] = dist[v] + 1
+				queue = append(queue, a.To)
 			}
 		}
 	}
@@ -306,7 +216,7 @@ type decision struct {
 // numbering-invariant: every agent's reconstruction and the central oracle
 // reach the same verdict and the same physical winner.
 func decide(k kind, m mapData) decision {
-	class := refineClasses(m)
+	class := m.classes()
 	switch k {
 	case kindDP, kindShadesWeak:
 		if w := singletonHomeWinner(m, class); w >= 0 {

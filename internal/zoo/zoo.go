@@ -227,7 +227,7 @@ func Predict(spec string, g *graph.Graph, labels graph.EdgeLabeling, homes []int
 	d := decide(k, m)
 	p := Prediction{Solvable: d.solvable, Winner: -1, Mode: modeOf(k), Fallback: d.fallback, Applicable: true}
 	if k == kindUSO {
-		_, ok := canonicalSink(m, refineClasses(m))
+		_, ok := canonicalSink(m, m.classes())
 		p.Applicable = ok
 	}
 	if !d.solvable {
