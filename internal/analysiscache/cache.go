@@ -1,11 +1,11 @@
 // Package analysiscache is the shared, bounded, coalescing memo of
-// elect.Analyze results keyed by the instance's canonical form. The
-// centralized analysis (class ordering, Cayley recognition, the Theorem 2.1
-// oracle) is often orders of magnitude more expensive than one simulated
-// run and depends only on the (graph, homes) instance — never the seed —
-// so every layer that analyzes repeatedly (campaign sweeps, the election
-// daemon, the experiment harness) shares this cache instead of growing a
-// private unbounded map.
+// elect.Analyze results, keyed by the instance's structure or, in
+// canonical mode, by its canonical form. The centralized analysis (class
+// ordering, Cayley recognition, the Theorem 2.1 oracle) is often orders of
+// magnitude more expensive than one simulated run and depends only on the
+// (graph, homes) instance — never the seed — so every layer that analyzes
+// repeatedly (campaign sweeps, the election daemon, the experiment
+// harness) shares this cache instead of growing a private unbounded map.
 //
 // Three production properties distinguish it from the map it replaces:
 //
@@ -15,12 +15,18 @@
 //   - Coalescing: concurrent requests for one key collapse into a single
 //     computation (singleflight) — the first caller computes, the rest
 //     block on the entry's latch. N clients asking about the same (or,
-//     under CanonicalKey, isomorphic) instance pay for exactly one
+//     in canonical mode, isomorphic) instance pay for exactly one
 //     elect.Analyze.
 //   - Bounding: completed entries live on a per-shard LRU with byte-size
 //     accounting; inserting past the budget evicts cold entries, so a
 //     long-running process holds memory flat no matter how many distinct
 //     instances pass through.
+//
+// In canonical mode the key is the Word of elect.Search, the sparse
+// canonical search every analysis starts from. Get runs that search once,
+// under the caller's context, and on a miss the default analysis continues
+// from its Result (elect.AnalyzeFrom): a cold lookup costs one whole-graph
+// search, not one for the key and another for the analysis.
 package analysiscache
 
 import (
@@ -32,30 +38,31 @@ import (
 
 	"repro/internal/elect"
 	"repro/internal/graph"
+	"repro/internal/iso"
 	"repro/internal/order"
 )
 
 // AnalyzeFunc computes the analysis of one instance. The ctx is the
 // computation's own context, canceled when every waiter of the entry has
-// abandoned it — the production value wraps elect.AnalyzeCtx, which plumbs
-// it into every canonical search of COMPUTE & ORDER. Tests inject counting
-// or blocking stand-ins to prove coalescing, eviction, and cancellation
+// abandoned it — the default analysis, elect's, plumbs it into every
+// canonical search it runs. Tests and benchmarks inject counting, blocking
+// or tracing stand-ins to prove coalescing, eviction, and cancellation
 // behavior.
 type AnalyzeFunc func(ctx context.Context, g *graph.Graph, homes []int) (*elect.Analysis, error)
 
-// KeyFunc maps an instance to its cache key. Two instances sharing a key
-// share an entry (and therefore one analysis). See StructuralKey and
-// CanonicalKey.
-type KeyFunc func(g *graph.Graph, homes []int) string
-
-// Config tunes a Cache. The zero value is usable: elect.Analyze under the
-// Direct ordering, StructuralKey, DefaultMaxBytes, DefaultShards.
+// Config tunes a Cache. The zero value is usable: elect.AnalyzeCtx under
+// the Direct ordering, StructuralKey, DefaultMaxBytes, DefaultShards.
 type Config struct {
-	// Analyze computes entries (default: elect.Analyze with order.Direct).
+	// Analyze computes entries (default: elect's analysis under
+	// order.Direct, continued from the key's search in canonical mode). An
+	// injected function is called as (ctx, g, homes) in either mode.
 	Analyze AnalyzeFunc
-	// Key derives cache keys (default StructuralKey; the daemon uses
-	// CanonicalKey so isomorphic-but-renumbered instances coalesce).
-	Key KeyFunc
+	// Canonical keys entries by the canonical form of the home-weighted
+	// graph (CanonicalKey, the Word of elect.Search), so isomorphic but
+	// renumbered instances share an entry; the daemon sets it. Get then
+	// runs that search under the caller's context and hands its Result to
+	// the default analysis. Off, entries are keyed by StructuralKey.
+	Canonical bool
 	// MaxBytes bounds the total estimated size of completed entries across
 	// all shards (default DefaultMaxBytes; negative disables eviction).
 	MaxBytes int64
@@ -87,15 +94,16 @@ type Stats struct {
 	Entries   int   `json:"entries"`
 	SizeBytes int64 `json:"size_bytes"`
 	// AnalysisMS is total wall-clock spent inside the analyze function
-	// (misses only — hits and coalesced waiters pay nothing).
+	// (misses only — hits and coalesced waiters pay nothing). In canonical
+	// mode the key's search, which every lookup runs first, is not in it.
 	AnalysisMS float64 `json:"analysis_ms"`
 }
 
 // Cache is a sharded, coalescing, LRU-bounded analysis memo. Safe for
 // concurrent use.
 type Cache struct {
-	analyze   AnalyzeFunc
-	key       KeyFunc
+	analyze   AnalyzeFunc // nil: elect's analysis
+	canonical bool
 	maxBytes  int64
 	shardMask uint64
 	shards    []shard
@@ -148,14 +156,6 @@ type entry struct {
 
 // New builds a cache from cfg (zero value ok).
 func New(cfg Config) *Cache {
-	if cfg.Analyze == nil {
-		cfg.Analyze = func(ctx context.Context, g *graph.Graph, homes []int) (*elect.Analysis, error) {
-			return elect.AnalyzeCtx(ctx, g, homes, order.Direct)
-		}
-	}
-	if cfg.Key == nil {
-		cfg.Key = StructuralKey
-	}
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
@@ -168,7 +168,7 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		analyze:   cfg.Analyze,
-		key:       cfg.Key,
+		canonical: cfg.Canonical,
 		maxBytes:  cfg.MaxBytes,
 		shardMask: uint64(n - 1),
 		shards:    make([]shard, n),
@@ -185,19 +185,33 @@ func New(cfg Config) *Cache {
 // use. The second result reports whether the call was served without
 // computing (a completed-entry hit or a coalesced join of an in-flight
 // computation). If ctx is done before the entry completes, Get returns
-// ctx.Err() — including for the caller that started the computation. The
+// ctx.Err() — including for the caller that started the computation; a
+// ctx already done when Get is called computes nothing and counts no
+// lookup. In canonical mode the key's search runs under ctx. The
 // computation runs detached from any single request context, so one
 // canceled waiter never robs the others; but when the LAST waiter of an
 // in-flight entry cancels, the computation's own context is canceled
-// (stopping the canonical searches inside elect.AnalyzeCtx) and the
-// entry is dropped so a future Get retries.
+// (stopping the canonical searches inside the analysis) and the entry is
+// dropped so a future Get retries.
 func (c *Cache) Get(ctx context.Context, g *graph.Graph, homes []int) (*elect.Analysis, bool, error) {
-	key := c.key(g, homes)
-	sh := &c.shards[maphash.String(c.seed, key)&c.shardMask]
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	var res *iso.Result // the key's search, canonical mode only
+	var key string
+	if c.canonical {
+		var err error
+		if res, err = elect.Search(ctx, g, homes); err != nil {
+			return nil, false, err
+		}
+		key = string(res.Word)
+	} else {
+		key = StructuralKey(g, homes)
+	}
+	sh := &c.shards[maphash.String(c.seed, key)&c.shardMask]
 
 	sh.mu.lock()
 	e, ok := sh.entries[key]
@@ -208,11 +222,11 @@ func (c *Cache) Get(ctx context.Context, g *graph.Graph, homes []int) (*elect.An
 		sh.mu.unlock()
 
 		c.misses.Add(1)
-		go c.compute(cctx, sh, e, g, homes)
+		go c.compute(cctx, sh, e, g, homes, res)
 		select {
 		case <-e.done:
 			return e.an, false, e.err
-		case <-ctxDone:
+		case <-ctx.Done():
 			c.abandon(sh, e)
 			return nil, false, ctx.Err()
 		}
@@ -233,7 +247,7 @@ func (c *Cache) Get(ctx context.Context, g *graph.Graph, homes []int) (*elect.An
 	select {
 	case <-e.done:
 		return e.an, true, e.err
-	case <-ctxDone:
+	case <-ctx.Done():
 		c.abandon(sh, e)
 		return nil, false, ctx.Err()
 	}
@@ -259,10 +273,11 @@ func (c *Cache) abandon(sh *shard, e *entry) {
 // entry's own, canceled only when every waiter abandons), closes its latch,
 // and installs the completed entry on the shard's LRU. completed is set
 // before the latch closes so an abandoning waiter that loses the race
-// cannot drop a finished entry.
-func (c *Cache) compute(ctx context.Context, sh *shard, e *entry, g *graph.Graph, homes []int) {
+// cannot drop a finished entry. res is the key's search in canonical mode,
+// nil otherwise.
+func (c *Cache) compute(ctx context.Context, sh *shard, e *entry, g *graph.Graph, homes []int, res *iso.Result) {
 	start := time.Now()
-	an, err := c.analyze(ctx, g, homes)
+	an, err := c.run(ctx, g, homes, res)
 	c.analysisNS.Add(int64(time.Since(start)))
 	e.an, e.err = an, err
 	e.cost = entryCost(e.key, an)
@@ -284,6 +299,19 @@ func (c *Cache) compute(ctx context.Context, sh *shard, e *entry, g *graph.Graph
 	sh.mu.unlock()
 	e.cancel() // release the context's resources
 	close(e.done)
+}
+
+// run computes one entry's analysis: the injected Analyze if there is one,
+// else elect's, continued from res when the key's search produced one.
+func (c *Cache) run(ctx context.Context, g *graph.Graph, homes []int, res *iso.Result) (*elect.Analysis, error) {
+	switch {
+	case c.analyze != nil:
+		return c.analyze(ctx, g, homes)
+	case res != nil:
+		return elect.AnalyzeFrom(ctx, g, homes, res, order.Direct)
+	default:
+		return elect.AnalyzeCtx(ctx, g, homes, order.Direct)
+	}
 }
 
 // evictLocked drops cold completed entries until the shard is under its

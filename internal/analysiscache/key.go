@@ -1,13 +1,13 @@
 package analysiscache
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/elect"
 	"repro/internal/graph"
-	"repro/internal/iso"
 )
 
 // StructuralKey serializes the (graph, homes) pair as node count, sorted
@@ -44,16 +44,21 @@ func StructuralKey(g *graph.Graph, homes []int) string {
 	return b.String()
 }
 
-// CanonicalKey keys the instance by the canonical word of the
-// home-weighted colored graph: two instances share a key exactly when a
-// graph isomorphism maps one onto the other carrying home multiplicities
-// along. This is the daemon's key — N clients submitting renumbered copies
-// of one instance coalesce onto a single analysis — and costs one
-// canonical-labeling search per lookup, far cheaper than the full analysis
-// (Cayley recognition, labeling enumeration) it saves. The word is the
-// sparse engine's O(n+m) one, so a key stays small next to the cache's
-// shard budget at any size.
+// CanonicalKey is the key a canonical-mode Cache files (g, homes) under:
+// the Word of elect.Search, the canonical form of the home-weighted colored
+// graph. Two instances share it exactly when a graph isomorphism maps one
+// onto the other carrying home multiplicities along, so N clients
+// submitting renumbered copies of one instance coalesce onto a single
+// analysis. The word is the sparse engine's O(n+m) one, so a key stays
+// small next to the cache's shard budget at any size. Get computes the key
+// itself, from the one search a miss's analysis then continues from; this
+// function serves callers that need the key without the cache (it costs
+// one canonical-labeling search).
 func CanonicalKey(g *graph.Graph, homes []int) string {
-	colors := elect.BlackColors(g.N(), homes)
-	return string(iso.CanonicalSparse(iso.SparseFromGraph(g, colors)).Word)
+	res, err := elect.Search(context.Background(), g, homes)
+	if err != nil {
+		// Background is never canceled.
+		panic("analysiscache: unreachable: uncancelable search failed: " + err.Error())
+	}
+	return string(res.Word)
 }

@@ -29,16 +29,29 @@ import (
 // COMPUTE & ORDER does: every agent then runs the search on the identical
 // canonical input and extracts the identical d, the one AnalyzeCtx reports.
 func CayleyTranslationCount(g *graph.Graph, weight []int, autCap int) (bool, int, error) {
-	canon := iso.CanonicalSparse(iso.SparseFromGraph(g, weight))
-	return cayleyTranslationCount(context.Background(), g, weight, canon.Perm)
+	return cayleyTranslationCount(context.Background(), g, weight, nil)
 }
 
-// cayleyTranslationCount is CayleyTranslationCount given canon, the sparse
-// canonical relabeling of the bicolored graph (g, weight), under ctx.
-// AnalyzeCtx passes the relabeling of the search COMPUTE & ORDER already
-// ran on the same input. Translation by γ is the vertex map R[γ] of the
-// recognized regular subgroup R, so d = #{γ : weight∘R[γ] = weight}.
+// cayleyTranslationCount is CayleyTranslationCount under ctx, given canon,
+// the sparse canonical relabeling of the bicolored graph (g, weight), or
+// nil to search for it. AnalyzeFrom passes the relabeling of the
+// whole-graph search its analysis continues from. Translation by γ is the
+// vertex map R[γ] of the recognized regular subgroup R, so
+// d = #{γ : weight∘R[γ] = weight}.
+//
+// A Cayley graph is connected and regular, and relabeling changes neither,
+// so a graph that is not both is rejected before any search or relabeling.
 func cayleyTranslationCount(ctx context.Context, g *graph.Graph, weight []int, canon perm.Perm) (bool, int, error) {
+	if reg, _ := g.IsRegular(); !reg || !g.IsConnected() {
+		return false, 0, nil
+	}
+	if canon == nil {
+		res, err := iso.CanonicalSparseCtx(ctx, iso.SparseFromGraph(g, weight))
+		if err != nil {
+			return false, 0, err
+		}
+		canon = res.Perm
+	}
 	cg, err := g.Relabel(canon)
 	if err != nil {
 		return false, 0, err

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/group"
+	"repro/internal/iso"
 	"repro/internal/labeling"
 	"repro/internal/order"
 )
@@ -57,6 +58,17 @@ func Analyze(g *graph.Graph, homes []int, ord order.Ordering) (*Analysis, error)
 	return AnalyzeCtx(context.Background(), g, homes, ord)
 }
 
+// Search runs the sparse canonical search of the whole bicolored map
+// (G, p), the home-weighted graph of (g, homes), under ctx. Every analysis
+// starts from it: AnalyzeCtx is Search, then AnalyzeFrom. Its Word is the
+// instance's canonical form, equal for two instances exactly when an
+// isomorphism carries one onto the other with its home multiplicities, so
+// a caller that keys analyses by it (analysiscache in canonical mode)
+// hands the same Result on to AnalyzeFrom instead of searching twice.
+func Search(ctx context.Context, g *graph.Graph, homes []int) (*iso.Result, error) {
+	return iso.CanonicalSparseCtx(ctx, iso.SparseFromGraph(g, BlackColors(g.N(), homes)))
+}
+
 // AnalyzeCtx is Analyze under a context: cancellation propagates through
 // COMPUTE & ORDER into every canonical search it runs (the sparse
 // whole-graph search and, under order.Hairs, one surrounding search per
@@ -64,18 +76,30 @@ func Analyze(g *graph.Graph, homes []int, ord order.Ordering) (*Analysis, error)
 // as ctx.Err(). This is the hook by which a canceled /v1/analyze request
 // stops its analysis mid-computation.
 //
-// The whole-graph search of (G, p) runs once, in COMPUTE & ORDER: the
-// Cayley test relabels G by its canonical Perm, and the Theorem 2.1 check
-// colors G by the orbits of its AutoGens.
+// It is Search followed by AnalyzeFrom: the whole-graph search of (G, p)
+// runs once, and the rest of the analysis reads it.
+func AnalyzeCtx(ctx context.Context, g *graph.Graph, homes []int, ord order.Ordering) (*Analysis, error) {
+	res, err := Search(ctx, g, homes)
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeFrom(ctx, g, homes, res, ord)
+}
+
+// AnalyzeFrom is AnalyzeCtx continued from res, which must be
+// Search(g, homes)'s result: it runs no whole-graph search of its own.
+// COMPUTE & ORDER reads the classes and their order from res
+// (order.ComputeAndOrderFrom), the Cayley test relabels G by its canonical
+// Perm, and the Theorem 2.1 check colors G by the orbits of its AutoGens.
 //
 // On graphs with at least order.LargeThreshold nodes the Cayley test and
 // the Theorem 2.1 search, which need an n×n distance table, are skipped,
 // leaving their fields unset exactly as an undecided small instance would.
 // A connected simple graph with gcd 1 still gets its Theorem 2.1 answer,
 // which needs no search (see labeling.ExistsSymmetricLabelingGens).
-func AnalyzeCtx(ctx context.Context, g *graph.Graph, homes []int, ord order.Ordering) (*Analysis, error) {
+func AnalyzeFrom(ctx context.Context, g *graph.Graph, homes []int, res *iso.Result, ord order.Ordering) (*Analysis, error) {
 	colors := BlackColors(g.N(), homes)
-	o, err := order.ComputeAndOrderCtx(ctx, g, colors, ord)
+	o, err := order.ComputeAndOrderFrom(ctx, g, colors, res, ord)
 	if err != nil {
 		return nil, err
 	}

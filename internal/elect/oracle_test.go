@@ -67,6 +67,28 @@ func TestAnalyzeSearchCount(t *testing.T) {
 	}
 }
 
+// TestCayleyRejectsBeforeSearching: a Cayley graph is connected and regular,
+// so the Cayley test refuses a path, a grid, a star and two disjoint
+// triangles without a canonical search.
+func TestCayleyRejectsBeforeSearching(t *testing.T) {
+	b := graph.NewBuilder(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	for name, g := range map[string]*graph.Graph{
+		"P9": graph.Path(9), "Grid4x5": graph.Grid(4, 5), "Star6": graph.Star(6), "2K3": b.Graph(),
+	} {
+		before := iso.Stats()
+		isCayley, d, err := CayleyTranslationCount(g, BlackColors(g.N(), []int{0, 1}), 0)
+		if err != nil || isCayley || d != 0 {
+			t.Fatalf("%s: Cayley %v, d %d, err %v; want not Cayley", name, isCayley, d, err)
+		}
+		if got := iso.Stats().Sub(before).Searches; got != 0 {
+			t.Fatalf("%s: the Cayley test ran %d canonical searches, want 0", name, got)
+		}
+	}
+}
+
 // TestAnalyzeBeyondTheOldCap: K9 and K6,6 with one home, whose automorphism
 // groups the Cayley test used to list and could not, are decided as Cayley
 // graphs with d = 1, and their Theorem 2.1 check needs no search (gcd 1).

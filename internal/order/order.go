@@ -260,6 +260,15 @@ func ComputeAndOrderCtx(ctx context.Context, g *graph.Graph, colors []int, ord O
 	if err != nil {
 		return nil, err
 	}
+	return ComputeAndOrderFrom(ctx, g, colors, res, ord)
+}
+
+// ComputeAndOrderFrom is ComputeAndOrderCtx continued from res, the sparse
+// canonical search of the whole bicolored graph (g, colors) that a caller
+// already ran: it runs no whole-graph search of its own, only the hair
+// order's per-class ones. res must be that search's result; the classes,
+// the positional order and Ordered.Canon are read from it.
+func ComputeAndOrderFrom(ctx context.Context, g *graph.Graph, colors []int, res *iso.Result, ord Ordering) (*Ordered, error) {
 	classes := perm.OrbitsOf(g.N(), res.AutoGens)
 	keysComputed.Add(int64(len(classes)))
 	var o *Ordered

@@ -17,13 +17,12 @@ import (
 // the thousands of nodes fit comfortably, abusive payloads do not.
 const maxBodyBytes = 8 << 20
 
-// writeJSON writes v as the response body with the given status.
+// writeJSON writes v as the response body with the given status, compact
+// and newline-terminated.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // a failed response write has no recovery
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // a failed response write has no recovery
 }
 
 // writeError writes the JSON error envelope.

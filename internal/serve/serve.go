@@ -24,7 +24,8 @@
 //   - The analysis cache is shared across every request and keyed by the
 //     instance's iso-canonical form, with singleflight coalescing — N
 //     concurrent clients asking about isomorphic instances pay for one
-//     elect.Analyze — and an LRU byte bound (internal/analysiscache).
+//     elect.Analyze, which continues from the key's search — and an LRU
+//     byte bound (internal/analysiscache).
 //   - A bounded in-daemon worker pool backpressures heavy endpoints:
 //     requests wait at most QueueTimeout for a slot, then get 503 with
 //     Retry-After rather than piling goroutines up.
@@ -77,7 +78,8 @@ type Config struct {
 	// Metrics is the registry mounted at /debug/metrics (default: fresh).
 	Metrics *telemetry.Registry
 	// Analyze overrides the analysis function (tests inject counting or
-	// blocking stand-ins; nil = the real elect.Analyze).
+	// blocking stand-ins; nil = elect's analysis, continued from the
+	// cache key's canonical search).
 	Analyze analysiscache.AnalyzeFunc
 	// SlowRequest is the duration past which a successful request is
 	// recorded in the /debug/requests trace ring (default 500ms).
@@ -152,9 +154,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg: cfg,
 		cache: analysiscache.New(analysiscache.Config{
-			Analyze:  cfg.Analyze,
-			Key:      analysiscache.CanonicalKey,
-			MaxBytes: cfg.CacheMaxBytes,
+			Analyze:   cfg.Analyze,
+			Canonical: true,
+			MaxBytes:  cfg.CacheMaxBytes,
 		}),
 		metrics:    cfg.Metrics,
 		pool:       make(chan struct{}, cfg.Workers),
